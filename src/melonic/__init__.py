@@ -27,7 +27,6 @@ from .errors import (
 )
 from .hypergraph import (
     Hypergraph,
-    ReducedHypergraph,
     euler_deficiency,
     has_cycle,
     hypergraph_of,

@@ -3,8 +3,10 @@
 Subcommands: enumerate | classify | count | moments | mc | var | law |
 contract | heavytail | resolvent-check.  Tabular output is CSV (default) or
 JSON via --format; floats are serialised with 17 significant digits so runs
-are bit-reproducible.  A JSON config file mirroring ExperimentConfig can
-seed the common flags; explicit flags win.
+are bit-reproducible.  Settings come from one ExperimentConfig: its
+defaults, then a JSON config file (--config), then explicit flags.  Each
+subcommand accepts only the flags it reads.  The package's own errors end
+the run with a one-line message and the exit codes listed in _EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import counting, experiments, limitlaw, maps, tensor
+from . import counting, experiments, limitlaw, maps
+from .errors import ContractViolation, DomainError, NumericalError, ResourceLimitError
+from .experiments import ExperimentConfig
 from .hypergraph import (
     euler_deficiency,
     hypergraph_of,
@@ -46,6 +51,10 @@ def _emit_table(header, rows, out, fmt):
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -65,6 +74,25 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+# The flags that set ExperimentConfig fields; each dest is the field name.
+_FLAGS = {
+    "--p": dict(type=int, dest="p", help="tensor order / vertex valence"),
+    "--n": dict(type=int, dest="n_max", help="degree (vertices of the maps)"),
+    "--N": dict(type=_int_list, dest="N_grid", help="comma-separated dimensions"),
+    "--samples": dict(type=int),
+    "--seed": dict(type=int),
+    "--threads": dict(type=int),
+    "--dist": dict(
+        help="gaussian-gote | gaussian-offdiag-only | rademacher | uniform"
+        " | symmetrized-pareto:ALPHA"
+    ),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), dest="fmt"),
+}
+_TABLE = ("--p", "--n", "--out", "--format")
+_MC = (*_TABLE, "--N", "--samples", "--seed", "--threads", "--dist")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="melonic",
@@ -73,177 +101,135 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file with ExperimentConfig defaults")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, mc=False):
-        sp.add_argument("--p", type=int, help="tensor order / vertex valence")
-        sp.add_argument("--n", type=int, help="degree (vertices of the maps)")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        if mc:
-            sp.add_argument("--N", type=_int_list, help="comma-separated dimensions")
-            sp.add_argument("--samples", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--threads", type=int)
-            sp.add_argument(
-                "--dist",
-                help="gaussian-gote | gaussian-offdiag-only | rademacher | uniform"
-                " | symmetrized-pareto:ALPHA",
-            )
+    def subcommand(name, help, flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        return sp
 
-    common(sub.add_parser("enumerate", help="rooted connected p-regular maps"))
-    common(sub.add_parser("classify", help="melonic classification per map"))
-    common(sub.add_parser("count", help="Fuss-Catalan counting table"))
-    sp = sub.add_parser("moments", help="exact finite-N expectations per map")
-    common(sp, mc=True)
-    sp.add_argument("--exact", action="store_true", default=True,
-                    help="exact oracle mode (always on)")
-    common(sub.add_parser("mc", help="Monte Carlo moments of I_n/N"), mc=True)
-    common(sub.add_parser("var", help="variance scaling of I_n/N"), mc=True)
+    subcommand("enumerate", "rooted connected p-regular maps", ("--p", "--n", "--out"))
+    subcommand("classify", "melonic classification per map", _TABLE)
+    subcommand("count", "Fuss-Catalan counting table", _TABLE)
+    subcommand(
+        "moments", "exact finite-N expectations per map", (*_TABLE, "--N", "--dist")
+    )
+    subcommand("mc", "Monte Carlo moments of I_n/N", _MC)
+    subcommand("var", "variance scaling of I_n/N", _MC)
 
-    sp = sub.add_parser("law", help="limit-law density grid and moments")
-    common(sp)
-    sp.add_argument("--k", type=int, help="contraction depth (default 0)")
+    sp = subcommand("law", "limit-law density grid and moments", ("--p", "--out", "--format"))
+    sp.add_argument("--k", type=int, default=0, help="contraction depth (default 0)")
     sp.add_argument("--grid", type=int, default=101, help="density grid points")
     sp.add_argument("--eta", type=float, default=1e-4, help="inversion offset")
 
-    sp = sub.add_parser("contract", help="contracted-tensor moments")
-    common(sp, mc=True)
-    sp.add_argument("--k", type=int, help="contraction depth (default 1)")
+    sp = subcommand("contract", "contracted-tensor moments", _MC)
+    sp.add_argument("--k", type=int, default=1, help="contraction depth (default 1)")
     sp.add_argument("--random-unit", action="store_true",
                     help="contract by a deterministic random unit vector instead of e1")
 
-    sp = sub.add_parser("heavytail", help="median moments with Pareto entries")
-    common(sp, mc=True)
+    sp = subcommand(
+        "heavytail", "median moments with Pareto entries",
+        (*_TABLE, "--N", "--samples", "--seed", "--threads"),
+    )
     sp.add_argument("--tail", type=float, default=3.5, help="Pareto tail index")
 
-    sp = sub.add_parser("resolvent-check", help="p=2 resolvent series vs dense trace")
-    common(sp, mc=True)
+    sp = subcommand(
+        "resolvent-check", "p=2 resolvent series vs dense trace",
+        ("--N", "--seed", "--out", "--format"),
+    )
     sp.add_argument("--z", type=float, default=3.0)
     sp.add_argument("--K", type=int, default=20)
     return ap
 
 
-_DEFAULTS = dict(
-    p=3, n=2, N=(16, 32), samples=200, seed=1, threads=1, dist="gaussian-gote", fmt="csv"
-)
-
-
-def _resolve(args) -> dict:
-    """Defaults < config file < explicit flags."""
-    cfg = dict(_DEFAULTS)
+def _config(args) -> ExperimentConfig:
+    """Dataclass defaults < config file < explicit flags."""
+    cfg = ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        rename = {"n_max": "n", "N_grid": "N", "format": "fmt"}
-        for key, val in raw.items():
-            key = rename.get(key, key)
-            if key == "N":
-                val = tuple(val)
-            cfg[key] = val
-    for key in ("p", "n", "N", "samples", "seed", "threads", "dist", "out", "fmt"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg.setdefault("out", None)
-    return cfg
+            cfg = ExperimentConfig.from_json(json.load(fh))
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(cfg)
+        if getattr(args, f.name, None) is not None
+    }
+    return replace(cfg, **flags)
 
 
-def _experiment_config(c: dict) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        p=c["p"],
-        n_max=c["n"],
-        N_grid=c["N"],
-        samples=c["samples"],
-        seed=c["seed"],
-        dist=c["dist"],
-        threads=c["threads"],
-        out=c["out"],
-        fmt=c["fmt"],
-    )
-
-
-def _cmd_enumerate(args, c):
+def _cmd_enumerate(args, cfg):
     out = []
-    for b in enumerate_rooted_connected(c["p"], c["n"]):
+    for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
         obj = maps.map_to_json(b)
         obj["code"] = list(canonical_code(b).code)
         out.append(obj)
-    text = json.dumps(out, indent=2) + "\n"
-    if c["out"]:
-        with open(c["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(out, indent=2) + "\n", cfg.out)
 
 
-def _cmd_classify(args, c):
+def _cmd_classify(args, cfg):
     rows = []
-    for b in enumerate_rooted_connected(c["p"], c["n"]):
+    for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
         # melonic classification is defined for p >= 3; p = 2 rows stay blank
-        pi = melonic_partition(b) if c["p"] >= 3 else None
-        melonic = is_melonic_graph(b) if c["p"] >= 3 else ""
+        pi = melonic_partition(b) if cfg.p >= 3 else None
+        melonic = is_melonic_graph(b) if cfg.p >= 3 else ""
         dualgraph = hypergraph_of(dual(b)).reduced()
         rows.append(
             (
                 canonical_code(b).code,
                 melonic,
                 "|".join(" ".join(map(str, blk)) for blk in pi.blocks) if pi else "",
-                euler_deficiency(dualgraph, c["p"]),
+                euler_deficiency(dualgraph, cfg.p),
             )
         )
-    _emit_table(["code", "melonic", "pi", "euler_deficiency"], rows, c["out"], c["fmt"])
+    _emit_table(["code", "melonic", "pi", "euler_deficiency"], rows, cfg.out, cfg.fmt)
 
 
-def _cmd_count(args, c):
+def _cmd_count(args, cfg):
     rows = []
-    for n in range(c["n"] + 1):
+    for n in range(cfg.n_max + 1):
         rows.append(
             (
-                c["p"],
+                cfg.p,
                 n,
-                counting.fuss_catalan(c["p"], n),
-                counting.count_dyck(c["p"], n),
-                counting.count_noncrossing_div(c["p"], n),
-                counting.count_melonic_maps(c["p"], n) if c["p"] >= 3 else "",
+                counting.fuss_catalan(cfg.p, n),
+                counting.count_dyck(cfg.p, n),
+                counting.count_noncrossing_div(cfg.p, n),
+                counting.count_melonic_maps(cfg.p, n) if cfg.p >= 3 else "",
             )
         )
     _emit_table(
         ["p", "n", "fuss_catalan", "dyck", "noncrossing", "melonic_maps"],
         rows,
-        c["out"],
-        c["fmt"],
+        cfg.out,
+        cfg.fmt,
     )
 
 
-def _cmd_moments(args, c):
-    dist = tensor.EntryDistribution.from_string(c["dist"]) if isinstance(c["dist"], str) else c["dist"]
+def _cmd_moments(args, cfg):
     rows = []
-    table = experiments.melonic_limit_table(c["p"], c["n"], c["N"], dist)
+    table = experiments.melonic_limit_table(cfg.p, cfg.n_max, cfg.N_grid, cfg.dist)
     for r in table:
-        for N, val, dev in zip(c["N"], r.values, r.deviations):
+        for N, val, dev in zip(cfg.N_grid, r.values, r.deviations):
             rows.append((r.code, N, val, r.alpha, dev))
     _emit_table(
         ["code", "N", "exact_expectation", "melonic_limit_alpha", "deviation"],
         rows,
-        c["out"],
-        c["fmt"],
+        cfg.out,
+        cfg.fmt,
     )
 
 
-def _cmd_mc(args, c):
-    rows = experiments.mc_moments(_experiment_config(c))
-    header, data = _estimate_table(rows)
-    _emit_table(header, data, c["out"], c["fmt"])
+def _cmd_mc(args, cfg):
+    header, data = _estimate_table(experiments.mc_moments(cfg))
+    _emit_table(header, data, cfg.out, cfg.fmt)
 
 
-def _cmd_var(args, c):
-    res = experiments.variance_scaling(_experiment_config(c))
+def _cmd_var(args, cfg):
+    res = experiments.variance_scaling(cfg)
     rows = [(N, v, res.slope) for N, v in res.rows]
-    _emit_table(["N", "variance", "slope"], rows, c["out"], c["fmt"])
+    _emit_table(["N", "variance", "slope"], rows, cfg.out, cfg.fmt)
 
 
-def _cmd_law(args, c):
-    p = c["p"]
-    k = args.k if args.k is not None else c.get("k", 0)
+def _cmd_law(args, cfg):
+    p, k = cfg.p, args.k
     law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
     lo, hi = law.support()
     ys = np.linspace(lo, hi, args.grid)
@@ -251,51 +237,51 @@ def _cmd_law(args, c):
         dens = [limitlaw.inversion_density(p, float(y), args.eta) for y in ys]
     else:
         dens = [law.density(float(y)) for y in ys]
-    _emit_table(["y", "density"], list(zip(ys.tolist(), dens)), c["out"], c["fmt"])
+    _emit_table(["y", "density"], list(zip(ys.tolist(), dens)), cfg.out, cfg.fmt)
     # the moment table always goes to stdout (next to the file, or below
     # the density grid)
     mom_rows = [(n, float(law.moment(n))) for n in range(0, 9)]
-    _emit_table(["n", "moment"], mom_rows, None, c["fmt"])
+    _emit_table(["n", "moment"], mom_rows, None, cfg.fmt)
 
 
-def _cmd_contract(args, c):
-    k = args.k if args.k is not None else c.get("k", 1)
+def _cmd_contract(args, cfg):
     rows = experiments.contraction_moments(
-        p=c["p"],
-        k=k,
-        N_grid=c["N"],
-        n_max=c["n"],
-        samples=c["samples"],
-        seed=c["seed"],
-        threads=c["threads"],
+        p=cfg.p,
+        k=args.k,
+        N_grid=cfg.N_grid,
+        n_max=cfg.n_max,
+        samples=cfg.samples,
+        seed=cfg.seed,
+        threads=cfg.threads,
         random_unit=args.random_unit,
+        dist=cfg.dist,
     )
     header, data = _estimate_table(rows)
-    _emit_table(header, data, c["out"], c["fmt"])
+    _emit_table(header, data, cfg.out, cfg.fmt)
 
 
-def _cmd_heavytail(args, c):
+def _cmd_heavytail(args, cfg):
     rows = experiments.heavy_tail_moments(
-        p=c["p"],
-        n=c["n"],
-        N_grid=c["N"],
-        samples=c["samples"],
-        seed=c["seed"],
+        p=cfg.p,
+        n=cfg.n_max,
+        N_grid=cfg.N_grid,
+        samples=cfg.samples,
+        seed=cfg.seed,
         tail_index=args.tail,
-        threads=c["threads"],
+        threads=cfg.threads,
     )
     data = [(r.N, r.n, r.median, r.iqr, r.target) for r in rows]
-    _emit_table(["N", "n", "median", "iqr", "target"], data, c["out"], c["fmt"])
+    _emit_table(["N", "n", "median", "iqr", "target"], data, cfg.out, cfg.fmt)
 
 
-def _cmd_resolvent(args, c):
-    r = experiments.resolvent_crosscheck(c["N"][0], args.z, args.K, c["seed"])
+def _cmd_resolvent(args, cfg):
+    r = experiments.resolvent_crosscheck(cfg.N_grid[0], args.z, args.K, cfg.seed)
     rows = [(r.N, r.z.real, r.K, r.series, r.direct, r.gap, r.tail_bound, r.spectral_radius)]
     _emit_table(
         ["N", "z", "K", "series", "direct", "gap", "tail_bound", "spectral_radius"],
         rows,
-        c["out"],
-        c["fmt"],
+        cfg.out,
+        cfg.fmt,
     )
 
 
@@ -313,10 +299,18 @@ _COMMANDS = {
 }
 
 
+# Exit codes of the package's own errors; argparse exits with 2 on bad flags.
+_EXIT_CODES = {ContractViolation: 3, DomainError: 4, ResourceLimitError: 5, NumericalError: 6}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    c = _resolve(args)
-    _COMMANDS[args.command](args, c)
+    try:
+        _COMMANDS[args.command](args, _config(args))
+    except tuple(_EXIT_CODES) as exc:
+        message = " ".join(str(exc).split())
+        print(f"melonic {args.command}: {type(exc).__name__}: {message}", file=sys.stderr)
+        return next(code for err, code in _EXIT_CODES.items() if isinstance(exc, err))
     return 0
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     samples: int = 200
     seed: int = 1
     dist: EntryDistribution = GAUSSIAN_GOTE
-    k: int = 0
     threads: int = 1
     out: Optional[str] = None
     fmt: str = "csv"
@@ -86,13 +85,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Build a config from a parsed JSON object whose keys are the field
+        names (``format`` is accepted for ``fmt``); unknown keys are refused."""
+        if not isinstance(obj, dict):
+            raise ContractViolation("a config must be a JSON object")
         kw = dict(obj)
         if "format" in kw:
             kw["fmt"] = kw.pop("format")
-        if "dist" in kw and isinstance(kw["dist"], str):
-            kw["dist"] = EntryDistribution.from_string(kw["dist"])
-        if "N_grid" in kw:
-            kw["N_grid"] = tuple(kw["N_grid"])
+        unknown = sorted(set(kw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ContractViolation(f"unknown config keys: {', '.join(unknown)}")
         return cls(**kw)
 
 
@@ -151,15 +153,37 @@ class ResolventCheck:
     spectral_radius: float
 
 
-def _collect(
-    worker: Callable[[int], Sequence[float]], samples: int, threads: int
+def sample_invariants(
+    p: int,
+    N: int,
+    ns: Sequence[int],
+    samples: int,
+    seed: int,
+    dist: EntryDistribution,
+    threads: int = 1,
+    vectors: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
-    """Run the per-sample worker and stack results in sample order."""
+    """I_n/N for every n in ``ns`` on ``samples`` Wigner tensors of order p
+    and dimension N, as an array of shape (samples, len(ns)).
+
+    Sample ``idx`` draws from the substream (seed, N, 0, idx) and row ``idx``
+    holds its invariants, whatever the thread count.  With k = len(vectors)
+    > 0 each tensor is first contracted by the vectors and rescaled by
+    N^{k/2}, so the invariants are those of the order-(p-k) tensor.
+    """
+    scale = float(N) ** (len(vectors) / 2.0)
+
+    def invariants(idx: int) -> list[float]:
+        W = sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
+        if vectors:
+            W = contract(W, vectors).scaled(scale)
+        return [balanced_invariant(n, W) / N for n in ns]
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(samples)))
+            results = list(pool.map(invariants, range(samples)))
     else:
-        results = [worker(i) for i in range(samples)]
+        results = [invariants(idx) for idx in range(samples)]
     return np.asarray(results, dtype=np.float64)
 
 
@@ -194,12 +218,7 @@ def mc_moments(cfg: ExperimentConfig) -> list[MomentEstimate]:
     targets = [float(moment(cfg.p, n)) for n in ns]
     rows: list[MomentEstimate] = []
     for N in cfg.N_grid:
-
-        def worker(idx: int, N=N) -> list[float]:
-            W = sample_wigner(cfg.p, N, cfg.dist, (cfg.seed, N, _SAMPLE_STREAM, idx))
-            return [balanced_invariant(n, W) / N for n in ns]
-
-        data = _collect(worker, cfg.samples, cfg.threads)
+        data = sample_invariants(cfg.p, N, ns, cfg.samples, cfg.seed, cfg.dist, cfg.threads)
         rows.extend(_estimate_rows(N, ns, data, targets))
     return rows
 
@@ -217,15 +236,11 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
         if b != 2 * a:
             raise ContractViolation("N_grid must double between consecutive entries")
     _check_enumeration_feasible(cfg.p, cfg.n_max)
-    n = cfg.n_max
     variances = []
     for N in cfg.N_grid:
-
-        def worker(idx: int, N=N) -> list[float]:
-            W = sample_wigner(cfg.p, N, cfg.dist, (cfg.seed, N, _SAMPLE_STREAM, idx))
-            return [balanced_invariant(n, W) / N]
-
-        data = _collect(worker, cfg.samples, cfg.threads)
+        data = sample_invariants(
+            cfg.p, N, [cfg.n_max], cfg.samples, cfg.seed, cfg.dist, cfg.threads
+        )
         variances.append(float(np.var(data[:, 0], ddof=1)))
     slope = float(
         np.polyfit(np.log(np.asarray(cfg.N_grid, float)), np.log(variances), 1)[0]
@@ -317,14 +332,7 @@ def contraction_moments(
         else:
             u = np.zeros(N)
             u[0] = 1.0
-        scale = float(N) ** (k / 2.0)
-
-        def worker(idx: int, N=N, u=u, scale=scale) -> list[float]:
-            W = sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
-            tilde = contract(W, [u] * k).scaled(scale) if k else W
-            return [balanced_invariant(n, tilde) / N for n in ns]
-
-        data = _collect(worker, samples, threads)
+        data = sample_invariants(p, N, ns, samples, seed, dist, threads, [u] * k)
         rows.extend(_estimate_rows(N, ns, data, targets))
     return rows
 
@@ -351,12 +359,7 @@ def heavy_tail_moments(
     target = float(moment(p, n))
     rows = []
     for N in N_grid:
-
-        def worker(idx: int, N=N) -> list[float]:
-            W = sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
-            return [balanced_invariant(n, W) / N]
-
-        data = _collect(worker, samples, threads)[:, 0]
+        data = sample_invariants(p, N, [n], samples, seed, dist, threads)[:, 0]
         q25, q50, q75 = np.percentile(data, [25, 50, 75])
         rows.append(
             HeavyTailEstimate(N=N, n=n, median=float(q50), iqr=float(q75 - q25), target=target)

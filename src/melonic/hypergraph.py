@@ -137,10 +137,6 @@ class Hypergraph:
         }
 
 
-#: Alias kept for signatures that promise the multiplicity-free view.
-ReducedHypergraph = Hypergraph
-
-
 def hypergraph_of(b: Hypermap) -> Hypergraph:
     """The hypergraph of a hypermap: vertices are the sigma-cycles, and each
     tau-cycle contributes the multiset of sigma-cycles its halfedges sit in.

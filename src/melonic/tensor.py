@@ -562,9 +562,15 @@ def save_tensor(T: SymTensor, path) -> None:
 
 def load_tensor(path) -> SymTensor:
     with open(path, "rb") as fh:
-        p, N = struct.unpack("<II", fh.read(8))
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    return SymTensor(p, N, values)
+        header, payload = fh.read(8), fh.read()
+    if len(header) < 8:
+        raise ContractViolation(f"{path}: truncated header ({len(header)} of 8 bytes)")
+    if len(payload) % 8:
+        raise ContractViolation(
+            f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values"
+        )
+    p, N = struct.unpack("<II", header)
+    return SymTensor(p, N, np.frombuffer(payload, dtype="<f8"))
 
 
 def tensor_to_json(T: SymTensor) -> dict:

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
+from melonic import cli
 from melonic.cli import main
 from melonic.counting import fuss_catalan
+from melonic.errors import (
+    ContractViolation,
+    DomainError,
+    InvalidPartitionError,
+    NumericalError,
+    ResourceLimitError,
+)
 from melonic.maps import enumerate_rooted_connected
 
 
@@ -152,3 +160,89 @@ class TestOtherSubcommands:
             )
         )
         assert float(rows[0]["gap"]) <= float(rows[0]["tail_bound"])
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--samples", "4"],
+            ["moments", "--seed", "1"],
+            ["moments", "--threads", "2"],
+            ["moments", "--exact"],
+            ["resolvent-check", "--p", "2"],
+            ["resolvent-check", "--n", "2"],
+            ["resolvent-check", "--samples", "4"],
+            ["resolvent-check", "--threads", "2"],
+            ["resolvent-check", "--dist", "rademacher"],
+            ["heavytail", "--dist", "rademacher"],
+            ["law", "--n", "2"],
+            ["enumerate", "--format", "json"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_contract_honours_dist(self, tmp_path):
+        args = ["contract", "--p", "3", "--k", "1", "--N", "10", "--n", "2",
+                "--samples", "6", "--seed", "3"]
+        gote = run(tmp_path, *args)
+        flat = run(tmp_path, *args, "--dist", "gaussian-offdiag-only")
+        assert flat != gote
+        assert run(tmp_path, *args, "--dist", "gaussian-gote") == gote
+
+
+class TestErrors:
+    def fail(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return code, err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 3, "sede": 5}))
+        code, err = self.fail(capsys, "--config", str(cfg), "count")
+        assert code == 3 and "ContractViolation: unknown config keys: sede" in err
+
+    def test_config_key_k_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1}))
+        code, err = self.fail(capsys, "--config", str(cfg), "contract")
+        assert code == 3 and "unknown config keys: k" in err
+
+    def test_contract_refuses_non_gaussian_entries(self, capsys):
+        code, err = self.fail(
+            capsys, "contract", "--p", "3", "--N", "8", "--samples", "4",
+            "--dist", "rademacher",
+        )
+        assert code == 3 and "Gaussian" in err
+
+    def test_config_checks_apply_to_every_subcommand(self, capsys):
+        code, err = self.fail(capsys, "heavytail", "--samples", "1")
+        assert code == 3 and "2 samples" in err
+
+    def test_resolvent_inside_spectrum(self, capsys):
+        code, err = self.fail(capsys, "resolvent-check", "--N", "20", "--z", "0.5")
+        assert code == 4 and "DomainError" in err
+
+    def test_enumeration_guard(self, capsys):
+        code, err = self.fail(capsys, "mc", "--p", "3", "--n", "8")
+        assert code == 5 and "ResourceLimitError" in err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ContractViolation, 3), (InvalidPartitionError, 3), (DomainError, 4),
+         (ResourceLimitError, 5), (NumericalError, 6)],
+    )
+    def test_exit_code_per_error_type(self, monkeypatch, capsys, error, code):
+        def boom(args, cfg):
+            raise error("first line\nsecond line")
+
+        monkeypatch.setitem(cli._COMMANDS, "count", boom)
+        got, err = self.fail(capsys, "count")
+        assert got == code
+        assert err == f"melonic count: {error.__name__}: first line second line\n"

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from melonic.counting import count_melonic_maps, fuss_catalan
@@ -13,9 +14,17 @@ from melonic.experiments import (
     melonic_limit_table,
     melonic_weight_closure,
     resolvent_crosscheck,
+    sample_invariants,
     variance_scaling,
 )
-from melonic.tensor import GAUSSIAN_GOTE, EntryDistribution, SymTensor
+from melonic.tensor import (
+    GAUSSIAN_GOTE,
+    EntryDistribution,
+    SymTensor,
+    balanced_invariant,
+    contract,
+    sample_wigner,
+)
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 
@@ -284,3 +293,35 @@ class TestResolventCheck:
     def test_domain_error_near_spectrum(self):
         with pytest.raises(DomainError):
             resolvent_crosscheck(30, 1.0, 6, seed=4)
+
+
+class TestConfigFromJson:
+    @pytest.mark.parametrize("key", ["sede", "k", "format_"])
+    def test_unknown_key_is_refused_by_name(self, key):
+        with pytest.raises(ContractViolation, match=f"unknown config keys: {key}$"):
+            ExperimentConfig.from_json({"p": 3, key: 5})
+
+    def test_not_an_object(self):
+        with pytest.raises(ContractViolation):
+            ExperimentConfig.from_json([["p", 3]])
+
+    def test_field_names_round_trip(self):
+        cfg = ExperimentConfig.from_json({"N_grid": [8], "fmt": "json", "out": None})
+        assert cfg == ExperimentConfig(N_grid=(8,), fmt="json")
+
+
+class TestSampleInvariants:
+    def test_row_idx_is_substream_idx(self):
+        data = sample_invariants(3, 6, [2, 4], 3, 9, GAUSSIAN_GOTE, threads=2)
+        assert data.shape == (3, 2)
+        for idx in range(3):
+            W = sample_wigner(3, 6, GAUSSIAN_GOTE, (9, 6, 0, idx))
+            assert data[idx].tolist() == [balanced_invariant(n, W) / 6 for n in (2, 4)]
+
+    def test_vectors_contract_and_rescale(self):
+        u = np.full(5, 1 / math.sqrt(5))
+        data = sample_invariants(4, 5, [2], 2, 1, GAUSSIAN_GOTE, vectors=[u, u])
+        for idx in range(2):
+            W = sample_wigner(4, 5, GAUSSIAN_GOTE, (1, 5, 0, idx))
+            M = contract(W, [u, u]).scaled(5.0)
+            assert data[idx, 0] == balanced_invariant(2, M) / 5

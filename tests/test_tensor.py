@@ -474,3 +474,18 @@ class TestMultilinearTransform:
         a = multilinear_transform(multilinear_transform(T, V), U)
         b = multilinear_transform(T, U @ V)
         assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
+
+
+class TestTruncatedTensorFile:
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes((3).to_bytes(4, "little") + b"\x06\x00")
+        with pytest.raises(ContractViolation, match="header"):
+            load_tensor(path)
+
+    def test_partial_value(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_tensor(sample_gote(3, 4, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ContractViolation, match="float64"):
+            load_tensor(path)
