@@ -42,12 +42,10 @@ from .limitlaw import (
     density,
     inversion_density,
     moment,
-    moment_by_quadrature,
     stieltjes,
     support_radius,
 )
 from .maps import (
-    CanonicalCode,
     CombinatorialMap,
     EdgePartition,
     Hypermap,
@@ -70,10 +68,7 @@ from .tensor import (
     balanced_invariant,
     contract,
     expected_balanced_invariant,
-    expected_trace_exhaustive,
     expected_trace_partitions,
-    injective_trace,
-    multilinear_transform,
     resolvent_series,
     sample_gote,
     sample_wigner,

@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subcommand("law", "limit-law density grid and moments", ("--p", "--out", "--format"))
     sp.add_argument("--k", type=int, default=0, help="contraction depth (default 0)")
     sp.add_argument("--grid", type=int, default=101, help="density grid points")
-    sp.add_argument("--eta", type=float, default=1e-4, help="inversion offset")
 
     sp = subcommand("contract", "contracted-tensor moments", _MC)
     sp.add_argument("--k", type=int, default=1, help="contraction depth (default 1)")
@@ -159,7 +158,7 @@ def _cmd_enumerate(args, cfg):
     out = []
     for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
         obj = maps.map_to_json(b)
-        obj["code"] = list(canonical_code(b).code)
+        obj["code"] = list(canonical_code(b))
         out.append(obj)
     _write(json.dumps(out, indent=2) + "\n", cfg.out)
 
@@ -173,7 +172,7 @@ def _cmd_classify(args, cfg):
         dualgraph = hypergraph_of(dual(b)).reduced()
         rows.append(
             (
-                canonical_code(b).code,
+                canonical_code(b),
                 melonic,
                 "|".join(" ".join(map(str, blk)) for blk in pi.blocks) if pi else "",
                 euler_deficiency(dualgraph, cfg.p),
@@ -234,7 +233,7 @@ def _cmd_law(args, cfg):
     lo, hi = law.support()
     ys = np.linspace(lo, hi, args.grid)
     if k == 0 and p >= 4:
-        dens = [limitlaw.inversion_density(p, float(y), args.eta) for y in ys]
+        dens = [limitlaw.inversion_density(p, float(y)) for y in ys]
     else:
         dens = [law.density(float(y)) for y in ys]
     _emit_table(["y", "density"], list(zip(ys.tolist(), dens)), cfg.out, cfg.fmt)

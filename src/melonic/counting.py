@@ -30,15 +30,6 @@ def fuss_catalan(p: int, k: int) -> int:
     return q
 
 
-def fuss_catalan_alt(p: int, k: int) -> int:
-    """The equivalent closed form C(pk, k) / ((p-1)k + 1)."""
-    if p < 2 or k < 0:
-        raise ContractViolation("need p >= 2 and k >= 0")
-    q, r = divmod(math.comb(p * k, k), (p - 1) * k + 1)
-    assert r == 0
-    return q
-
-
 @dataclass(frozen=True)
 class DyckPath:
     """Lattice excursion with steps +1 and -(p-1), from height 0 back to 0.

@@ -16,12 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counting import fuss_catalan
 from .errors import ContractViolation, DomainError, ResourceLimitError
 from .limitlaw import contracted_law, moment
-from .maps import canonical_code, edge_list, rooted_connected
+from .maps import canonical_code, rooted_connected
 from .hypergraph import is_melonic_graph
 from .tensor import (
+    _MAX_EDGES,
+    _PARTITION_EDGE_GUARD,
     GAUSSIAN_GOTE,
     EntryDistribution,
     SymTensor,
@@ -34,7 +35,6 @@ from .tensor import (
 )
 
 _HALFEDGE_GUARD = 22
-_P2_VERTEX_GUARD = 64
 _SAMPLE_STREAM = 0
 _VECTOR_STREAM = 1
 
@@ -48,8 +48,10 @@ def _check_enumeration_feasible(p: int, n_max: int) -> None:
         raise ResourceLimitError(
             f"p*n = {p * n_max} halfedges exceeds the enumeration guard ({_HALFEDGE_GUARD})"
         )
-    if p == 2 and n_max > _P2_VERTEX_GUARD:
-        raise ResourceLimitError(f"n = {n_max} exceeds the p=2 guard ({_P2_VERTEX_GUARD})")
+    if p * n_max // 2 > _MAX_EDGES:
+        raise ResourceLimitError(
+            f"{p * n_max // 2} edges exceeds the contraction guard ({_MAX_EDGES})"
+        )
 
 
 @dataclass
@@ -266,9 +268,10 @@ def melonic_limit_table(
     if p < 3:
         raise ContractViolation("the per-map limit table needs p >= 3")
     _check_enumeration_feasible(p, n)
+    m = p * n // 2
+    if p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
+        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
     maps = rooted_connected(p, n)
-    if maps and len(edge_list(maps[0])) > 9:
-        raise ResourceLimitError("partition oracle guard: too many edges")
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     rows = []
     logN = np.log(np.asarray(N_grid, dtype=float))
@@ -284,7 +287,7 @@ def melonic_limit_table(
         rows.append(
             MelonicLimitRow(
                 index=i,
-                code=canonical_code(b).code,
+                code=canonical_code(b),
                 melonic=melonic,
                 alpha=float(alpha),
                 values=tuple(float(v) for v in values),
@@ -403,13 +406,3 @@ def resolvent_crosscheck(
         tail_bound=bound,
         spectral_radius=radius,
     )
-
-
-def melonic_weight_closure(p: int, m: int) -> bool:
-    """Exact cross-module identity: the melonic map count times the limiting
-    per-map weight alpha equals the Fuss-Catalan moment,
-    count * (p-1)!^{-m} == F_p(m)."""
-    from .counting import count_melonic_maps
-
-    lhs = Fraction(count_melonic_maps(p, m), math.factorial(p - 1) ** m)
-    return lhs == fuss_catalan(p, m)

@@ -17,12 +17,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .counting import fuss_catalan
 from .errors import ContractViolation, DomainError, NumericalError
 
 _RESIDUAL_TOL = 1e-12
+_INVERSION_ETA = 1e-4  # eta, the imaginary offset of Stieltjes inversion
 
 
 def critical_z(p: int) -> float:
@@ -131,30 +131,12 @@ def density(p: int, y: float) -> float:
     return inversion_density(p, y)
 
 
-def inversion_density(p: int, y: float, eta: float = 1e-4) -> float:
+def inversion_density(p: int, y: float) -> float:
     """Density by Stieltjes inversion: -Im R(y + i eta) / pi with one
     Richardson step in eta to cancel the O(eta) bias."""
-    m1 = -stieltjes(p, complex(y, eta)).imag / math.pi
-    m2 = -stieltjes(p, complex(y, 2.0 * eta)).imag / math.pi
+    m1 = -stieltjes(p, complex(y, _INVERSION_ETA)).imag / math.pi
+    m2 = -stieltjes(p, complex(y, 2.0 * _INVERSION_ETA)).imag / math.pi
     return max(0.0, 2.0 * m1 - m2)
-
-
-def moment_by_quadrature(p: int, n: int) -> float:
-    """Moment of the limit law by adaptive quadrature of y^n against the
-    density over the support."""
-    if n < 0 or n > 8:
-        raise ContractViolation("quadrature moments are provided for 0 <= n <= 8")
-    if n % 2:
-        return 0.0  # odd integrand against an even density
-    omega = support_radius(p)
-    tol = 1e-10 if p <= 3 else 1e-7
-    val, err = quad(
-        lambda y: y**n * density(p, y), 0.0, omega, epsabs=tol, epsrel=tol, limit=400
-    )
-    bound = 1e-6 if p <= 3 else 1e-4
-    if err > bound:
-        raise NumericalError(f"quadrature error {err:.2e} above {bound:g}")
-    return 2.0 * val
 
 
 class LimitLaw:
@@ -201,10 +183,6 @@ class LimitLaw:
         if self.dilation != 1.0:
             return self.dilation * stieltjes(self.p, complex(z) * self.dilation)
         return stieltjes(self.p, z)
-
-    def moment_by_quadrature(self, n: int) -> float:
-        base = moment_by_quadrature(self.p, n)
-        return base / self.dilation**n
 
 
 class ContractedLaw(LimitLaw):

@@ -217,34 +217,6 @@ class EdgePartition:
         return cls([(e,) for e in range(m)], m)
 
 
-class CanonicalCode:
-    """Root-preserving relabelling invariant of a rooted connected map.
-
-    Two rooted maps have equal codes iff some halfedge relabelling carries one
-    onto the other and maps root to root.
-    """
-
-    __slots__ = ("code",)
-
-    def __init__(self, code: Sequence[int]):
-        object.__setattr__(self, "code", tuple(code))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalCode is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CanonicalCode) and self.code == other.code
-
-    def __lt__(self, other) -> bool:
-        return self.code < other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __repr__(self) -> str:
-        return f"CanonicalCode({list(self.code)})"
-
-
 def dual(b: Hypermap) -> Hypermap:
     """The dual hypermap (tau, sigma); vertices and hyperedges swap roles."""
     return Hypermap(b.tau, b.sigma, b.root)
@@ -344,7 +316,7 @@ def _bfs_labels(b: Hypermap) -> list[int]:
     return label
 
 
-def canonical_code(b: CombinatorialMap) -> CanonicalCode:
+def canonical_code(b: CombinatorialMap) -> tuple[int, ...]:
     """Relabel halfedges by traversal discovery order from the root and read
     off the permutation images.
 
@@ -362,7 +334,7 @@ def canonical_code(b: CombinatorialMap) -> CanonicalCode:
     for h in range(nq):
         sig[label[h]] = label[b.sigma(h)]
         tau[label[h]] = label[b.tau(h)]
-    return CanonicalCode((b.p, b.n, *sig, *tau))
+    return (b.p, b.n, *sig, *tau)
 
 
 def _canonical_sigma(p: int, n: int) -> Permutation:

@@ -6,8 +6,8 @@ C(N+p-1, p) entries in colexicographic order via the combinadic ranking; the
 full symmetry is structural, never duplicated.  Trace invariants contract one
 dense tensor copy per map vertex over the shared edge indices, with a greedy
 elimination order.  Exact expectations of trace invariants under the entry
-ensembles are computed in rational arithmetic, by two independent routes
-(exhaustive index sums, and injective sums grouped by edge partitions).
+ensembles are computed in rational arithmetic, as injective sums grouped by
+edge partitions; the tests cross-check them against exhaustive index sums.
 
 Trace values are plain floats from the numerical paths and
 ``fractions.Fraction`` from the exact-expectation paths.
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ContractViolation, ResourceLimitError
 from .maps import (
     CombinatorialMap,
-    EdgePartition,
     cycles,
     dual,
     edge_list,
@@ -43,8 +42,6 @@ from .hypergraph import hypergraph_of
 
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
-_EXHAUSTIVE_TERM_GUARD = 10**8
-_INJECTIVE_TERM_GUARD = 2 * 10**6
 _PARTITION_EDGE_GUARD = 9
 
 
@@ -326,19 +323,6 @@ def contract(T: SymTensor, vectors: Sequence[np.ndarray]) -> SymTensor:
     return SymTensor.from_dense(T.p - k, T.N, out)
 
 
-def multilinear_transform(T: SymTensor, U: np.ndarray) -> SymTensor:
-    """(U . T)_{i1..ip} = sum_j T_{j1..jp} U_{i1 j1} ... U_{ip jp}."""
-    U = np.asarray(U, dtype=np.float64)
-    if U.shape != (T.N, T.N):
-        raise ContractViolation("U must be an N x N matrix")
-    p = T.p
-    ins = _EINSUM_LETTERS[:p]
-    outs = _EINSUM_LETTERS[p : 2 * p]
-    eq = ins + "," + ",".join(o + i for o, i in zip(outs, ins)) + "->" + outs
-    dense = np.einsum(eq, T.to_dense(), *([U] * p), optimize="greedy")
-    return SymTensor.from_dense(p, T.N, dense)
-
-
 def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
     """For each vertex, the edge index of every halfedge in cycle order."""
     edge_of = {}
@@ -373,36 +357,6 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
         path = np.einsum_path(eq, *operands, optimize=("greedy", budget))[0]
         _PATH_CACHE[key] = path
     return float(np.einsum(eq, *operands, optimize=path))
-
-
-def injective_trace(b: CombinatorialMap, pi: EdgePartition, T: SymTensor) -> float:
-    """Tr0_{b_pi}(T): the same sum restricted to pairwise-distinct block
-    indices, by direct iteration."""
-    if b.p != T.p:
-        raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    edges = edge_list(b)
-    if pi.m != len(edges):
-        raise ContractViolation("partition does not match the edge set")
-    block_of = {}
-    for bi, block in enumerate(pi.blocks):
-        for e in block:
-            block_of[e] = bi
-    verts = [
-        tuple(block_of[e] for e in vert) for vert in _vertex_edge_ids(b)
-    ]
-    r = len(pi)
-    N = T.N
-    if r > N:
-        return 0.0
-    if math.perm(N, r) > _INJECTIVE_TERM_GUARD:
-        raise ResourceLimitError("too many injective assignments; lower N or |pi|")
-    total = []
-    for assign in itertools.permutations(range(N), r):
-        prod = 1.0
-        for vert in verts:
-            prod *= T[tuple(assign[v] for v in vert)]
-        total.append(prod)
-    return math.fsum(total)
 
 
 def _multigraph_key(b: CombinatorialMap):
@@ -468,40 +422,6 @@ def _scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
     return total / Fraction(N ** ((n // 2) * (p - 1)))
 
 
-def expected_trace_exhaustive(
-    b: CombinatorialMap, N: int, dist: EntryDistribution
-) -> Fraction:
-    """E[Tr_b(W_N)] by brute force over all edge-index assignments.
-
-    Entry factors landing on the same sorted multi-index are grouped and
-    their joint moment read off the distribution's exact oracle; independence
-    up to symmetry does the rest.  Exact rational output.
-    """
-    verts = _vertex_edge_ids(b)
-    m = len(edge_list(b))
-    if N**m > _EXHAUSTIVE_TERM_GUARD:
-        raise ResourceLimitError(f"{N}^{m} assignments exceed the exhaustive guard")
-    p = b.p
-    moment_memo: dict = {}
-    total = Fraction(0)
-    for assign in itertools.product(range(N), repeat=m):
-        groups = Counter(tuple(sorted(assign[e] for e in vert)) for vert in verts)
-        term = Fraction(1)
-        for tup, cnt in groups.items():
-            pattern = tuple(sorted(Counter(tup).values()))
-            key = (cnt, pattern)
-            mom = moment_memo.get(key)
-            if mom is None:
-                mom = dist.moment(cnt, entry_sigma2(dist, p, pattern))
-                moment_memo[key] = mom
-            if mom == 0:
-                term = Fraction(0)
-                break
-            term *= mom
-        total += term
-    return _scale_exact(total, b.n, p, N)
-
-
 def expected_trace_partitions(
     b: CombinatorialMap, N: int, dist: EntryDistribution
 ) -> Fraction:
@@ -511,7 +431,7 @@ def expected_trace_partitions(
     For each partition pi, the folded dual hypergraph H(dual(b_pi)) carries
     one moment factor per distinct hyperedge; every injective assignment of
     the |pi| blocks contributes that same product, N falling-factorial |pi|
-    times.  Exact rational output; agrees with the exhaustive route.
+    times.  Exact rational output.
     """
     m = len(edge_list(b))
     if m > _PARTITION_EDGE_GUARD:

@@ -1,14 +1,43 @@
 """Shared test oracles, deliberately independent of the library code paths
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
-and small combinatorial helpers."""
+the injective-trace and exhaustive-sum references for the partition oracle,
+the alternative Fuss-Catalan closed form, quadrature moments of the limit
+law, the exact disjoint-union variance of I_2/N, and small combinatorial
+helpers."""
 
 import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from melonic.maps import CombinatorialMap, Permutation, canonical_code, is_connected
+from melonic.errors import ContractViolation, NumericalError, ResourceLimitError
+from melonic.limitlaw import density, support_radius
+from melonic.maps import (
+    CombinatorialMap,
+    EdgePartition,
+    Permutation,
+    canonical_code,
+    edge_list,
+    enumerate_rooted_connected,
+    is_connected,
+)
+from melonic.tensor import (
+    _EINSUM_LETTERS,
+    EntryDistribution,
+    SymTensor,
+    _scale_exact,
+    _vertex_edge_ids,
+    entry_sigma2,
+    expected_trace_partitions,
+)
+
+_EXHAUSTIVE_TERM_GUARD = 10**8
+_INJECTIVE_TERM_GUARD = 2 * 10**6
 
 
 def canonical_sigma(p: int, n: int) -> Permutation:
@@ -72,6 +101,135 @@ def naive_trace(b: CombinatorialMap, T) -> float:
             prod *= T[tuple(assign[e] for e in vert)]
         total += prod
     return total
+
+
+def fuss_catalan_alt(p: int, k: int) -> int:
+    """The equivalent closed form C(pk, k) / ((p-1)k + 1)."""
+    if p < 2 or k < 0:
+        raise ContractViolation("need p >= 2 and k >= 0")
+    q, r = divmod(math.comb(p * k, k), (p - 1) * k + 1)
+    assert r == 0
+    return q
+
+
+def multilinear_transform(T: SymTensor, U: np.ndarray) -> SymTensor:
+    """(U . T)_{i1..ip} = sum_j T_{j1..jp} U_{i1 j1} ... U_{ip jp}."""
+    U = np.asarray(U, dtype=np.float64)
+    if U.shape != (T.N, T.N):
+        raise ContractViolation("U must be an N x N matrix")
+    p = T.p
+    ins = _EINSUM_LETTERS[:p]
+    outs = _EINSUM_LETTERS[p : 2 * p]
+    eq = ins + "," + ",".join(o + i for o, i in zip(outs, ins)) + "->" + outs
+    dense = np.einsum(eq, T.to_dense(), *([U] * p), optimize="greedy")
+    return SymTensor.from_dense(p, T.N, dense)
+
+
+def injective_trace(b: CombinatorialMap, pi: EdgePartition, T: SymTensor) -> float:
+    """Tr0_{b_pi}(T): the same sum restricted to pairwise-distinct block
+    indices, by direct iteration."""
+    if b.p != T.p:
+        raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
+    edges = edge_list(b)
+    if pi.m != len(edges):
+        raise ContractViolation("partition does not match the edge set")
+    block_of = {}
+    for bi, block in enumerate(pi.blocks):
+        for e in block:
+            block_of[e] = bi
+    verts = [
+        tuple(block_of[e] for e in vert) for vert in _vertex_edge_ids(b)
+    ]
+    r = len(pi)
+    N = T.N
+    if r > N:
+        return 0.0
+    if math.perm(N, r) > _INJECTIVE_TERM_GUARD:
+        raise ResourceLimitError("too many injective assignments; lower N or |pi|")
+    total = []
+    for assign in itertools.permutations(range(N), r):
+        prod = 1.0
+        for vert in verts:
+            prod *= T[tuple(assign[v] for v in vert)]
+        total.append(prod)
+    return math.fsum(total)
+
+
+def expected_trace_exhaustive(
+    b: CombinatorialMap, N: int, dist: EntryDistribution
+) -> Fraction:
+    """E[Tr_b(W_N)] by brute force over all edge-index assignments.
+
+    Entry factors landing on the same sorted multi-index are grouped and
+    their joint moment read off the distribution's exact oracle; independence
+    up to symmetry does the rest.  Exact rational output.
+    """
+    verts = _vertex_edge_ids(b)
+    m = len(edge_list(b))
+    if N**m > _EXHAUSTIVE_TERM_GUARD:
+        raise ResourceLimitError(f"{N}^{m} assignments exceed the exhaustive guard")
+    p = b.p
+    moment_memo: dict = {}
+    total = Fraction(0)
+    for assign in itertools.product(range(N), repeat=m):
+        groups = Counter(tuple(sorted(assign[e] for e in vert)) for vert in verts)
+        term = Fraction(1)
+        for tup, cnt in groups.items():
+            pattern = tuple(sorted(Counter(tup).values()))
+            key = (cnt, pattern)
+            mom = moment_memo.get(key)
+            if mom is None:
+                mom = dist.moment(cnt, entry_sigma2(dist, p, pattern))
+                moment_memo[key] = mom
+            if mom == 0:
+                term = Fraction(0)
+                break
+            term *= mom
+        total += term
+    return _scale_exact(total, b.n, p, N)
+
+
+def moment_by_quadrature(p: int, n: int) -> float:
+    """Moment of the limit law by adaptive quadrature of y^n against the
+    density over the support."""
+    if n < 0 or n > 8:
+        raise ContractViolation("quadrature moments are provided for 0 <= n <= 8")
+    if n % 2:
+        return 0.0  # odd integrand against an even density
+    omega = support_radius(p)
+    tol = 1e-10 if p <= 3 else 1e-7
+    val, err = quad(
+        lambda y: y**n * density(p, y), 0.0, omega, epsabs=tol, epsrel=tol, limit=400
+    )
+    bound = 1e-6 if p <= 3 else 1e-4
+    if err > bound:
+        raise NumericalError(f"quadrature error {err:.2e} above {bound:g}")
+    return 2.0 * val
+
+
+def _disjoint_union(b: CombinatorialMap, d: CombinatorialMap) -> CombinatorialMap:
+    p = b.p
+    nb, nd = b.size, d.size
+    sigma = canonical_sigma(p, (nb + nd) // p)
+    img = list(range(nb + nd))
+    for h in range(nb):
+        img[h] = b.tau(h)
+    for h in range(nd):
+        img[nb + h] = nb + d.tau(h)
+    return CombinatorialMap(p, sigma, Permutation(img), root=0)
+
+
+def exact_i2_variance(N: int, dist: EntryDistribution) -> Fraction:
+    """Population Var[I_2/N] at p=3, exactly: E[Tr_b Tr_d] is the expected
+    trace of the disjoint union of the two maps."""
+    maps = enumerate_rooted_connected(3, 2)
+    mean = sum(expected_trace_partitions(b, N, dist) for b in maps)
+    second = sum(
+        expected_trace_partitions(_disjoint_union(b, d), N, dist)
+        for b in maps
+        for d in maps
+    )
+    return (second - mean * mean) / (N * N)
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:

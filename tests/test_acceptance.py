@@ -40,7 +40,6 @@ from melonic.limitlaw import (
     contracted_law,
     density,
     inversion_density,
-    moment_by_quadrature,
     stieltjes,
     support_radius,
 )
@@ -51,9 +50,10 @@ from melonic.tensor import (
     EntryDistribution,
     SymTensor,
     expected_balanced_invariant,
-    expected_trace_exhaustive,
     expected_trace_partitions,
 )
+
+from conftest import exact_i2_variance, expected_trace_exhaustive, moment_by_quadrature
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 
@@ -241,34 +241,6 @@ def test_c06_oracle_finite_size_gap_below_half():
     )
 
 
-def _exact_i2_variance(N: int, dist) -> Fraction:
-    """Population Var[I_2/N], exactly: second moments of trace invariants
-    are expected traces of disjoint-union maps."""
-    from melonic.maps import CombinatorialMap, Permutation
-
-    def union(b, d):
-        p = b.p
-        nb, nd = b.size, d.size
-        img = []
-        for v in range((nb + nd) // p):
-            base = v * p
-            img.extend(base + (i + 1) % p for i in range(p))
-        sigma = Permutation(img)
-        tau = list(range(nb + nd))
-        for h in range(nb):
-            tau[h] = b.tau(h)
-        for h in range(nd):
-            tau[nb + h] = nb + d.tau(h)
-        return CombinatorialMap(p, sigma, Permutation(tau), root=0)
-
-    maps = enumerate_rooted_connected(3, 2)
-    mean = sum(expected_trace_partitions(b, N, dist) for b in maps)
-    second = sum(
-        expected_trace_partitions(union(b, d), N, dist) for b in maps for d in maps
-    )
-    return (second - mean * mean) / (N * N)
-
-
 def test_c07_variance_scaling_slope():
     """Faithful implementation of the stated band [-2.8, -1.2] for the
     fitted variance slope at p=3, n=2, N in {16, 32, 64}, 400 samples.
@@ -285,7 +257,7 @@ def test_c07_variance_scaling_slope():
             ExperimentConfig(p=3, n_max=2, N_grid=(16, 32, 64), samples=400, seed=1)
         )
         bound_ok = all(v <= 4.0 / N**2 for N, v in res.rows)
-        exact = [float(_exact_i2_variance(N, GAUSSIAN_GOTE)) for N in (16, 32, 64)]
+        exact = [float(exact_i2_variance(N, GAUSSIAN_GOTE)) for N in (16, 32, 64)]
         exact_slope = float(
             np.polyfit(np.log([16.0, 32.0, 64.0]), np.log(exact), 1)[0]
         )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from melonic import cli
+import melonic
+from melonic import cli, experiments
 from melonic.cli import main
 from melonic.counting import fuss_catalan
 from melonic.errors import (
@@ -178,6 +183,7 @@ class TestFlags:
             ["heavytail", "--dist", "rademacher"],
             ["law", "--n", "2"],
             ["enumerate", "--format", "json"],
+            ["law", "--eta", "0.1"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_refused(self, argv, capsys):
@@ -233,6 +239,14 @@ class TestErrors:
         code, err = self.fail(capsys, "mc", "--p", "3", "--n", "8")
         assert code == 5 and "ResourceLimitError" in err
 
+    def test_p2_edge_guard_refuses_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the edge guard")
+
+        monkeypatch.setattr(experiments, "sample_invariants", no_sampling)
+        code, err = self.fail(capsys, "mc", "--p", "2", "--n", "53", "--N", "4")
+        assert code == 5 and "53 edges exceeds the contraction guard" in err
+
     @pytest.mark.parametrize(
         "error, code",
         [(ContractViolation, 3), (InvalidPartitionError, 3), (DomainError, 4),
@@ -246,3 +260,23 @@ class TestErrors:
         got, err = self.fail(capsys, "count")
         assert got == code
         assert err == f"melonic count: {error.__name__}: first line second line\n"
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency: scipy serves the tests alone
+        src = str(Path(melonic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, melonic, melonic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

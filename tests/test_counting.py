@@ -11,7 +11,6 @@ from melonic.counting import (
     dyck_from_hypertree,
     enumerate_dyck_paths,
     fuss_catalan,
-    fuss_catalan_alt,
     generating_series_check,
     hypertree_from_dyck,
     noncrossing_partitions_div,
@@ -19,6 +18,8 @@ from melonic.counting import (
 from melonic.errors import ContractViolation, InvalidPathError
 from melonic.hypergraph import is_melonic_graph
 from melonic.maps import enumerate_rooted_connected
+
+from conftest import fuss_catalan_alt
 
 
 def naive_noncrossing_div(m, d):

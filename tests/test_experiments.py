@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from melonic.counting import count_melonic_maps, fuss_catalan
+from melonic import experiments
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
 from melonic.experiments import (
     ExperimentConfig,
@@ -12,7 +13,6 @@ from melonic.experiments import (
     heavy_tail_moments,
     mc_moments,
     melonic_limit_table,
-    melonic_weight_closure,
     resolvent_crosscheck,
     sample_invariants,
     variance_scaling,
@@ -25,6 +25,8 @@ from melonic.tensor import (
     contract,
     sample_wigner,
 )
+
+from conftest import exact_i2_variance
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 
@@ -123,37 +125,9 @@ class TestExactVarianceOracle:
     two maps, so the population variance of I_2/N has an exact rational
     expression; the Monte Carlo engine must reproduce it."""
 
-    @staticmethod
-    def _disjoint_union(b, d):
-        from conftest import canonical_sigma
-        from melonic.maps import CombinatorialMap, Permutation
-
-        p = b.p
-        nb, nd = b.size, d.size
-        sigma = canonical_sigma(p, (nb + nd) // p)
-        img = list(range(nb + nd))
-        for h in range(nb):
-            img[h] = b.tau(h)
-        for h in range(nd):
-            img[nb + h] = nb + d.tau(h)
-        return CombinatorialMap(p, sigma, Permutation(img), root=0)
-
-    def _exact_variance(self, N, dist):
-        from melonic.maps import enumerate_rooted_connected
-        from melonic.tensor import expected_trace_partitions
-
-        maps = enumerate_rooted_connected(3, 2)
-        mean = sum(expected_trace_partitions(b, N, dist) for b in maps)
-        second = sum(
-            expected_trace_partitions(self._disjoint_union(b, d), N, dist)
-            for b in maps
-            for d in maps
-        )
-        return (second - mean * mean) / (N * N)
-
     def test_mc_variance_matches_exact(self):
         N = 16
-        exact = float(self._exact_variance(N, GAUSSIAN_GOTE))
+        exact = float(exact_i2_variance(N, GAUSSIAN_GOTE))
         rows = mc_moments(
             ExperimentConfig(p=3, n_max=2, N_grid=(N,), samples=400, seed=6)
         )
@@ -162,7 +136,7 @@ class TestExactVarianceOracle:
 
     def test_exact_decay_is_cubic(self):
         # N^3 Var[I_2/N] converges: the true decay beats the O(1/N^2) bound
-        vals = [float(self._exact_variance(N, FLAT)) * N**3 for N in (16, 32, 64)]
+        vals = [float(exact_i2_variance(N, FLAT)) * N**3 for N in (16, 32, 64)]
         assert vals == pytest.approx([16.5] * 3, rel=0.01)
 
 
@@ -205,11 +179,18 @@ class TestMelonicLimitTable:
             if r.melonic:
                 assert r.alpha == pytest.approx(1 / 6)
 
+    def test_partition_guard_refuses_before_enumerating(self, monkeypatch):
+        def no_enumeration(p, n):
+            raise AssertionError("maps enumerated before the partition guard")
+
+        monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
+        with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
+            melonic_limit_table(4, 5, (8,), GAUSSIAN_GOTE)
+
 
 class TestClosure:
     def test_melonic_weight_closure(self):
         for p, m in [(3, 1), (3, 2), (4, 1)]:
-            assert melonic_weight_closure(p, m)
             assert Fraction(
                 count_melonic_maps(p, m), math.factorial(p - 1) ** m
             ) == fuss_catalan(p, m)

@@ -13,10 +13,11 @@ from melonic.limitlaw import (
     density,
     inversion_density,
     moment,
-    moment_by_quadrature,
     stieltjes,
     support_radius,
 )
+
+from conftest import moment_by_quadrature
 
 
 class TestMoments:
@@ -176,5 +177,9 @@ class TestLawObjects:
             contracted_law(4, -1)
 
     def test_moment_quadrature_dilated(self):
+        # the contracted density is the order-(p-k) density dilated, so its
+        # n-th moment is the undilated quadrature moment over dilation^n
         law = contracted_law(3, 1)
-        assert law.moment_by_quadrature(2) == pytest.approx(0.5, abs=1e-6)
+        assert moment_by_quadrature(law.p, 2) / law.dilation**2 == pytest.approx(
+            0.5, abs=1e-6
+        )

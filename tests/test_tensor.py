@@ -24,11 +24,8 @@ from melonic.tensor import (
     balanced_invariant,
     contract,
     expected_balanced_invariant,
-    expected_trace_exhaustive,
     expected_trace_partitions,
-    injective_trace,
     load_tensor,
-    multilinear_transform,
     resolvent_series,
     sample_gote,
     sample_wigner,
@@ -38,7 +35,13 @@ from melonic.tensor import (
     trace_invariant,
 )
 
-from conftest import naive_trace, random_permutation
+from conftest import (
+    expected_trace_exhaustive,
+    injective_trace,
+    multilinear_transform,
+    naive_trace,
+    random_permutation,
+)
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 UNIFORM = EntryDistribution("uniform")
