@@ -26,6 +26,7 @@ from .tensor import (
     GAUSSIAN_GOTE,
     EntryDistribution,
     SymTensor,
+    _class_keys,
     balanced_invariant,
     contract,
     expected_trace_partitions,
@@ -256,6 +257,8 @@ def melonic_limit_table(
     """Exact E[Tr_b(W_N)]/N for every rooted connected map with n vertices,
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
+    The exact values depend on the map's multigraph only, so the oracle runs
+    once per multigraph class and its values are shared by the class's rows.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the map is exact at every N (deviation
     identically zero, which the flat variance profile produces on melonic
@@ -275,10 +278,13 @@ def melonic_limit_table(
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     rows = []
     logN = np.log(np.asarray(N_grid, dtype=float))
-    for i, b in enumerate(maps):
+    exact: dict = {}
+    for i, (b, key) in enumerate(zip(maps, _class_keys(p, n))):
         melonic = is_melonic_graph(b)
         alpha = alpha_melonic if melonic else Fraction(0)
-        values = [expected_trace_partitions(b, N, dist) / N for N in N_grid]
+        if key not in exact:
+            exact[key] = [expected_trace_partitions(b, N, dist) / N for N in N_grid]
+        values = exact[key]
         devs = [abs(v - alpha) for v in values]
         if all(d > 0 for d in devs):
             slope = float(np.polyfit(logN, np.log([float(d) for d in devs]), 1)[0])

@@ -359,27 +359,85 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
     return float(np.einsum(eq, *operands, optimize=path))
 
 
-def _multigraph_key(b: CombinatorialMap):
-    """Canonical form of G(b) under vertex relabelling (exact for n <= 8)."""
-    edges = multigraph(b)
-    n = b.n
-    if n > 8:
-        return ("raw", tuple(sorted(edges)), id(b))
-    best = None
-    for perm in itertools.permutations(range(n)):
-        relab = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-        if best is None or relab < best:
-            best = relab
-    return best
+def _refine(colour: list[int], adj, loops) -> list[int]:
+    """Split colour cells by (own colour, multiset of (neighbour colour, edge
+    multiplicity), loops) until no cell splits.  Each new colour is the rank of
+    its signature in sorted order, so colours never depend on vertex labels."""
+    cells = len(set(colour))
+    while True:
+        sigs = [
+            (colour[v], tuple(sorted((colour[w], m) for w, m in adj[v])), loops[v])
+            for v in range(len(colour))
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
+
+
+def _multigraph_key(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
+    """Canonical form under vertex relabelling of the multigraph on vertices
+    0..n-1 with one vertex pair (u, v), u <= v, per edge, by
+    individualisation and refinement (McKay & Piperno, J. Symbolic Comput.
+    60, 2014).
+
+    After refinement, each vertex of the first cell of several vertices is
+    individualised in turn and the search recurses; every leaf colouring is a
+    relabelling, and the key is the smallest relabelled sorted edge tuple over
+    the leaves.  Equal keys mean isomorphic multigraphs, for every n.
+    """
+    mult = [Counter() for _ in range(n)]
+    loops = [0] * n
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] += 1
+            mult[v][u] += 1
+    adj = [tuple(m.items()) for m in mult]
+
+    def search(colour):
+        colour = _refine(colour, adj, loops)
+        split = min((c for c, k in Counter(colour).items() if k > 1), default=None)
+        if split is None:
+            return tuple(sorted(tuple(sorted((colour[u], colour[v]))) for u, v in edges))
+        return min(
+            search([2 * c + (c == split and w != v) for w, c in enumerate(colour)])
+            for v in range(n)
+            if colour[v] == split
+        )
+
+    return search([0] * n)
+
+
+def _class_keys(p: int, n: int) -> tuple:
+    """Multigraph class key of each map of B_n^(p), in enumeration order.
+
+    A key is computed once per distinct labelled multigraph.  When all maps
+    share one labelled multigraph (always at p = 2, where each n has a single
+    map) that multigraph is the key and no canonical form is computed, so
+    keys compare only within one (p, n).
+    """
+    labelled = [tuple(sorted(multigraph(b))) for b in rooted_connected(p, n)]
+    if len(set(labelled)) == 1:
+        return tuple(labelled)
+    memo: dict = {}
+    for g in labelled:
+        if g not in memo:
+            memo[g] = _multigraph_key(n, g)
+    return tuple(memo[g] for g in labelled)
 
 
 @lru_cache(maxsize=None)
 def _trace_classes(p: int, n: int) -> tuple[tuple[CombinatorialMap, int], ...]:
-    """Group the maps of B_n^(p) by multigraph isomorphism; Tr_b of a
-    symmetric tensor only depends on that class."""
+    """Group the maps of B_n^(p) by multigraph isomorphism, for every n; Tr_b
+    of a symmetric tensor and its expectation only depend on that class.
+    Returns (representative, class size) in first-seen order, with the first
+    map of each class in enumeration order as its representative."""
     groups: dict = {}
-    for b in rooted_connected(p, n):
-        groups.setdefault(_multigraph_key(b), []).append(b)
+    for b, key in zip(rooted_connected(p, n), _class_keys(p, n)):
+        groups.setdefault(key, []).append(b)
     return tuple((members[0], len(members)) for members in groups.values())
 
 
@@ -458,11 +516,12 @@ def expected_trace_partitions(
 def expected_balanced_invariant(
     p: int, n: int, N: int, dist: EntryDistribution
 ) -> Fraction:
-    """Exact E[I_n(W_N)] by summing the partition oracle over the maps."""
+    """Exact E[I_n(W_N)]: the partition oracle once per multigraph class,
+    weighted by the class size."""
     if n == 0:
         return Fraction(N)
     return sum(
-        (expected_trace_partitions(b, N, dist) for b in rooted_connected(p, n)),
+        (count * expected_trace_partitions(rep, N, dist) for rep, count in _trace_classes(p, n)),
         Fraction(0),
     )
 

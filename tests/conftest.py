@@ -2,8 +2,8 @@
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
 the injective-trace and exhaustive-sum references for the partition oracle,
 the alternative Fuss-Catalan closed form, quadrature moments of the limit
-law, the exact disjoint-union variance of I_2/N, and small combinatorial
-helpers."""
+law, the exact disjoint-union variance of I_2/N, multigraph classes by
+trying every vertex relabelling, and small combinatorial helpers."""
 
 import itertools
 import math
@@ -25,6 +25,8 @@ from melonic.maps import (
     edge_list,
     enumerate_rooted_connected,
     is_connected,
+    multigraph,
+    rooted_connected,
 )
 from melonic.tensor import (
     _EINSUM_LETTERS,
@@ -230,6 +232,39 @@ def exact_i2_variance(N: int, dist: EntryDistribution) -> Fraction:
         for d in maps
     )
     return (second - mean * mean) / (N * N)
+
+
+def multigraph_key_by_permutations(n: int, edges) -> tuple:
+    """Canonical form of a multigraph on 0..n-1: the smallest sorted edge
+    tuple over all n! vertex relabellings."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        relab = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        if best is None or relab < best:
+            best = relab
+    return best
+
+
+def trace_classes_by_permutations(p: int, n: int) -> list:
+    """(first map, class size) per multigraph class of B_n^(p), classes in
+    first-seen order, keyed by ``multigraph_key_by_permutations``."""
+    keys: dict = {}
+    groups: dict = {}
+    for b in rooted_connected(p, n):
+        labelled = tuple(sorted(multigraph(b)))
+        if labelled not in keys:
+            keys[labelled] = multigraph_key_by_permutations(n, labelled)
+        groups.setdefault(keys[labelled], []).append(b)
+    return [(members[0], len(members)) for members in groups.values()]
+
+
+def automorphism_count(n: int, edges) -> int:
+    """|Aut G| of a multigraph on 0..n-1, by trying all n! permutations."""
+    target = sorted(edges)
+    return sum(
+        sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges) == target
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:

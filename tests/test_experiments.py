@@ -7,6 +7,7 @@ import pytest
 from melonic.counting import count_melonic_maps, fuss_catalan
 from melonic import experiments
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
+from melonic.maps import rooted_connected
 from melonic.experiments import (
     ExperimentConfig,
     contraction_moments,
@@ -23,6 +24,7 @@ from melonic.tensor import (
     SymTensor,
     balanced_invariant,
     contract,
+    expected_trace_partitions,
     sample_wigner,
 )
 
@@ -172,6 +174,14 @@ class TestMelonicLimitTable:
     def test_matrix_case_rejected(self):
         with pytest.raises(ContractViolation):
             melonic_limit_table(2, 4, (8, 16), GAUSSIAN_GOTE)
+
+    @pytest.mark.parametrize("p,n,grid", [(3, 4, (8, 16)), (4, 2, (6, 12))])
+    def test_rows_match_per_map_oracle(self, p, n, grid):
+        rows = melonic_limit_table(p, n, grid, GAUSSIAN_GOTE)
+        for r, b in zip(rows, rooted_connected(p, n), strict=True):
+            assert r.values == tuple(
+                float(expected_trace_partitions(b, N, GAUSSIAN_GOTE) / N) for N in grid
+            )
 
     def test_p4_alpha(self):
         rows = melonic_limit_table(4, 2, (6, 12), GAUSSIAN_GOTE)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,17 @@ from melonic.maps import (
     edge_list,
     enumerate_edge_partitions,
     enumerate_rooted_connected,
+    multigraph,
     relabel,
+    rooted_connected,
 )
 from melonic.tensor import (
     GAUSSIAN_GOTE,
     RADEMACHER,
     EntryDistribution,
     SymTensor,
+    _multigraph_key,
+    _trace_classes,
     balanced_invariant,
     contract,
     expected_balanced_invariant,
@@ -36,11 +41,13 @@ from melonic.tensor import (
 )
 
 from conftest import (
+    automorphism_count,
     expected_trace_exhaustive,
     injective_trace,
     multilinear_transform,
     naive_trace,
     random_permutation,
+    trace_classes_by_permutations,
 )
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
@@ -372,6 +379,69 @@ class TestBalancedInvariant:
         assert balanced_invariant(3, T) == 0.0
 
 
+class TestTraceClasses:
+    @pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4)])
+    def test_matches_permutation_reference(self, p, n):
+        assert list(_trace_classes(p, n)) == trace_classes_by_permutations(p, n)
+
+    def test_class_counts(self):
+        assert [len(_trace_classes(p, n)) for p, n in ((3, 4), (3, 6), (4, 4))] == [5, 17, 10]
+
+    @pytest.mark.parametrize(
+        "p,n", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (6, 2), (2, 5)]
+    )
+    def test_class_sizes_are_multigraph_weights(self, p, n):
+        # w(G) = n p ((p-1)!)^n / (|Aut G| prod_e m_e! prod_loops 2^{m_e})
+        classes = _trace_classes(p, n)
+        for rep, count in classes:
+            edges = multigraph(rep)
+            mult = Counter(edges)
+            denom = (
+                automorphism_count(n, edges)
+                * math.prod(math.factorial(m) for m in mult.values())
+                * math.prod(2**m for (u, v), m in mult.items() if u == v)
+            )
+            assert Fraction(n * p * math.factorial(p - 1) ** n, denom) == count
+        assert sum(count for _, count in classes) == len(rooted_connected(p, n))
+
+    def test_key_invariant_under_relabelling(self, rng):
+        for p, n in ((3, 4), (4, 3)):
+            for b in rooted_connected(p, n):
+                c = relabel(b, random_permutation(rng, b.size))
+                assert _multigraph_key(n, multigraph(c)) == _multigraph_key(n, multigraph(b))
+
+    def test_key_has_no_vertex_cutoff(self, rng):
+        # cubic graphs: the Petersen graph and the pentagonal prism (10
+        # vertices, girth 5 against 4), and the Frucht graph (12 vertices, no
+        # symmetry, so refinement alone never splits its single colour cell)
+        ring = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        graphs = {
+            "petersen": (10, ring + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+            "prism": (10, ring + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]),
+            "frucht": (12, [(i, (i + 1) % 12) for i in range(12)]
+                       + [(i, (i + s) % 12) for i, s in enumerate(lcf) if s > 0]),
+        }
+        keys = {}
+        for name, (n, edges) in graphs.items():
+            found = set()
+            for _ in range(4):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relab = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+                found.add(_multigraph_key(n, relab))
+            assert len(found) == 1
+            keys[name] = found.pop()
+        assert keys["petersen"] != keys["prism"]
+
+    def test_matrix_cycle_beyond_eight_vertices(self):
+        M = sample_gote(2, 6, seed=2)
+        d = M.to_dense()
+        assert balanced_invariant(10, M) == pytest.approx(
+            np.trace(np.linalg.matrix_power(d, 10)), rel=1e-10
+        )
+
+
 class TestExactExpectations:
     @pytest.mark.parametrize("dist", [GAUSSIAN_GOTE, RADEMACHER, UNIFORM, FLAT])
     def test_oracle_equivalence(self, dist):
@@ -420,6 +490,15 @@ class TestExactExpectations:
         b = enumerate_rooted_connected(2, 10)[0]
         with pytest.raises(ResourceLimitError):
             expected_trace_partitions(b, 4, GAUSSIAN_GOTE)
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM])
+    def test_balanced_expectation_is_per_map_sum(self, dist):
+        for p, n in ((3, 2), (3, 4), (4, 2)):
+            per_map = sum(
+                (expected_trace_partitions(b, 5, dist) for b in enumerate_rooted_connected(p, n)),
+                Fraction(0),
+            )
+            assert expected_balanced_invariant(p, n, 5, dist) == per_map
 
     def test_balanced_expectation_helper(self):
         val = expected_balanced_invariant(3, 2, 32, GAUSSIAN_GOTE)
