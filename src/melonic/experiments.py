@@ -260,9 +260,9 @@ def melonic_limit_table(
     The exact values depend on the map's multigraph only, so the oracle runs
     once per multigraph class and its values are shared by the class's rows.
     The deviation column decays like 1/N; the fitted log-log slope is
-    reported per map, or None when the map is exact at every N (deviation
-    identically zero, which the flat variance profile produces on melonic
-    maps).
+    reported per map, or None when the grid has a single N (no line to fit)
+    or the map is exact at every N (deviation identically zero, which the
+    flat variance profile produces on melonic maps).
 
     p >= 3 only: at p = 2 the single cycle map is folded by every
     non-crossing partition and its limit is a Catalan number, so the
@@ -286,7 +286,7 @@ def melonic_limit_table(
             exact[key] = [expected_trace_partitions(b, N, dist) / N for N in N_grid]
         values = exact[key]
         devs = [abs(v - alpha) for v in values]
-        if all(d > 0 for d in devs):
+        if len(N_grid) > 1 and all(d > 0 for d in devs):
             slope = float(np.polyfit(logN, np.log([float(d) for d in devs]), 1)[0])
         else:
             slope = None

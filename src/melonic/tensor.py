@@ -4,10 +4,14 @@ trace-invariant evaluation.
 Storage keeps one float64 value per sorted multi-index (i1 <= ... <= ip),
 C(N+p-1, p) entries in colexicographic order via the combinadic ranking; the
 full symmetry is structural, never duplicated.  Trace invariants contract one
-dense tensor copy per map vertex over the shared edge indices, with a greedy
-elimination order.  Exact expectations of trace invariants under the entry
-ensembles are computed in rational arithmetic, as injective sums grouped by
-edge partitions; the tests cross-check them against exhaustive index sums.
+dense tensor copy per map vertex over the shared edge indices, along numpy's
+greedy path; a contraction whose largest intermediate would be too big, or
+that has no pairwise order within the path budget, is sliced over the index
+of one edge and summed over its values, and one whose predicted FLOP or
+memory exceeds a fixed limit is refused before it starts.  Exact
+expectations of trace invariants under the entry ensembles are computed in
+rational arithmetic, as injective sums grouped by edge partitions; the tests
+cross-check them against exhaustive index sums.
 
 Trace values are plain floats from the numerical paths and
 ``fractions.Fraction`` from the exact-expectation paths.
@@ -43,6 +47,13 @@ from .hypergraph import hypergraph_of
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
 _PARTITION_EDGE_GUARD = 9
+# trace_invariant slices a contraction whose largest intermediate would hold
+# more float64 elements than this (2 MiB), and refuses a plan predicted to
+# exceed either limit below.  The largest plan the Monte Carlo runs need, K4
+# at N = 128, predicts 1.4e11 FLOP and a 16.8 MB intermediate.
+_SLICE_ELEMS = 2**18
+_MAX_FLOP = 10**12
+_MAX_INTERMEDIATE_BYTES = 2**30
 
 
 class _IndexTable:
@@ -332,31 +343,144 @@ def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
     return [tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma)]
 
 
-_PATH_CACHE: dict = {}
+@dataclass(frozen=True)
+class _Plan:
+    """How ``trace_invariant`` contracts one einsum equation at one N.
+
+    The indices of the edges whose letters are in ``sliced`` are fixed: for
+    every tuple ``idx`` of their values, ``eq`` (the equation without those
+    letters) is contracted along ``path`` with ``dense[idx[j] for j in h]``
+    as the operand of a vertex whose entry of ``holders`` is ``h``, and the
+    results are summed.  An unsliced plan contracts once.  ``flop`` (numpy's
+    count, all slices together) and ``max_elems`` (the largest intermediate
+    of one slice, in elements) are predicted from the path's index sets;
+    ``widest`` is the most operands of one step, above 2 only when numpy's
+    search fell back to its naive loop.
+    """
+
+    sliced: str
+    eq: str
+    path: list
+    holders: tuple[tuple[int, ...], ...]
+    flop: int
+    max_elems: int
+    widest: int
+
+
+_PATH_CACHE: dict[tuple[str, int], _Plan] = {}
+
+
+def _einsum_eq(b: CombinatorialMap) -> str:
+    """One operand per vertex, one letter per edge, scalar output."""
+    verts = _vertex_edge_ids(b)
+    return ",".join("".join(_EINSUM_LETTERS[e] for e in vert) for vert in verts) + "->"
+
+
+def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
+    """numpy's greedy path for eq with the letters in sliced fixed and every
+    index of size N, and its cost."""
+    terms = eq[:-2].split(",")
+    holders = tuple(tuple(j for j, e in enumerate(sliced) if e in t) for t in terms)
+    # allow intermediates up to order 4 (capped), else the path search
+    # degrades to the naive full loop on expander-like maps
+    budget = min(max(N**4, N ** len(terms[0])), 1 << 26)
+    eq = eq.translate({ord(e): None for e in sliced})
+    terms = eq[:-2].split(",")
+    shapes = [np.broadcast_to(np.zeros(()), (N,) * len(t)) for t in terms]
+    path = np.einsum_path(eq, *shapes, optimize=("greedy", budget))[0]
+    sets = [set(t) for t in terms]
+    flop = max_elems = widest = 0
+    for step in path[1:]:
+        picked = [sets.pop(j) for j in sorted(step, reverse=True)]
+        union = set().union(*picked)
+        kept = union & set().union(*sets)
+        flop += N ** len(union) * (max(1, len(step) - 1) + (kept != union))
+        max_elems = max(max_elems, N ** len(kept))
+        widest = max(widest, len(step))
+        sets.append(kept)
+    return _Plan(sliced, eq, path, holders, N ** len(sliced) * flop, max_elems, widest)
+
+
+def _better(new: _Plan, old: _Plan) -> bool:
+    """A plan that fell back to the naive loop gives way to any plan of fewer
+    FLOP (at N = 1 the naive loop is the cheapest); a pairwise one only to a
+    pairwise plan of smaller (largest intermediate, FLOP)."""
+    if old.widest > 2:
+        return new.flop < old.flop
+    return new.widest <= 2 and (new.max_elems, new.flop) < (old.max_elems, old.flop)
+
+
+def _plan(eq: str, N: int) -> _Plan:
+    """The cached contraction plan of eq at dimension N.
+
+    numpy's greedy path is kept unless its largest intermediate exceeds
+    ``_SLICE_ELEMS`` elements or it fell back to the naive loop.  Then every
+    edge that joins two different vertices is tried as a sliced index, and
+    the best plan by (pairwise, largest intermediate, FLOP) replaces the
+    current one if it is better; the first such edge wins a tie.  Further
+    edges are sliced only while the plan still has no pairwise order, as for
+    K_{3,3} at N >= 91, where every single slice still needs an N^4
+    intermediate.
+    """
+    key = (eq, N)
+    plan = _PATH_CACHE.get(key)
+    if plan is None:
+        plan = _greedy_plan(eq, N)
+        if plan.max_elems > _SLICE_ELEMS or plan.widest > 2:
+            terms = eq[:-2].split(",")
+            edges = [e for e in _EINSUM_LETTERS if sum(e in t for t in terms) == 2]
+            while not plan.sliced or plan.widest > 2:
+                best = min(
+                    (_greedy_plan(eq, N, plan.sliced + e) for e in edges if e not in plan.sliced),
+                    key=lambda c: (c.widest > 2, c.max_elems, c.flop),
+                    default=plan,
+                )
+                if not _better(best, plan):
+                    break
+                plan = best
+        _PATH_CACHE[key] = plan
+    return plan
 
 
 def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
     """Tr_b(T): sum over edge-index assignments of the product of one tensor
-    entry per vertex, evaluated as a tensor-network contraction with a greedy
-    elimination order."""
+    entry per vertex, evaluated as a tensor-network contraction along numpy's
+    greedy path.
+
+    When that path would build an intermediate of more than ``_SLICE_ELEMS``
+    elements, or finds no pairwise order within its budget, the contraction
+    is sliced over the index of one edge (more only while no pairwise order
+    exists): each of the N slices puts ``T[i]`` at the edge's two vertices,
+    which by symmetry is the slice on any axis, and the slices are summed with
+    ``math.fsum``.  A plan predicted to exceed ``_MAX_FLOP`` or
+    ``_MAX_INTERMEDIATE_BYTES`` raises ``ResourceLimitError`` before any
+    contraction starts.
+    """
     if b.p != T.p:
         raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    verts = _vertex_edge_ids(b)
     m = b.size // 2
     if m > _MAX_EDGES:
         raise ResourceLimitError(f"{m} edges exceeds the contraction guard")
-    eq = ",".join("".join(_EINSUM_LETTERS[e] for e in vert) for vert in verts) + "->"
+    plan = _plan(_einsum_eq(b), T.N)
+    if plan.flop > _MAX_FLOP or 8 * plan.max_elems > _MAX_INTERMEDIATE_BYTES:
+        raise ResourceLimitError(
+            f"the trace invariant of a {b.n}-vertex map at N={T.N} is predicted to "
+            f"take {plan.flop:.3g} FLOP with a largest intermediate of "
+            f"{8 * plan.max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
+            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
+        )
     dense = T._dense()
-    operands = [dense] * len(verts)
-    key = (eq, T.N)
-    path = _PATH_CACHE.get(key)
-    if path is None:
-        # allow intermediates up to order 4 (capped), else the path search
-        # degrades to the naive full loop on expander-like maps
-        budget = min(max(T.N**4, T.N**T.p), 1 << 26)
-        path = np.einsum_path(eq, *operands, optimize=("greedy", budget))[0]
-        _PATH_CACHE[key] = path
-    return float(np.einsum(eq, *operands, optimize=path))
+    # einsum runs measurably faster when the operands are one array object
+    if not plan.sliced:
+        return float(np.einsum(plan.eq, *[dense] * b.n, optimize=plan.path))
+    return math.fsum(
+        np.einsum(
+            plan.eq,
+            *[dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders],
+            optimize=plan.path,
+        )
+        for idx in itertools.product(range(T.N), repeat=len(plan.sliced))
+    )
 
 
 def _refine(colour: list[int], adj, loops) -> list[int]:

@@ -1,9 +1,10 @@
 """Shared test oracles, deliberately independent of the library code paths
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
 the injective-trace and exhaustive-sum references for the partition oracle,
-the alternative Fuss-Catalan closed form, quadrature moments of the limit
-law, the exact disjoint-union variance of I_2/N, multigraph classes by
-trying every vertex relabelling, and small combinatorial helpers."""
+the sliced GEMM order for the tetrahedral trace invariant, the alternative
+Fuss-Catalan closed form, quadrature moments of the limit law, the exact
+disjoint-union variance of I_2/N, multigraph classes by trying every vertex
+relabelling, and small combinatorial helpers."""
 
 import itertools
 import math
@@ -103,6 +104,25 @@ def naive_trace(b: CombinatorialMap, T) -> float:
             prod *= T[tuple(assign[e] for e in vert)]
         total += prod
     return total
+
+
+def k4_trace_sliced_gemm(T: SymTensor) -> float:
+    """Tr of the tetrahedral map K4 (p = 3) by the explicit sliced GEMM order:
+    for each value a of one edge index, with A = T[a], form Y = A^T T_(1)
+    reshaped to N x N x N, contract Z[c,e,f] = sum_d Y[c,d,f] A[d,e], and add
+    <Z, T>.  O(N^5) work in O(N^3) memory, independent of einsum paths."""
+    if T.p != 3:
+        raise ContractViolation("K4 is a cubic graph")
+    N = T.N
+    dense = T.to_dense()
+    unfolded = dense.reshape(N, N * N)
+    total = []
+    for a in range(N):
+        A = dense[a]
+        Y = (A.T @ unfolded).reshape(N, N, N)
+        Z = np.tensordot(Y, A, axes=(1, 0)).transpose(0, 2, 1)
+        total.append(float(np.vdot(Z, dense)))
+    return math.fsum(total)
 
 
 def fuss_catalan_alt(p: int, k: int) -> int:

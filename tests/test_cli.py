@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import melonic
-from melonic import cli, experiments
+from melonic import cli, experiments, tensor
 from melonic.cli import main
 from melonic.counting import fuss_catalan
 from melonic.errors import (
@@ -246,6 +246,13 @@ class TestErrors:
         monkeypatch.setattr(experiments, "sample_invariants", no_sampling)
         code, err = self.fail(capsys, "mc", "--p", "2", "--n", "53", "--N", "4")
         assert code == 5 and "53 edges exceeds the contraction guard" in err
+
+    def test_contraction_cost_guard(self, monkeypatch, capsys):
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
+        code, err = self.fail(
+            capsys, "mc", "--p", "3", "--n", "4", "--N", "16", "--samples", "2"
+        )
+        assert code == 5 and "predicted to take 4.2e+06 FLOP" in err
 
     @pytest.mark.parametrize(
         "error, code",

@@ -162,6 +162,14 @@ class TestMelonicLimitTable:
             else:
                 assert r.slope == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_point_grid_has_no_slope(self):
+        # a line through one point is no fit; polyfit would warn per row
+        rows = melonic_limit_table(3, 2, (8,), GAUSSIAN_GOTE)
+        assert [r.slope for r in rows] == [None] * len(rows)
+        two = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
+        assert [r.values for r in rows] == [r.values[:1] for r in two]
+
     def test_universality_limit_column(self):
         gauss = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
         rade = melonic_limit_table(3, 2, (8, 16), EntryDistribution("rademacher"))

@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from melonic import tensor
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
     CombinatorialMap,
@@ -44,6 +46,7 @@ from conftest import (
     automorphism_count,
     expected_trace_exhaustive,
     injective_trace,
+    k4_trace_sliced_gemm,
     multilinear_transform,
     naive_trace,
     random_permutation,
@@ -440,6 +443,103 @@ class TestTraceClasses:
         assert balanced_invariant(10, M) == pytest.approx(
             np.trace(np.linalg.matrix_power(d, 10)), rel=1e-10
         )
+
+
+def _class_reps(p, n):
+    return [rep for rep, _ in _trace_classes(p, n)]
+
+
+def _k4():
+    """The tetrahedral class of B_4^(3): every vertex pair joined once."""
+    k4 = list(itertools.combinations(range(4), 2))
+    (rep,) = [b for b in _class_reps(3, 4) if sorted(multigraph(b)) == k4]
+    return rep
+
+
+def _numpy_cost(plan, N):
+    """numpy's own FLOP count and largest intermediate for one slice of plan."""
+    shapes = [np.broadcast_to(np.zeros(()), (N,) * len(t)) for t in plan.eq[:-2].split(",")]
+    info = np.einsum_path(plan.eq, *shapes, optimize=plan.path)[1]
+    flop = float(re.search(r"Optimized FLOP count:\s+(\S+)", info).group(1))
+    largest = float(re.search(r"Largest intermediate:\s+(\S+)", info).group(1))
+    return flop - 1, largest  # numpy adds 1 to the summed step costs
+
+
+class TestSlicedContraction:
+    @pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (2, 6)])
+    def test_slicing_keeps_every_value(self, p, n, monkeypatch):
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        tensors = [sample_gote(p, 2, seed=5), sample_gote(p, 7, seed=6)]
+        reps = _class_reps(p, n)
+        unsliced = [[trace_invariant(b, T) for T in tensors] for b in reps]
+        assert not any(plan.sliced for plan in tensor._PATH_CACHE.values())
+        for b, (small, _) in zip(reps, unsliced):
+            assert small == pytest.approx(naive_trace(b, tensors[0]), rel=1e-12, abs=1e-12)
+
+        # the planner's own choice once every intermediate is over budget
+        monkeypatch.setattr(tensor, "_SLICE_ELEMS", 0)
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        for b, want in zip(reps, unsliced):
+            got = [trace_invariant(b, T) for T in tensors]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # two vertices contract in one step to a scalar, which slicing cannot shrink
+        assert any(plan.sliced for plan in tensor._PATH_CACHE.values()) == (n > 2)
+
+        # every edge between two vertices, and for n <= 4 every pair of them
+        for b, want in zip(reps, unsliced):
+            eq = tensor._einsum_eq(b)
+            terms = eq[:-2].split(",")
+            edges = [e for e in tensor._EINSUM_LETTERS if sum(e in t for t in terms) == 2]
+            pairs = ["".join(c) for c in itertools.combinations(edges, 2)] if n <= 4 else []
+            for T, value in zip(tensors, want):
+                for sliced in edges + pairs:
+                    tensor._PATH_CACHE[(eq, T.N)] = tensor._greedy_plan(eq, T.N, sliced)
+                    assert trace_invariant(b, T) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [96, 128, 256])
+    @pytest.mark.parametrize("p,n", [(3, 4), (3, 6)])
+    def test_large_N_plans_are_pairwise_within_N_cubed(self, p, n, N, monkeypatch):
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        for b in _class_reps(p, n):
+            plan = tensor._plan(tensor._einsum_eq(b), N)
+            assert all(len(step) <= 2 for step in plan.path[1:])
+            assert plan.max_elems <= N**3
+            flop, largest = _numpy_cost(plan, N)
+            assert plan.max_elems == pytest.approx(largest, rel=1e-3)
+            assert plan.flop == pytest.approx(N ** len(plan.sliced) * flop, rel=1e-3)
+
+    def test_k4_beyond_the_greedy_budget(self, monkeypatch):
+        # at N = 96 no pairwise order fits numpy's budget without slicing
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        eq = tensor._einsum_eq(_k4())
+        assert tensor._greedy_plan(eq, 96).widest == 4
+        assert len(tensor._plan(eq, 96).sliced) == 1
+        T = sample_gote(3, 96, seed=7)
+        assert trace_invariant(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
+
+
+class TestContractionGuard:
+    def test_flop_limit_refuses_before_contracting(self, monkeypatch):
+        def no_contraction(*args, **kwargs):
+            raise AssertionError("contracted before the guard")
+
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
+        monkeypatch.setattr(tensor.np, "einsum", no_contraction)
+        with pytest.raises(ResourceLimitError, match=r"4\.2e\+06 FLOP"):
+            trace_invariant(_k4(), sample_gote(3, 16, seed=0))
+
+    def test_byte_limit_refuses(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * 16**3)
+        with pytest.raises(ResourceLimitError, match=r"intermediate of 5\.24e\+05 bytes"):
+            trace_invariant(_k4(), sample_gote(3, 16, seed=0))
+
+    def test_limits_admit_p3_n4_up_to_N128(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        for N in (96, 128):
+            for b in _class_reps(3, 4):
+                plan = tensor._plan(tensor._einsum_eq(b), N)
+                assert plan.flop <= tensor._MAX_FLOP
+                assert 8 * plan.max_elems <= tensor._MAX_INTERMEDIATE_BYTES
 
 
 class TestExactExpectations:
