@@ -81,7 +81,6 @@ _FLAGS = {
     "--N": dict(type=_int_list, dest="N_grid", help="comma-separated dimensions"),
     "--samples": dict(type=int),
     "--seed": dict(type=int),
-    "--threads": dict(type=int),
     "--dist": dict(
         help="gaussian-gote | gaussian-offdiag-only | rademacher | uniform"
         " | symmetrized-pareto:ALPHA"
@@ -90,7 +89,7 @@ _FLAGS = {
     "--format": dict(choices=("csv", "json"), dest="fmt"),
 }
 _TABLE = ("--p", "--n", "--out", "--format")
-_MC = (*_TABLE, "--N", "--samples", "--seed", "--threads", "--dist")
+_MC = (*_TABLE, "--N", "--samples", "--seed", "--dist")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand(
         "heavytail", "median moments with Pareto entries",
-        (*_TABLE, "--N", "--samples", "--seed", "--threads"),
+        (*_TABLE, "--N", "--samples", "--seed"),
     )
     sp.add_argument("--tail", type=float, default=3.5, help="Pareto tail index")
 
@@ -251,7 +250,6 @@ def _cmd_contract(args, cfg):
         n_max=cfg.n_max,
         samples=cfg.samples,
         seed=cfg.seed,
-        threads=cfg.threads,
         random_unit=args.random_unit,
         dist=cfg.dist,
     )
@@ -267,7 +265,6 @@ def _cmd_heavytail(args, cfg):
         samples=cfg.samples,
         seed=cfg.seed,
         tail_index=args.tail,
-        threads=cfg.threads,
     )
     data = [(r.N, r.n, r.median, r.iqr, r.target) for r in rows]
     _emit_table(["N", "n", "median", "iqr", "target"], data, cfg.out, cfg.fmt)

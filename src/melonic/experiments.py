@@ -2,14 +2,14 @@
 verification runs.
 
 Reproducibility contract: every sample draws from its own RNG substream
-derived from (seed, N, stream tag, sample index), and aggregation reads the
-samples in index order, so results are bit-identical for any thread count.
+derived from (seed, N, stream tag, sample index), and samples are drawn,
+evaluated and aggregated in index order, so results are bit-identical for a
+given (config, seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -65,7 +65,6 @@ class ExperimentConfig:
     samples: int = 200
     seed: int = 1
     dist: EntryDistribution = GAUSSIAN_GOTE
-    threads: int = 1
     out: Optional[str] = None
     fmt: str = "csv"
 
@@ -81,8 +80,6 @@ class ExperimentConfig:
             raise ContractViolation("dimensions must be positive")
         if self.samples < 2:
             raise ContractViolation("need at least 2 samples to estimate a variance")
-        if self.threads < 1:
-            raise ContractViolation("threads must be positive")
         if self.fmt not in ("csv", "json"):
             raise ContractViolation("format must be csv or json")
 
@@ -163,30 +160,24 @@ def sample_invariants(
     samples: int,
     seed: int,
     dist: EntryDistribution,
-    threads: int = 1,
     vectors: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
     """I_n/N for every n in ``ns`` on ``samples`` Wigner tensors of order p
     and dimension N, as an array of shape (samples, len(ns)).
 
-    Sample ``idx`` draws from the substream (seed, N, 0, idx) and row ``idx``
-    holds its invariants, whatever the thread count.  With k = len(vectors)
-    > 0 each tensor is first contracted by the vectors and rescaled by
-    N^{k/2}, so the invariants are those of the order-(p-k) tensor.
+    Samples are drawn and evaluated one after another in index order:
+    sample ``idx`` draws from the substream (seed, N, 0, idx) and row ``idx``
+    holds its invariants.  With k = len(vectors) > 0 each tensor is first
+    contracted by the vectors and rescaled by N^{k/2}, so the invariants are
+    those of the order-(p-k) tensor.
     """
     scale = float(N) ** (len(vectors) / 2.0)
-
-    def invariants(idx: int) -> list[float]:
+    results = []
+    for idx in range(samples):
         W = sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
         if vectors:
             W = contract(W, vectors).scaled(scale)
-        return [balanced_invariant(n, W) / N for n in ns]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(invariants, range(samples)))
-    else:
-        results = [invariants(idx) for idx in range(samples)]
+        results.append([balanced_invariant(n, W) / N for n in ns])
     return np.asarray(results, dtype=np.float64)
 
 
@@ -221,7 +212,7 @@ def mc_moments(cfg: ExperimentConfig) -> list[MomentEstimate]:
     targets = [float(moment(cfg.p, n)) for n in ns]
     rows: list[MomentEstimate] = []
     for N in cfg.N_grid:
-        data = sample_invariants(cfg.p, N, ns, cfg.samples, cfg.seed, cfg.dist, cfg.threads)
+        data = sample_invariants(cfg.p, N, ns, cfg.samples, cfg.seed, cfg.dist)
         rows.extend(_estimate_rows(N, ns, data, targets))
     return rows
 
@@ -241,9 +232,7 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
     _check_enumeration_feasible(cfg.p, cfg.n_max)
     variances = []
     for N in cfg.N_grid:
-        data = sample_invariants(
-            cfg.p, N, [cfg.n_max], cfg.samples, cfg.seed, cfg.dist, cfg.threads
-        )
+        data = sample_invariants(cfg.p, N, [cfg.n_max], cfg.samples, cfg.seed, cfg.dist)
         variances.append(float(np.var(data[:, 0], ddof=1)))
     slope = float(
         np.polyfit(np.log(np.asarray(cfg.N_grid, float)), np.log(variances), 1)[0]
@@ -311,7 +300,6 @@ def contraction_moments(
     n_max: int,
     samples: int,
     seed: int,
-    threads: int = 1,
     random_unit: bool = False,
     dist: EntryDistribution = GAUSSIAN_GOTE,
 ) -> list[MomentEstimate]:
@@ -341,7 +329,7 @@ def contraction_moments(
         else:
             u = np.zeros(N)
             u[0] = 1.0
-        data = sample_invariants(p, N, ns, samples, seed, dist, threads, [u] * k)
+        data = sample_invariants(p, N, ns, samples, seed, dist, [u] * k)
         rows.extend(_estimate_rows(N, ns, data, targets))
     return rows
 
@@ -353,7 +341,6 @@ def heavy_tail_moments(
     samples: int,
     seed: int,
     tail_index: float,
-    threads: int = 1,
     dist: Optional[EntryDistribution] = None,
 ) -> list[HeavyTailEstimate]:
     """Median and interquartile range of I_n/N under heavy-tailed entries.
@@ -368,7 +355,7 @@ def heavy_tail_moments(
     target = float(moment(p, n))
     rows = []
     for N in N_grid:
-        data = sample_invariants(p, N, [n], samples, seed, dist, threads)[:, 0]
+        data = sample_invariants(p, N, [n], samples, seed, dist)[:, 0]
         q25, q50, q75 = np.percentile(data, [25, 50, 75])
         rows.append(
             HeavyTailEstimate(N=N, n=n, median=float(q50), iqr=float(q75 - q25), target=target)

@@ -119,14 +119,6 @@ class Hypergraph:
         """Forget the outer multiplicities."""
         return Hypergraph(self.num_vertices, self.edges, [1] * len(self.edges))
 
-    def degree(self, v: int) -> int:
-        return sum(m * e.count(v) for e, m in zip(self.edges, self.mult))
-
-    def order(self, i: int) -> int:
-        """Order |e| of the i-th hyperedge (vertices counted with inner
-        multiplicity)."""
-        return len(self.edges[i])
-
     def to_json(self) -> dict:
         return {
             "num_vertices": self.num_vertices,

@@ -160,10 +160,6 @@ class LimitLaw:
         return f"LimitLaw(p={self.p}, dilation={self.dilation})"
 
     @property
-    def z_c(self) -> float:
-        return critical_z(self.p)
-
-    @property
     def omega_c(self) -> float:
         return support_radius(self.p) / self.dilation
 

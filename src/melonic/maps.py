@@ -128,12 +128,6 @@ class Hypermap:
         """Number of halfedges."""
         return len(self.sigma)
 
-    def vertices(self) -> list[tuple[int, ...]]:
-        return cycles(self.sigma)
-
-    def hyperedges(self) -> list[tuple[int, ...]]:
-        return cycles(self.tau)
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)

@@ -79,7 +79,6 @@ class _IndexTable:
             eq = self.mindex[:, j] == self.mindex[:, j - 1]
             runlen = np.where(eq, runlen + 1, 1)
             cprod = np.where(eq, cprod * runlen, cprod)
-        self.count_factorial = cprod
         self.orbit = math.factorial(p) // cprod if p > 0 else np.ones(1, dtype=np.int64)
         # sigma^2 profile of the Gaussian orthogonal tensor ensemble
         self.sigma2 = cprod / float(math.factorial(max(p - 1, 0)))
@@ -370,6 +369,7 @@ class _Plan:
 _PATH_CACHE: dict[tuple[str, int], _Plan] = {}
 
 
+@lru_cache(maxsize=None)
 def _einsum_eq(b: CombinatorialMap) -> str:
     """One operand per vertex, one letter per edge, scalar output."""
     verts = _vertex_edge_ids(b)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,7 +77,7 @@ class TestMc:
     def test_float_format_and_determinism(self, tmp_path):
         args = ["mc", "--p", "3", "--n", "2", "--N", "8", "--samples", "6", "--seed", "9"]
         a = run(tmp_path, *args)
-        b = run(tmp_path, *args, "--threads", "3")
+        b = run(tmp_path, *args)
         assert a == b
         header, rows = csv_rows(a)
         mean = rows[1]["mean"]
@@ -184,6 +186,10 @@ class TestFlags:
             ["law", "--n", "2"],
             ["enumerate", "--format", "json"],
             ["law", "--eta", "0.1"],
+            ["mc", "--threads", "2"],
+            ["var", "--threads", "2"],
+            ["contract", "--threads", "2"],
+            ["heavytail", "--threads", "2"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_refused(self, argv, capsys):
@@ -191,6 +197,31 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_flag_table_matches_parser(self):
+        # each row of the README "subcommand | flags" table lists exactly the
+        # option strings its subcommands accept (first code span of the cell)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {}
+        in_table = False
+        for line in readme.splitlines():
+            if line.startswith("| subcommand | flags |"):
+                in_table = True
+            elif in_table and line.startswith("| `"):
+                names, flags = line.strip("|").split("|")
+                for name in re.findall(r"`([^`]+)`", names):
+                    table[name] = set(re.search(r"`([^`]+)`", flags).group(1).split())
+            elif in_table and not line.startswith("|"):
+                break
+        sub = next(
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = {
+            name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert table == parser
 
     def test_contract_honours_dist(self, tmp_path):
         args = ["contract", "--p", "3", "--k", "1", "--N", "10", "--n", "2",
@@ -271,12 +302,13 @@ class TestErrors:
 
 class TestImport:
     def test_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency: scipy serves the tests alone
+        # numpy is the only runtime dependency: scipy serves the tests alone;
+        # samples run in one thread, so no executor module is loaded either
         src = str(Path(melonic.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
-            "import sys, melonic, melonic.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys, melonic, melonic.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'concurrent')))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

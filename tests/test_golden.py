@@ -21,10 +21,3 @@ def test_stdout_bytes(name, capsys):
     case = GOLDEN[name]
     assert main(case["argv"].split()) == 0
     assert capsys.readouterr().out == case["stdout"]
-
-
-@pytest.mark.parametrize("name", ["mc", "var", "contract-k1-random-unit", "heavytail"])
-def test_thread_count_does_not_change_bytes(name, capsys):
-    case = GOLDEN[name]
-    assert main([*case["argv"].split(), "--threads", "3"]) == 0
-    assert capsys.readouterr().out == case["stdout"]
