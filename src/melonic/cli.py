@@ -24,7 +24,6 @@ from .experiments import ExperimentConfig
 from .hypergraph import (
     euler_deficiency,
     hypergraph_of,
-    is_melonic_graph,
     melonic_partition,
 )
 from .maps import canonical_code, dual, enumerate_rooted_connected
@@ -167,7 +166,7 @@ def _cmd_classify(args, cfg):
     for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
         # melonic classification is defined for p >= 3; p = 2 rows stay blank
         pi = melonic_partition(b) if cfg.p >= 3 else None
-        melonic = is_melonic_graph(b) if cfg.p >= 3 else ""
+        melonic = pi is not None if cfg.p >= 3 else ""
         dualgraph = hypergraph_of(dual(b)).reduced()
         rows.append(
             (

@@ -26,10 +26,11 @@ from .tensor import (
     GAUSSIAN_GOTE,
     EntryDistribution,
     SymTensor,
+    _at,
     _class_keys,
+    _trace_polynomial,
     balanced_invariant,
     contract,
-    expected_trace_partitions,
     resolvent_series,
     sample_gote,
     sample_wigner,
@@ -246,8 +247,8 @@ def melonic_limit_table(
     """Exact E[Tr_b(W_N)]/N for every rooted connected map with n vertices,
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
-    The exact values depend on the map's multigraph only, so the oracle runs
-    once per multigraph class and its values are shared by the class's rows.
+    The exact values depend on the map's multigraph only, so the oracle's
+    polynomial in N is formed once per class and evaluated on the grid.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -272,7 +273,8 @@ def melonic_limit_table(
         melonic = is_melonic_graph(b)
         alpha = alpha_melonic if melonic else Fraction(0)
         if key not in exact:
-            exact[key] = [expected_trace_partitions(b, N, dist) / N for N in N_grid]
+            coeffs = _trace_polynomial(b, dist)
+            exact[key] = [_at(coeffs, b, N) / N for N in N_grid]
         values = exact[key]
         devs = [abs(v - alpha) for v in values]
         if len(N_grid) > 1 and all(d > 0 for d in devs):

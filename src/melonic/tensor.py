@@ -9,9 +9,9 @@ greedy path; a contraction whose largest intermediate would be too big, or
 that has no pairwise order within the path budget, is sliced over the index
 of one edge and summed over its values, and one whose predicted FLOP or
 memory exceeds a fixed limit is refused before it starts.  Exact
-expectations of trace invariants under the entry ensembles are computed in
-rational arithmetic, as injective sums grouped by edge partitions; the tests
-cross-check them against exhaustive index sums.
+expectations of trace invariants are rational polynomials in N, formed in
+one pass over the edge partitions; the tests cross-check them against
+exhaustive index sums.
 
 Trace values are plain floats from the numerical paths and
 ``fractions.Fraction`` from the exact-expectation paths.
@@ -33,16 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ResourceLimitError
-from .maps import (
-    CombinatorialMap,
-    cycles,
-    dual,
-    edge_list,
-    merge_edges,
-    multigraph,
-    rooted_connected,
-)
-from .hypergraph import hypergraph_of
+from .maps import CombinatorialMap, cycles, edge_list, multigraph, rooted_connected
 
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
@@ -470,9 +461,6 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
             f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
         )
     dense = T._dense()
-    # einsum runs measurably faster when the operands are one array object
-    if not plan.sliced:
-        return float(np.einsum(plan.eq, *[dense] * b.n, optimize=plan.path))
     return math.fsum(
         np.einsum(
             plan.eq,
@@ -604,37 +592,46 @@ def _scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
     return total / Fraction(N ** ((n // 2) * (p - 1)))
 
 
-def expected_trace_partitions(
-    b: CombinatorialMap, N: int, dist: EntryDistribution
-) -> Fraction:
-    """E[Tr_b(W_N)] as a sum over edge partitions of injective-trace
-    expectations.
+def _trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fraction]:
+    """Coefficients c_0..c_m of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling
+    factorials N^(k).
 
-    For each partition pi, the folded dual hypergraph H(dual(b_pi)) carries
-    one moment factor per distinct hyperedge; every injective assignment of
-    the |pi| blocks contributes that same product, N falling-factorial |pi|
-    times.  Exact rational output.
+    Under an edge partition pi, each vertex reads the entry indexed by the
+    blocks of its edges; vertices with the same sorted block tuple read the
+    same entry, which contributes one moment of that multiplicity.  Every
+    injective assignment of indices to the blocks gives the same product, so
+    c_k is the sum of the products over the partitions with k blocks.
     """
     m = len(edge_list(b))
     if m > _PARTITION_EDGE_GUARD:
         raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
-    p = b.p
     from .maps import enumerate_edge_partitions
 
-    total = Fraction(0)
+    verts = _vertex_edge_ids(b)
+    coeffs = [Fraction(0)] * (m + 1)
     for pi in enumerate_edge_partitions(m):
-        H = hypergraph_of(dual(merge_edges(b, pi)))
+        block_of = {e: i for i, block in enumerate(pi.blocks) for e in block}
+        entries = Counter(tuple(sorted(block_of[e] for e in vert)) for vert in verts)
         factor = Fraction(1)
-        for e, mult in zip(H.edges, H.mult):
-            pattern = tuple(sorted(Counter(e).values()))
-            mom = dist.moment(mult, entry_sigma2(dist, p, pattern))
-            if mom == 0:
-                factor = Fraction(0)
+        for entry, mult in entries.items():
+            pattern = tuple(sorted(Counter(entry).values()))
+            factor *= dist.moment(mult, entry_sigma2(dist, b.p, pattern))
+            if not factor:
                 break
-            factor *= mom
-        if factor:
-            total += math.perm(N, len(pi)) * factor
-    return _scale_exact(total, b.n, p, N)
+        coeffs[len(pi)] += factor
+    return coeffs
+
+
+def _at(coeffs: Sequence[Fraction], b: CombinatorialMap, N: int) -> Fraction:
+    return _scale_exact(sum(math.perm(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
+
+
+def expected_trace_partitions(
+    b: CombinatorialMap, N: int, dist: EntryDistribution
+) -> Fraction:
+    """E[Tr_b(W_N)] = sum_k N^(k) c_k / N^{(n/2)(p-1)}, exact and rational,
+    with the falling factorials N^(k) and the c_k of ``_trace_polynomial``."""
+    return _at(_trace_polynomial(b, dist), b, N)
 
 
 def expected_balanced_invariant(

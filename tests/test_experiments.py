@@ -167,6 +167,22 @@ class TestMelonicLimitTable:
         two = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
         assert [r.values for r in rows] == [r.values[:1] for r in two]
 
+    def test_one_partition_pass_per_class(self, monkeypatch):
+        # the polynomial in N serves the whole grid: 5 classes x Bell(6)
+        from melonic import maps
+
+        visited = []
+        enumerate_edge_partitions = maps.enumerate_edge_partitions
+
+        def counting(m):
+            for pi in enumerate_edge_partitions(m):
+                visited.append(pi)
+                yield pi
+
+        monkeypatch.setattr(maps, "enumerate_edge_partitions", counting)
+        melonic_limit_table(3, 4, (8, 16, 32), GAUSSIAN_GOTE)
+        assert len(visited) == 5 * 203
+
     def test_universality_limit_column(self):
         gauss = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
         rade = melonic_limit_table(3, 2, (8, 16), EntryDistribution("rademacher"))

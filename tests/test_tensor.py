@@ -545,11 +545,38 @@ class TestContractionGuard:
 class TestExactExpectations:
     @pytest.mark.parametrize("dist", [GAUSSIAN_GOTE, RADEMACHER, UNIFORM, FLAT])
     def test_oracle_equivalence(self, dist):
-        for b in enumerate_rooted_connected(3, 2):
-            for N in (4, 6, 8):
+        cases = [(b, (4, 6, 8)) for b in enumerate_rooted_connected(3, 2)]
+        cases += [(rep, (2, 3)) for rep, _ in _trace_classes(3, 4)]
+        cases += [(b, (3, 4)) for b in enumerate_rooted_connected(4, 2)]
+        cases += [(b, (3, 5)) for b in enumerate_rooted_connected(2, 4)]
+        for b, grid in cases:
+            for N in grid:
                 assert expected_trace_exhaustive(b, N, dist) == expected_trace_partitions(
                     b, N, dist
                 )
+
+    @pytest.mark.parametrize(
+        "p, n, dists",
+        [
+            (3, 2, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
+            (3, 4, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
+            (4, 2, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
+            (4, 4, (GAUSSIAN_GOTE,)),
+        ],
+    )
+    def test_degree_bound_reached_only_by_melonic_maps(self, p, n, dists):
+        # the paper's convergence theorem on exact integers: N^{(n/2)(p-1)}
+        # E[Tr_b] has degree at most (n/2)(p-1) + 1 in N, with equality iff b
+        # is melonic
+        from melonic.hypergraph import is_melonic_graph
+
+        bound = (n // 2) * (p - 1) + 1
+        for dist in dists:
+            for rep, _ in _trace_classes(p, n):
+                coeffs = tensor._trace_polynomial(rep, dist)
+                degree = max(k for k, c in enumerate(coeffs) if c)
+                assert degree <= bound
+                assert (degree == bound) == is_melonic_graph(rep)
 
     def test_melon_hand_value(self):
         # E[Tr]/N = 1/2 + 3/(2N) + 1/N^2 under the invariant profile
