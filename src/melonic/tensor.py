@@ -7,10 +7,11 @@ full symmetry is structural, never duplicated.  Trace invariants contract one
 dense tensor copy per map vertex over the shared edge indices, along numpy's
 greedy path; a contraction whose largest intermediate would be too big, or
 that has no pairwise order within the path budget, is sliced over the index
-of one edge and summed over its values, and one whose predicted FLOP or
-memory exceeds a fixed limit is refused before it starts.  Exact
-expectations of trace invariants are rational polynomials in N, formed in
-one pass over the edge partitions; the tests cross-check them against
+of one edge and summed over its values.  The tetrahedron K4 at p = 3 has its
+own kernel of one matrix product per index value.  A contraction whose
+predicted FLOP or memory exceeds a fixed limit is refused before it starts.
+Exact expectations of trace invariants are rational polynomials in N, formed
+in one pass over the edge partitions; the tests cross-check them against
 exhaustive index sums.
 
 Trace values are plain floats from the numerical paths and
@@ -27,7 +28,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,9 +40,10 @@ _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
 _PARTITION_EDGE_GUARD = 9
 # trace_invariant slices a contraction whose largest intermediate would hold
-# more float64 elements than this (2 MiB), and refuses a plan predicted to
-# exceed either limit below.  The largest plan the Monte Carlo runs need, K4
-# at N = 128, predicts 1.4e11 FLOP and a 16.8 MB intermediate.
+# more float64 elements than this (2 MiB), and refuses a route predicted to
+# exceed either limit below.  The K4 kernel fits them up to N = 200 (3.2e11
+# FLOP and a 64 MB intermediate); every other class at p = 3, n = 4 at
+# N = 128 predicts at most 1.1e9 FLOP.
 _SLICE_ELEMS = 2**18
 _MAX_FLOP = 10**12
 _MAX_INTERMEDIATE_BYTES = 2**30
@@ -89,14 +91,18 @@ class _IndexTable:
         return sum(self._binom[srt[k] + k][k + 1] for k in range(self.p))
 
     def dense_map(self) -> np.ndarray:
-        """rank of the sorted multi-index, for every flat dense position."""
+        """rank of the sorted multi-index, for every flat dense position.
+
+        Every dense position is an axis order of one sorted multi-index, so
+        the ranks are scattered once per column order of ``mindex``."""
         if self._dense_map is None:
             p, N = self.p, self.N
-            if p == 0:
-                self._dense_map = np.zeros(1, dtype=np.int64)
-            else:
-                grid = np.indices((N,) * p).reshape(p, -1).T
-                self._dense_map = self._rank_rows(np.sort(grid, axis=1))
+            weights = N ** np.arange(p - 1, -1, -1, dtype=np.int64)
+            ranks = np.arange(self.size, dtype=np.int64)
+            dmap = np.empty(N**p, dtype=np.int64)
+            for perm in itertools.permutations(range(p)):
+                dmap[self.mindex[:, list(perm)] @ weights] = ranks
+            self._dense_map = dmap
         return self._dense_map
 
     def flat_sorted(self) -> np.ndarray:
@@ -433,42 +439,91 @@ def _plan(eq: str, N: int) -> _Plan:
     return plan
 
 
-def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
-    """Tr_b(T): sum over edge-index assignments of the product of one tensor
-    entry per vertex, evaluated as a tensor-network contraction along numpy's
-    greedy path.
-
-    When that path would build an intermediate of more than ``_SLICE_ELEMS``
-    elements, or finds no pairwise order within its budget, the contraction
-    is sliced over the index of one edge (more only while no pairwise order
-    exists): each of the N slices puts ``T[i]`` at the edge's two vertices,
-    which by symmetry is the slice on any axis, and the slices are summed with
-    ``math.fsum``.  A plan predicted to exceed ``_MAX_FLOP`` or
-    ``_MAX_INTERMEDIATE_BYTES`` raises ``ResourceLimitError`` before any
-    contraction starts.
-    """
-    if b.p != T.p:
-        raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    m = b.size // 2
-    if m > _MAX_EDGES:
-        raise ResourceLimitError(f"{m} edges exceeds the contraction guard")
-    plan = _plan(_einsum_eq(b), T.N)
-    if plan.flop > _MAX_FLOP or 8 * plan.max_elems > _MAX_INTERMEDIATE_BYTES:
-        raise ResourceLimitError(
-            f"the trace invariant of a {b.n}-vertex map at N={T.N} is predicted to "
-            f"take {plan.flop:.3g} FLOP with a largest intermediate of "
-            f"{8 * plan.max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
-            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
-        )
-    dense = T._dense()
+def _contract(plan: _Plan, dense: np.ndarray) -> float:
+    """The einsum route: contract plan.eq along plan.path once per value tuple
+    of the sliced edge indices, and sum the slices with ``math.fsum``.  An
+    unsliced plan is the sum over zero edges, one term, with every operand
+    the same ``dense`` object."""
     return math.fsum(
         np.einsum(
             plan.eq,
             *[dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders],
             optimize=plan.path,
         )
-        for idx in itertools.product(range(T.N), repeat=len(plan.sliced))
+        for idx in itertools.product(range(len(dense)), repeat=len(plan.sliced))
     )
+
+
+@lru_cache(maxsize=None)
+def _is_k4(b: CombinatorialMap) -> bool:
+    """Whether the multigraph of b is the tetrahedron K4: at p = 3, four
+    vertices with one edge per vertex pair."""
+    k4 = list(itertools.combinations(range(4), 2))
+    return b.p == 3 and b.n == 4 and sorted(multigraph(b)) == k4
+
+
+def _k4_trace(dense: np.ndarray) -> float:
+    """Tr of the tetrahedron K4 = sum_{a,f} tr(T_a T_f T_a T_f), T_a = T[a].
+
+    The summand is symmetric under a <-> f, so for each a one matrix product
+    gives T_a T_f for every f >= a: by symmetry T[c, f, e] = T_f[c, e], so
+    Q[b, f - a, e] = sum_c T[a, b, c] T[c, f, e] = (T_a T_f)[b, e].  The
+    parts tr((T_a T_f)^2) = sum_{b,e} Q[b, f, e] Q[e, f, b] are summed with
+    ``math.fsum``, the f > a ones twice.  About N^5 FLOP with an N^3
+    intermediate, against 4 N^5 for the sliced greedy einsum.
+    """
+    N = len(dense)
+    unfolded = dense.reshape(N, N * N)
+    parts = []
+    for a in range(N):
+        Q = (dense[a] @ unfolded[:, a * N :]).reshape(N, N - a, N)
+        s = np.einsum("bfe,efb->f", Q, Q)
+        parts.append(s[0])
+        parts.extend(2 * s[1:])
+    return math.fsum(parts)
+
+
+def _route(b: CombinatorialMap, N: int):
+    """(evaluate, FLOP, largest intermediate in elements) of Tr_b at
+    dimension N: the K4 kernel for the tetrahedron, else the einsum plan.
+    ``evaluate`` takes the dense tensor.  The kernel's slice a multiplies
+    N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes 2 N^2 (N - a) for
+    its trace sums, N^3 (N + 1)^2 over all a; its largest intermediate is Q
+    at a = 0."""
+    if _is_k4(b):
+        return _k4_trace, N**3 * (N + 1) ** 2, N**3
+    plan = _plan(_einsum_eq(b), N)
+    return partial(_contract, plan), plan.flop, plan.max_elems
+
+
+def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
+    """Tr_b(T): sum over edge-index assignments of the product of one tensor
+    entry per vertex.
+
+    The tetrahedron K4 at p = 3 takes ``_k4_trace``.  Every other map is a
+    tensor-network contraction along numpy's greedy path; when that path
+    would build an intermediate of more than ``_SLICE_ELEMS`` elements, or
+    finds no pairwise order within its budget, the contraction is sliced over
+    the index of one edge (more only while no pairwise order exists): each of
+    the N slices puts ``T[i]`` at the edge's two vertices, which by symmetry
+    is the slice on any axis, and the slices are summed with ``math.fsum``.
+    A route predicted to exceed ``_MAX_FLOP`` or ``_MAX_INTERMEDIATE_BYTES``
+    raises ``ResourceLimitError`` before any contraction starts.
+    """
+    if b.p != T.p:
+        raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
+    m = b.size // 2
+    if m > _MAX_EDGES:
+        raise ResourceLimitError(f"{m} edges exceeds the contraction guard")
+    evaluate, flop, max_elems = _route(b, T.N)
+    if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
+        raise ResourceLimitError(
+            f"the trace invariant of a {b.n}-vertex map at N={T.N} is predicted to "
+            f"take {flop:.3g} FLOP with a largest intermediate of "
+            f"{8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
+            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
+        )
+    return evaluate(T._dense())
 
 
 def _refine(colour: list[int], adj, loops) -> list[int]:

@@ -1,7 +1,8 @@
 """Shared test oracles, deliberately independent of the library code paths
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
 the injective-trace and exhaustive-sum references for the partition oracle,
-the sliced GEMM order for the tetrahedral trace invariant, the alternative
+the sliced GEMM order for the tetrahedral trace invariant, the dense-position
+ranks by sorting every multi-index of the grid, the alternative
 Fuss-Catalan closed form, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
 relabelling, and small combinatorial helpers."""
@@ -34,6 +35,7 @@ from melonic.tensor import (
     EntryDistribution,
     SymTensor,
     _scale_exact,
+    _table,
     _vertex_edge_ids,
     entry_sigma2,
     expected_trace_partitions,
@@ -123,6 +125,15 @@ def k4_trace_sliced_gemm(T: SymTensor) -> float:
         Z = np.tensordot(Y, A, axes=(1, 0)).transpose(0, 2, 1)
         total.append(float(np.vdot(Z, dense)))
     return math.fsum(total)
+
+
+def dense_map_by_sorting(p: int, N: int) -> np.ndarray:
+    """Rank of the sorted multi-index at every flat dense position, by
+    sorting each row of the full p x N^p index grid and ranking it."""
+    if p == 0:
+        return np.zeros(1, dtype=np.int64)
+    grid = np.indices((N,) * p).reshape(p, -1).T
+    return _table(p, N)._rank_rows(np.sort(grid, axis=1))
 
 
 def fuss_catalan_alt(p: int, k: int) -> int:

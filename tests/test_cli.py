@@ -279,11 +279,16 @@ class TestErrors:
         assert code == 5 and "53 edges exceeds the contraction guard" in err
 
     def test_contraction_cost_guard(self, monkeypatch, capsys):
+        # the smaller classes contract first; K4 is refused before its kernel
+        def no_contraction(dense):
+            raise AssertionError("contracted before the guard")
+
         monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
+        monkeypatch.setattr(tensor, "_k4_trace", no_contraction)
         code, err = self.fail(
             capsys, "mc", "--p", "3", "--n", "4", "--N", "16", "--samples", "2"
         )
-        assert code == 5 and "predicted to take 4.2e+06 FLOP" in err
+        assert code == 5 and "predicted to take 1.18e+06 FLOP" in err
 
     @pytest.mark.parametrize(
         "error, code",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from melonic.tensor import (
 
 from conftest import (
     automorphism_count,
+    dense_map_by_sorting,
     expected_trace_exhaustive,
     injective_trace,
     k4_trace_sliced_gemm,
@@ -102,6 +104,13 @@ class TestStorage:
     def test_wrong_payload_rejected(self):
         with pytest.raises(ContractViolation):
             SymTensor(3, 4, np.zeros(7))
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 9])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_dense_map_matches_sorted_grid(self, p, N):
+        got = tensor._IndexTable(p, N).dense_map()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_map_by_sorting(p, N))
 
 
 class TestEnsembles:
@@ -456,6 +465,12 @@ def _k4():
     return rep
 
 
+def _einsum_route(b, T):
+    """Tr_b(T) by the einsum executor along the current plan, whatever route
+    trace_invariant would take."""
+    return tensor._contract(tensor._plan(tensor._einsum_eq(b), T.N), T._dense())
+
+
 def _numpy_cost(plan, N):
     """numpy's own FLOP count and largest intermediate for one slice of plan."""
     shapes = [np.broadcast_to(np.zeros(()), (N,) * len(t)) for t in plan.eq[:-2].split(",")]
@@ -471,7 +486,7 @@ class TestSlicedContraction:
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         tensors = [sample_gote(p, 2, seed=5), sample_gote(p, 7, seed=6)]
         reps = _class_reps(p, n)
-        unsliced = [[trace_invariant(b, T) for T in tensors] for b in reps]
+        unsliced = [[_einsum_route(b, T) for T in tensors] for b in reps]
         assert not any(plan.sliced for plan in tensor._PATH_CACHE.values())
         for b, (small, _) in zip(reps, unsliced):
             assert small == pytest.approx(naive_trace(b, tensors[0]), rel=1e-12, abs=1e-12)
@@ -480,7 +495,7 @@ class TestSlicedContraction:
         monkeypatch.setattr(tensor, "_SLICE_ELEMS", 0)
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         for b, want in zip(reps, unsliced):
-            got = [trace_invariant(b, T) for T in tensors]
+            got = [_einsum_route(b, T) for T in tensors]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         # two vertices contract in one step to a scalar, which slicing cannot shrink
         assert any(plan.sliced for plan in tensor._PATH_CACHE.values()) == (n > 2)
@@ -494,7 +509,7 @@ class TestSlicedContraction:
             for T, value in zip(tensors, want):
                 for sliced in edges + pairs:
                     tensor._PATH_CACHE[(eq, T.N)] = tensor._greedy_plan(eq, T.N, sliced)
-                    assert trace_invariant(b, T) == pytest.approx(value, rel=1e-12, abs=1e-12)
+                    assert _einsum_route(b, T) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("N", [96, 128, 256])
     @pytest.mark.parametrize("p,n", [(3, 4), (3, 6)])
@@ -515,31 +530,79 @@ class TestSlicedContraction:
         assert tensor._greedy_plan(eq, 96).widest == 4
         assert len(tensor._plan(eq, 96).sliced) == 1
         T = sample_gote(3, 96, seed=7)
-        assert trace_invariant(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
+        assert _einsum_route(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
+
+
+class TestK4Kernel:
+    @pytest.mark.parametrize("N", [1, 2, 3, 7])
+    def test_matches_naive_trace(self, N):
+        T = sample_gote(3, N, seed=N)
+        assert tensor._k4_trace(T._dense()) == pytest.approx(
+            naive_trace(_k4(), T), rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("N", [2, 7, 32])
+    def test_matches_einsum_route_unsliced_and_sliced(self, N):
+        T = sample_gote(3, N, seed=10 + N)
+        dense = T._dense()
+        kernel = tensor._k4_trace(dense)
+        eq = tensor._einsum_eq(_k4())
+        for sliced in ["", *sorted(set(eq) - set(",->"))]:
+            plan = tensor._greedy_plan(eq, N, sliced)
+            assert tensor._contract(plan, dense) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
+
+    def test_matches_sliced_gemm_reference(self):
+        T = sample_gote(3, 96, seed=7)
+        assert trace_invariant(_k4(), T) == pytest.approx(
+            k4_trace_sliced_gemm(T), rel=1e-12, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "p,n,taken", [(3, 2, 0), (3, 4, 1), (3, 6, 0), (4, 2, 0), (4, 4, 0)]
+    )
+    def test_only_the_tetrahedron_takes_the_kernel(self, p, n, taken, monkeypatch):
+        calls = []
+        kernel = tensor._k4_trace
+        monkeypatch.setattr(tensor, "_k4_trace", lambda dense: calls.append(1) or kernel(dense))
+        balanced_invariant(n, sample_gote(p, 3, seed=4))
+        assert len(calls) == taken
+
+
+def _no_contraction(*args, **kwargs):
+    raise AssertionError("contracted before the guard")
 
 
 class TestContractionGuard:
-    def test_flop_limit_refuses_before_contracting(self, monkeypatch):
-        def no_contraction(*args, **kwargs):
-            raise AssertionError("contracted before the guard")
+    @pytest.fixture(autouse=True)
+    def _nothing_contracts(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_k4_trace", _no_contraction)
+        monkeypatch.setattr(tensor.np, "einsum", _no_contraction)
 
+    def test_flop_limit_refuses_before_contracting(self, monkeypatch):
+        # the K4 kernel's N^3 (N + 1)^2 at N = 16
         monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
-        monkeypatch.setattr(tensor.np, "einsum", no_contraction)
-        with pytest.raises(ResourceLimitError, match=r"4\.2e\+06 FLOP"):
+        with pytest.raises(ResourceLimitError, match=r"1\.18e\+06 FLOP"):
             trace_invariant(_k4(), sample_gote(3, 16, seed=0))
 
     def test_byte_limit_refuses(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * 16**3)
-        with pytest.raises(ResourceLimitError, match=r"intermediate of 5\.24e\+05 bytes"):
+        # admits an N^2 intermediate, not the K4 kernel's N^3
+        monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * 16**2)
+        with pytest.raises(ResourceLimitError, match=r"intermediate of 3\.28e\+04 bytes"):
             trace_invariant(_k4(), sample_gote(3, 16, seed=0))
 
-    def test_limits_admit_p3_n4_up_to_N128(self, monkeypatch):
+    def test_limits_admit_p3_n4_up_to_N200(self, monkeypatch):
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
-        for N in (96, 128):
+        for N in (96, 128, 200):
             for b in _class_reps(3, 4):
-                plan = tensor._plan(tensor._einsum_eq(b), N)
-                assert plan.flop <= tensor._MAX_FLOP
-                assert 8 * plan.max_elems <= tensor._MAX_INTERMEDIATE_BYTES
+                _, flop, max_elems = tensor._route(b, N)
+                assert flop <= tensor._MAX_FLOP
+                assert 8 * max_elems <= tensor._MAX_INTERMEDIATE_BYTES
+
+    def test_k4_refused_at_N256_before_densifying(self):
+        # a stand-in tensor: the guard must not need its entries
+        T = types.SimpleNamespace(p=3, N=256, _dense=_no_contraction)
+        with pytest.raises(ResourceLimitError, match=r"take 1\.11e\+12 FLOP"):
+            trace_invariant(_k4(), T)
 
 
 class TestExactExpectations:
