@@ -227,14 +227,18 @@ def _cmd_var(args, cfg):
 
 def _cmd_law(args, cfg):
     p, k = cfg.p, args.k
+    if args.grid < 1:
+        raise ContractViolation(f"--grid must be at least 1, got {args.grid}")
     law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
     lo, hi = law.support()
     ys = np.linspace(lo, hi, args.grid)
+    # the k = 0 route inverts at the support endpoints too; law.density
+    # gives 0 there
     if k == 0 and p >= 4:
-        dens = [limitlaw.inversion_density(p, float(y)) for y in ys]
+        dens = limitlaw.inversion_density(p, ys)
     else:
-        dens = [law.density(float(y)) for y in ys]
-    _emit_table(["y", "density"], list(zip(ys.tolist(), dens)), cfg.out, cfg.fmt)
+        dens = law.density(ys)
+    _emit_table(["y", "density"], list(zip(ys.tolist(), dens.tolist())), cfg.out, cfg.fmt)
     # the moment table always goes to stdout (next to the file, or below
     # the density grid)
     mom_rows = [(n, float(law.moment(n))) for n in range(0, 9)]

@@ -127,6 +127,13 @@ class TestLaw:
         ys = [float(r["y"]) for r in rows]
         assert ys[0] == pytest.approx(-(2**0.5))
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_empty_grid_is_refused(self, capsys, grid):
+        code = main(["law", "--p", "4", "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1 and "Traceback" not in err
+        assert f"ContractViolation: --grid must be at least 1, got {grid}" in err
+
 
 class TestOtherSubcommands:
     def test_var(self, tmp_path):

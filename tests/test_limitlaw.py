@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from melonic import cli, limitlaw
 from melonic.errors import ContractViolation, DomainError
 from melonic.limitlaw import (
+    ContractedLaw,
     LimitLaw,
     contracted_law,
     critical_z,
@@ -106,6 +108,74 @@ class TestDensity:
         grid = np.linspace(-1.9, 1.9, 101)
         gap = max(abs(inversion_density(2, y) - density(2, y)) for y in grid)
         assert gap < 1e-5
+
+
+def _support_grid(p, points):
+    w = support_radius(p)
+    return np.linspace(-w, w, points)
+
+
+def _max_rel_gap(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+class TestContinuation:
+    """A grid of points is one continuation path; each point must equal the
+    per-point homotopy."""
+
+    @pytest.mark.parametrize("p", [4, 5, 6])
+    @pytest.mark.parametrize("points", [11, 101])
+    def test_array_equals_per_point(self, p, points):
+        ys = _support_grid(p, points)
+        ref = [inversion_density(p, float(y)) for y in ys]
+        dens = inversion_density(p, ys)
+        assert isinstance(dens, np.ndarray) and dens.shape == ys.shape
+        assert _max_rel_gap(dens, ref) <= 1e-12
+        assert _max_rel_gap(inversion_density(p, ys[::-1])[::-1], ref) <= 1e-12
+
+    def test_law_objects_equal_per_point(self):
+        for law in (LimitLaw(4), ContractedLaw(5, 1)):
+            ys = np.linspace(*law.support(), 21)
+            ref = [law.density(float(y)) for y in ys]
+            dens = law.density(ys)
+            assert dens[0] == dens[-1] == 0.0 == ref[0] == ref[-1]
+            assert _max_rel_gap(dens[1:-1], ref[1:-1]) <= 1e-12
+
+    def test_closed_forms_are_bit_identical(self):
+        for p in (2, 3):
+            ys = _support_grid(p, 41)
+            assert density(p, ys).tolist() == [density(p, float(y)) for y in ys]
+
+    def test_law_p4_makes_few_homotopies(self, monkeypatch, capsys):
+        calls = []
+        homotopy = limitlaw.stieltjes
+
+        def counted(p, z):
+            calls.append(z)
+            return homotopy(p, z)
+
+        monkeypatch.setattr(limitlaw, "stieltjes", counted)
+        assert cli.main(["law", "--p", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "y,density" and len(rows) == 1 + 101 + 1 + 9
+        # one path per eta; a homotopy only at each path's first point and
+        # where the certificate fails (18 at the time of writing), not 202
+        assert 2 <= len(calls) <= 50
+
+    def test_scalars_stay_python_scalars(self):
+        assert type(stieltjes(4, complex(0.3, 1e-4))) is complex
+        assert type(inversion_density(4, 0.3)) is float
+        assert type(inversion_density(4, np.float64(0.3))) is float
+        assert type(density(4, 0.3)) is float
+        assert type(density(3, 0.3)) is float
+
+    def test_point_on_support_is_refused(self):
+        zs = np.array([complex(0.1, 1e-4), complex(0.5, 0.0)])
+        with pytest.raises(DomainError):
+            limitlaw._stieltjes_path(4, zs)
+        with pytest.raises(DomainError):
+            limitlaw._stieltjes_path(4, np.array([0j]))
 
 
 class TestQuadratureMoments:
