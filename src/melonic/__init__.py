@@ -66,6 +66,7 @@ from .tensor import (
     RADEMACHER,
     SymTensor,
     balanced_invariant,
+    balanced_invariant_variance,
     contract,
     expected_balanced_invariant,
     expected_trace_partitions,

@@ -22,13 +22,12 @@ from .maps import canonical_code, rooted_connected
 from .hypergraph import is_melonic_graph
 from .tensor import (
     _MAX_EDGES,
-    _PARTITION_EDGE_GUARD,
     GAUSSIAN_GOTE,
     EntryDistribution,
     SymTensor,
     _at,
     _class_keys,
-    _trace_polynomial,
+    _exact_route,
     balanced_invariant,
     contract,
     resolvent_series,
@@ -247,8 +246,10 @@ def melonic_limit_table(
     """Exact E[Tr_b(W_N)]/N for every rooted connected map with n vertices,
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
-    The exact values depend on the map's multigraph only, so the oracle's
-    polynomial in N is formed once per class and evaluated on the grid.
+    The exact values depend on the map's multigraph only, so the polynomial
+    in N of the law's exact route (``tensor._exact_route``: Wick pairings for
+    gaussian-gote, edge partitions otherwise) is formed once per class and
+    evaluated on the grid.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -261,9 +262,7 @@ def melonic_limit_table(
     if p < 3:
         raise ContractViolation("the per-map limit table needs p >= 3")
     _check_enumeration_feasible(p, n)
-    m = p * n // 2
-    if p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
-        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
+    polynomial, basis = _exact_route(p, n, dist)
     maps = rooted_connected(p, n)
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     rows = []
@@ -273,8 +272,8 @@ def melonic_limit_table(
         melonic = is_melonic_graph(b)
         alpha = alpha_melonic if melonic else Fraction(0)
         if key not in exact:
-            coeffs = _trace_polynomial(b, dist)
-            exact[key] = [_at(coeffs, b, N) / N for N in N_grid]
+            coeffs = polynomial(b)
+            exact[key] = [_at(coeffs, basis, b, N) / N for N in N_grid]
         values = exact[key]
         devs = [abs(v - alpha) for v in values]
         if len(N_grid) > 1 and all(d > 0 for d in devs):

@@ -10,9 +10,11 @@ that has no pairwise order within the path budget, is sliced over the index
 of one edge and summed over its values.  The tetrahedron K4 at p = 3 has its
 own kernel of one matrix product per index value.  A contraction whose
 predicted FLOP or memory exceeds a fixed limit is refused before it starts.
-Exact expectations of trace invariants are rational polynomials in N, formed
-in one pass over the edge partitions; the tests cross-check them against
-exhaustive index sums.
+Exact expectations of trace invariants are rational polynomials in N.  Under
+Gaussian entries they come from Isserlis' theorem, one dynamic programme over
+vertex pairings per class; under the other exact laws from one pass over the
+edge partitions, which stays the reference the tests compare both against,
+with exhaustive index sums behind it.
 
 Trace values are plain floats from the numerical paths and
 ``fractions.Fraction`` from the exact-expectation paths.
@@ -29,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +41,10 @@ from .maps import CombinatorialMap, cycles, edge_list, multigraph, rooted_connec
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
 _PARTITION_EDGE_GUARD = 9
+# the pairing oracle sums (n-1)!! (p!)^{n/2} terms per class of n vertices, at
+# 1-2 us a term on a 2-core x86-64 host: (3, 6) has 3240, (3, 8) 136,080,
+# and the variance at (3, 4) 136,080 per class pair of 8 vertices
+_PAIRING_TERM_GUARD = 250_000
 # trace_invariant slices a contraction whose largest intermediate would hold
 # more float64 elements than this (2 MiB), and refuses a route predicted to
 # exceed either limit below.  The K4 kernel fits them up to N = 200 (3.2e11
@@ -647,6 +653,89 @@ def _scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
     return total / Fraction(N ** ((n // 2) * (p - 1)))
 
 
+def _pairing_terms(p: int, n: int) -> int:
+    """Terms of the Isserlis sum over n vertices of valence p: (n-1)!!
+    vertex pairings times p! slot bijections per pair; none for odd n."""
+    if n % 2:
+        return 0
+    return math.prod(range(n - 1, 0, -2)) * math.factorial(p) ** (n // 2)
+
+
+def _check_oracle_work(p: int, n: int, pairing: bool) -> None:
+    """Refuse an exact expectation over classes of n vertices of valence p
+    before any work when its route's count exceeds the route's guard: the
+    pairing terms of ``_pairing_terms`` against ``_PAIRING_TERM_GUARD``, or
+    the Bell(pn/2) edge partitions against ``_PARTITION_EDGE_GUARD`` edges."""
+    if pairing:
+        terms = _pairing_terms(p, n)
+        if terms > _PAIRING_TERM_GUARD:
+            raise ResourceLimitError(
+                f"{terms} pairing terms per class of {n} vertices exceed the "
+                f"pairing guard ({_PAIRING_TERM_GUARD})"
+            )
+    elif p * n % 2 == 0 and p * n // 2 > _PARTITION_EDGE_GUARD:
+        raise ResourceLimitError(f"Bell({p * n // 2}) partitions exceed the partition guard")
+
+
+def _pairing_counts(verts: Sequence[tuple[int, ...]], p: int) -> list[int]:
+    """counts[k]: the terms of the Isserlis sum for Gaussian entries whose
+    edges fall into k classes, for the vertices ``verts`` (each the edge ids
+    of its p slots, every edge at two slots).
+
+    A term pairs the vertices and gives each pair (v, w) a bijection s of the
+    slots; it identifies the edge at slot a of v with the edge at slot s(a) of
+    w, and each class of identified edges runs over N values.  A dynamic
+    programme over the pairs keeps, per (mask of unpaired vertices, edge
+    partition in restricted-growth form), the number of partial terms that
+    reach it; each step pairs the lowest unpaired vertex with every partner
+    and every s.  Odd vertex counts have no pairing.
+    """
+    n = len(verts)
+    m = n * p // 2
+    counts = [0] * (m + 1)
+    if n % 2:
+        return counts
+    perms = list(itertools.permutations(range(p)))
+    identified: dict = {}
+    layer = Counter({((1 << n) - 1, tuple(range(m))): 1})
+    for _ in range(n // 2):
+        nxt: Counter = Counter()
+        for (mask, part), c in layer.items():
+            v = (mask & -mask).bit_length() - 1
+            for w in range(v + 1, n):
+                if not mask >> w & 1:
+                    continue
+                if (v, w) not in identified:
+                    identified[v, w] = [
+                        [(verts[v][a], verts[w][s[a]]) for a in range(p)] for s in perms
+                    ]
+                rest = mask & ~(1 << v | 1 << w)
+                for pairs in identified[v, w]:
+                    labels = part
+                    for e, f in pairs:
+                        x, y = labels[e], labels[f]
+                        if x != y:
+                            x, y = min(x, y), max(x, y)
+                            labels = tuple(x if z == y else z - (z > y) for z in labels)
+                    nxt[rest, labels] += c
+        layer = nxt
+    for (_, part), c in layer.items():
+        counts[max(part) + 1] += c
+    return counts
+
+
+def _pairing_polynomial(b: CombinatorialMap) -> list[Fraction]:
+    """Coefficients of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the powers N^k under
+    gaussian-gote, by Isserlis' theorem.
+
+    E[T_I T_J] = sum_{s in S_p} prod_a delta(i_a, j_{s(a)}) / ((p-1)! N^{p-1}),
+    the sum over s giving the variance profile prod_a c_a!, so the
+    coefficients are ``_pairing_counts`` over ((p-1)!)^{n/2}.
+    """
+    norm = math.factorial(b.p - 1) ** (b.n // 2)
+    return [Fraction(c, norm) for c in _pairing_counts(_vertex_edge_ids(b), b.p)]
+
+
 def _trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fraction]:
     """Coefficients c_0..c_m of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling
     factorials N^(k).
@@ -657,11 +746,10 @@ def _trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Frac
     injective assignment of indices to the blocks gives the same product, so
     c_k is the sum of the products over the partitions with k blocks.
     """
-    m = len(edge_list(b))
-    if m > _PARTITION_EDGE_GUARD:
-        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
+    _check_oracle_work(b.p, b.n, pairing=False)
     from .maps import enumerate_edge_partitions
 
+    m = len(edge_list(b))
     verts = _vertex_edge_ids(b)
     coeffs = [Fraction(0)] * (m + 1)
     for pi in enumerate_edge_partitions(m):
@@ -677,8 +765,25 @@ def _trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Frac
     return coeffs
 
 
-def _at(coeffs: Sequence[Fraction], b: CombinatorialMap, N: int) -> Fraction:
-    return _scale_exact(sum(math.perm(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
+def _exact_route(
+    p: int, n: int, dist: EntryDistribution
+) -> tuple[Callable[[CombinatorialMap], list], Callable[[int, int], int]]:
+    """(polynomial of a map, basis of its coefficients) of the exact oracle
+    for dist at (p, n), refused by ``_check_oracle_work`` before any map is
+    enumerated: the pairing route in the powers N^k for gaussian-gote, the
+    partition route in the falling factorials N^(k) for the other laws."""
+    pairing = dist.kind == "gaussian-gote"
+    _check_oracle_work(p, n, pairing)
+    if pairing:
+        return _pairing_polynomial, pow
+    return partial(_trace_polynomial, dist=dist), math.perm
+
+
+def _at(
+    coeffs: Sequence[Fraction], basis: Callable[[int, int], int], b: CombinatorialMap, N: int
+) -> Fraction:
+    """E[Tr_b(W_N)] from the coefficients of either route and their basis."""
+    return _scale_exact(sum(basis(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
 
 
 def expected_trace_partitions(
@@ -686,20 +791,62 @@ def expected_trace_partitions(
 ) -> Fraction:
     """E[Tr_b(W_N)] = sum_k N^(k) c_k / N^{(n/2)(p-1)}, exact and rational,
     with the falling factorials N^(k) and the c_k of ``_trace_polynomial``."""
-    return _at(_trace_polynomial(b, dist), b, N)
+    return _at(_trace_polynomial(b, dist), math.perm, b, N)
 
 
 def expected_balanced_invariant(
     p: int, n: int, N: int, dist: EntryDistribution
 ) -> Fraction:
-    """Exact E[I_n(W_N)]: the partition oracle once per multigraph class,
-    weighted by the class size."""
+    """Exact E[I_n(W_N)]: the law's exact route (``_exact_route``) once per
+    multigraph class, weighted by the class size."""
     if n == 0:
         return Fraction(N)
+    polynomial, basis = _exact_route(p, n, dist)
     return sum(
-        (count * expected_trace_partitions(rep, N, dist) for rep, count in _trace_classes(p, n)),
+        (count * _at(polynomial(rep), basis, rep, N) for rep, count in _trace_classes(p, n)),
         Fraction(0),
     )
+
+
+def _variance_counts(p: int, n: int) -> list[int]:
+    """Integer coefficients of ((p-1)!)^n N^{n(p-1)} Var[I_n(W_N)] in the
+    powers N^k under gaussian-gote.
+
+    Var[I_n] sums w_b w_b' (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) over ordered
+    class pairs, where b u b' is the disjoint union (the edges of b' offset
+    past those of b), whose pairing counts share the normalisation of the
+    product of the two single-class counts.  Unordered pairs are summed once,
+    twice off the diagonal.
+    """
+    _check_oracle_work(p, 2 * n, pairing=True)
+    classes = [(_vertex_edge_ids(b), w) for b, w in _trace_classes(p, n)]
+    m = p * n // 2
+    single = [_pairing_counts(verts, p) for verts, _ in classes]
+    total = [0] * (2 * m + 1)
+    for i, (vi, wi) in enumerate(classes):
+        for j in range(i, len(classes)):
+            vj, wj = classes[j]
+            joint = _pairing_counts(vi + [tuple(e + m for e in vert) for vert in vj], p)
+            weight = wi * wj * (1 if i == j else 2)
+            for k, c in enumerate(joint):
+                total[k] += weight * c
+            for k1, c1 in enumerate(single[i]):
+                for k2, c2 in enumerate(single[j]):
+                    total[k1 + k2] -= weight * c1 * c2
+    return total
+
+
+def balanced_invariant_variance(
+    p: int, n: int, N: int, dist: EntryDistribution
+) -> Fraction:
+    """Exact population Var[I_n(W_N)] under gaussian-gote entries, from the
+    pairing oracle on disjoint unions of classes (``_variance_counts``)."""
+    if dist.kind != "gaussian-gote":
+        raise ContractViolation("the exact variance of I_n needs gaussian-gote entries")
+    if n == 0:
+        return Fraction(0)
+    total = sum(c * N**k for k, c in enumerate(_variance_counts(p, n)))
+    return Fraction(total, math.factorial(p - 1) ** n * N ** (n * (p - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,9 @@ def test_c07_variance_scaling_slope():
     decays like 1/N^3 on this grid - slope -3.18 for the invariant Gaussian
     profile, -3.00 off-diagonal-only, -3.08 Rademacher - faster than the
     O(1/N^2) bound, whose matrix-case rate -2 the band was built around.
+    For the invariant Gaussian profile the pairing oracle gives it in closed
+    form, Var[I_2/N] = 30/N^3 + 180/N^4 + 240/N^5
+    (``tensor.balanced_invariant_variance``), so the exact rate is N^-3.
     The bound itself is verified a fortiori.  See the decisions ledger.
     """
     with _Timer(600.0) as t:

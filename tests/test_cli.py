@@ -72,6 +72,22 @@ class TestMomentsExact:
         assert header == ["code", "N", "exact_expectation", "melonic_limit_alpha", "deviation"]
         assert len(rows) == 2 * len(enumerate_rooted_connected(3, 2))
 
+    @pytest.mark.parametrize("p", ["3", "4"])
+    def test_pairing_route_output_is_byte_identical(self, tmp_path, monkeypatch, p):
+        # gaussian-gote takes the pairing route; forcing the partition route
+        # must print the same bytes
+        import math
+        from functools import partial
+
+        args = ("moments", "--p", p, "--n", "4", "--N", "3,8,16", "--dist", "gaussian-gote")
+        pairing = run(tmp_path, *args)
+        monkeypatch.setattr(
+            experiments,
+            "_exact_route",
+            lambda p, n, dist: (partial(tensor._trace_polynomial, dist=dist), math.perm),
+        )
+        assert run(tmp_path, *args).encode() == pairing.encode()
+
 
 class TestMc:
     def test_float_format_and_determinism(self, tmp_path):

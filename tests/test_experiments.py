@@ -168,7 +168,8 @@ class TestMelonicLimitTable:
         assert [r.values for r in rows] == [r.values[:1] for r in two]
 
     def test_one_partition_pass_per_class(self, monkeypatch):
-        # the polynomial in N serves the whole grid: 5 classes x Bell(6)
+        # the polynomial in N serves the whole grid: 5 classes x Bell(6) on
+        # the partition route, and none on the Gaussian pairing route
         from melonic import maps
 
         visited = []
@@ -180,6 +181,8 @@ class TestMelonicLimitTable:
                 yield pi
 
         monkeypatch.setattr(maps, "enumerate_edge_partitions", counting)
+        melonic_limit_table(3, 4, (8, 16, 32), EntryDistribution("rademacher"))
+        assert len(visited) == 5 * 203
         melonic_limit_table(3, 4, (8, 16, 32), GAUSSIAN_GOTE)
         assert len(visited) == 5 * 203
 
@@ -216,7 +219,16 @@ class TestMelonicLimitTable:
 
         monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
         with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
-            melonic_limit_table(4, 5, (8,), GAUSSIAN_GOTE)
+            melonic_limit_table(4, 5, (8,), EntryDistribution("rademacher"))
+
+    def test_pairing_guard_refuses_before_enumerating(self, monkeypatch):
+        def no_enumeration(p, n):
+            raise AssertionError("maps enumerated before the pairing guard")
+
+        monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
+        # one pair of two 10-valent vertices: 10! slot bijections
+        with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms"):
+            melonic_limit_table(10, 2, (8,), GAUSSIAN_GOTE)
 
 
 class TestClosure:

@@ -30,6 +30,7 @@ from melonic.tensor import (
     _multigraph_key,
     _trace_classes,
     balanced_invariant,
+    balanced_invariant_variance,
     contract,
     expected_balanced_invariant,
     expected_trace_partitions,
@@ -43,9 +44,12 @@ from melonic.tensor import (
     trace_invariant,
 )
 
+from melonic.counting import fuss_catalan
+
 from conftest import (
     automorphism_count,
     dense_map_by_sorting,
+    exact_i2_variance,
     expected_trace_exhaustive,
     injective_trace,
     k4_trace_sliced_gemm,
@@ -693,6 +697,84 @@ class TestExactExpectations:
     def test_balanced_expectation_helper(self):
         val = expected_balanced_invariant(3, 2, 32, GAUSSIAN_GOTE)
         assert val / 32 == 1 + Fraction(6, 32) + Fraction(8, 32**2)
+
+
+def _inverse_powers(counts, p, n, extra):
+    """{j: coefficient of N^-j} of counts(N) / (((p-1)!)^n N^{n(p-1)+extra})."""
+    norm = math.factorial(p - 1) ** n
+    return {n * (p - 1) + extra - k: Fraction(c, norm) for k, c in enumerate(counts) if c}
+
+
+class TestPairingOracle:
+    @pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (3, 4), (4, 2), (4, 4)])
+    def test_matches_partition_route(self, p, n):
+        for rep, _ in _trace_classes(p, n):
+            pairing = tensor._pairing_polynomial(rep)
+            partitions = tensor._trace_polynomial(rep, GAUSSIAN_GOTE)
+            for N in (1, 2, 3, 7):
+                assert tensor._at(pairing, pow, rep, N) == tensor._at(
+                    partitions, math.perm, rep, N
+                )
+
+    def test_route_is_chosen_by_the_law(self):
+        assert tensor._exact_route(3, 4, GAUSSIAN_GOTE) == (tensor._pairing_polynomial, pow)
+        for dist in (FLAT, RADEMACHER, UNIFORM):
+            polynomial, basis = tensor._exact_route(3, 4, dist)
+            assert polynomial.func is tensor._trace_polynomial and basis is math.perm
+
+    @pytest.mark.parametrize("p, n, top", [(3, 6, 12), (4, 4, 4)])
+    def test_degree_bound_and_fuss_catalan_top(self, p, n, top):
+        # N^{(n/2)(p-1)} E[Tr_b] has degree at most (n/2)(p-1) + 1, and the
+        # weighted top coefficient of E[I_n] is F_p(n/2)
+        bound = (n // 2) * (p - 1) + 1
+        weighted = 0
+        for rep, count in _trace_classes(p, n):
+            counts = tensor._pairing_counts(tensor._vertex_edge_ids(rep), p)
+            assert not any(counts[bound + 1 :])
+            weighted += count * counts[bound]
+        assert bound == 7 and top == fuss_catalan(p, n // 2)
+        assert Fraction(weighted, math.factorial(p - 1) ** (n // 2)) == top
+
+    def test_odd_vertex_count_has_no_pairing(self):
+        assert tensor._pairing_counts([(0, 0)], 2) == [0, 0]
+
+    def test_work_guard_per_route(self, monkeypatch):
+        assert tensor._pairing_terms(3, 6) == 15 * 6**3
+        for pairing in (True, False):
+            tensor._check_oracle_work(3, 6, pairing)
+        # both refusals come before any map is enumerated
+        monkeypatch.setattr(tensor, "_trace_classes", _no_contraction)
+        with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms per class"):
+            expected_balanced_invariant(10, 2, 4, GAUSSIAN_GOTE)
+        with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
+            expected_balanced_invariant(2, 10, 4, RADEMACHER)
+        # the variance prices the disjoint union of two classes
+        with pytest.raises(ResourceLimitError, match=r"^484989120 pairing terms"):
+            balanced_invariant_variance(3, 6, 4, GAUSSIAN_GOTE)
+
+    def test_variance_i2_p3(self):
+        counts = tensor._variance_counts(3, 2)
+        assert _inverse_powers(counts, 3, 2, 2) == {3: 30, 4: 180, 5: 240}
+        for N in (2, 3, 16):
+            assert balanced_invariant_variance(3, 2, N, GAUSSIAN_GOTE) / N**2 == (
+                exact_i2_variance(N, GAUSSIAN_GOTE)
+            )
+
+    def test_variance_i4_p3(self):
+        counts = tensor._variance_counts(3, 4)
+        assert _inverse_powers(counts, 3, 4, 2) == {
+            3: 1080, 4: 28368, 5: 314568, 6: 1882944, 7: 6366672, 8: 11332512, 9: 8067456,
+        }
+
+    def test_variance_i2_p4(self):
+        counts = tensor._variance_counts(4, 2)
+        assert _inverse_powers(counts, 4, 2, 2) == {4: 192, 5: 2160, 6: 7728, 7: 8352}
+
+    def test_variance_needs_gaussian_entries(self):
+        for dist in (FLAT, RADEMACHER, UNIFORM):
+            with pytest.raises(ContractViolation):
+                balanced_invariant_variance(3, 2, 8, dist)
+        assert balanced_invariant_variance(3, 0, 8, GAUSSIAN_GOTE) == 0
 
 
 class TestResolventSeries:
