@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from melonic import tensor
+from melonic.counting import fuss_catalan
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
     CombinatorialMap,
@@ -43,8 +44,6 @@ from melonic.tensor import (
     tensor_to_json,
     trace_invariant,
 )
-
-from melonic.counting import fuss_catalan
 
 from conftest import (
     automorphism_count,
@@ -752,23 +751,24 @@ class TestPairingOracle:
         with pytest.raises(ResourceLimitError, match=r"^484989120 pairing terms"):
             balanced_invariant_variance(3, 6, 4, GAUSSIAN_GOTE)
 
-    def test_variance_i2_p3(self):
-        counts = tensor._variance_counts(3, 2)
-        assert _inverse_powers(counts, 3, 2, 2) == {3: 30, 4: 180, 5: 240}
+    @pytest.mark.parametrize(
+        "p, n, inverse_powers",
+        [
+            (3, 2, {3: 30, 4: 180, 5: 240}),
+            (3, 4, {3: 1080, 4: 28368, 5: 314568, 6: 1882944, 7: 6366672, 8: 11332512,
+                    9: 8067456}),
+            (4, 2, {4: 192, 5: 2160, 6: 7728, 7: 8352}),
+        ],
+    )
+    def test_variance_polynomial(self, p, n, inverse_powers):
+        # Var[I_n/N] as {j: coefficient of N^-j}
+        assert _inverse_powers(tensor._variance_counts(p, n), p, n, 2) == inverse_powers
+
+    def test_variance_i2_matches_disjoint_union_reference(self):
         for N in (2, 3, 16):
             assert balanced_invariant_variance(3, 2, N, GAUSSIAN_GOTE) / N**2 == (
                 exact_i2_variance(N, GAUSSIAN_GOTE)
             )
-
-    def test_variance_i4_p3(self):
-        counts = tensor._variance_counts(3, 4)
-        assert _inverse_powers(counts, 3, 4, 2) == {
-            3: 1080, 4: 28368, 5: 314568, 6: 1882944, 7: 6366672, 8: 11332512, 9: 8067456,
-        }
-
-    def test_variance_i2_p4(self):
-        counts = tensor._variance_counts(4, 2)
-        assert _inverse_powers(counts, 4, 2, 2) == {4: 192, 5: 2160, 6: 7728, 7: 8352}
 
     def test_variance_needs_gaussian_entries(self):
         for dist in (FLAT, RADEMACHER, UNIFORM):
