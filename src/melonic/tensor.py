@@ -42,8 +42,8 @@ _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
 _PARTITION_EDGE_GUARD = 9
 # the pairing oracle sums (n-1)!! (p!)^{n/2} terms per class of n vertices, at
-# 1-2 us a term on a 2-core x86-64 host: (3, 6) has 3240, (3, 8) 136,080,
-# and the variance at (3, 4) 136,080 per class pair of 8 vertices
+# 1-2 us a term on a 2-core x86-64 host: (3, 6) has 3240, (8, 2) 40,320, and
+# the variance at (3, 4) 136,080 per class pair of 8 vertices
 _PAIRING_TERM_GUARD = 250_000
 # trace_invariant slices a contraction whose largest intermediate would hold
 # more float64 elements than this (2 MiB), and refuses a route predicted to
@@ -661,20 +661,31 @@ def _pairing_terms(p: int, n: int) -> int:
     return math.prod(range(n - 1, 0, -2)) * math.factorial(p) ** (n // 2)
 
 
-def _check_oracle_work(p: int, n: int, pairing: bool) -> None:
+def _check_oracle_work(p: int, n: int, pairing: bool, pair_of_classes: bool = False) -> None:
     """Refuse an exact expectation over classes of n vertices of valence p
     before any work when its route's count exceeds the route's guard: the
-    pairing terms of ``_pairing_terms`` against ``_PAIRING_TERM_GUARD``, or
-    the Bell(pn/2) edge partitions against ``_PARTITION_EDGE_GUARD`` edges."""
+    pairing terms of ``_pairing_terms`` (per pair of classes when
+    ``pair_of_classes``) against ``_PAIRING_TERM_GUARD``, or the Bell(pn/2)
+    edge partitions against ``_PARTITION_EDGE_GUARD`` edges.
+
+    Both routes first enumerate the maps of B_n^(p), so the pairing route
+    keeps the same pn/2 edge cap on that enumeration: odd n has no pairing
+    term at all, yet (4, 5) has 100,278 maps."""
+    m = p * n // 2
     if pairing:
-        terms = _pairing_terms(p, n)
+        vertices = 2 * n if pair_of_classes else n
+        terms = _pairing_terms(p, vertices)
         if terms > _PAIRING_TERM_GUARD:
             raise ResourceLimitError(
-                f"{terms} pairing terms per class of {n} vertices exceed the "
+                f"{terms} pairing terms per class of {vertices} vertices exceed the "
                 f"pairing guard ({_PAIRING_TERM_GUARD})"
             )
-    elif p * n % 2 == 0 and p * n // 2 > _PARTITION_EDGE_GUARD:
-        raise ResourceLimitError(f"Bell({p * n // 2}) partitions exceed the partition guard")
+        if p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
+            raise ResourceLimitError(
+                f"maps with {m} edges exceed the enumeration cap ({_PARTITION_EDGE_GUARD} edges)"
+            )
+    elif p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
+        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
 
 
 def _pairing_counts(verts: Sequence[tuple[int, ...]], p: int) -> list[int]:
@@ -818,7 +829,7 @@ def _variance_counts(p: int, n: int) -> list[int]:
     product of the two single-class counts.  Unordered pairs are summed once,
     twice off the diagonal.
     """
-    _check_oracle_work(p, 2 * n, pairing=True)
+    _check_oracle_work(p, n, pairing=True, pair_of_classes=True)
     classes = [(_vertex_edge_ids(b), w) for b, w in _trace_classes(p, n)]
     m = p * n // 2
     single = [_pairing_counts(verts, p) for verts, _ in classes]

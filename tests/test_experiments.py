@@ -218,8 +218,13 @@ class TestMelonicLimitTable:
             raise AssertionError("maps enumerated before the partition guard")
 
         monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
-        with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
-            melonic_limit_table(4, 5, (8,), EntryDistribution("rademacher"))
+        # both routes cap the maps they enumerate at the partition guard's
+        # 9 edges, though (4, 5) has no pairing term and (5, 4) only 43,200
+        for p, n in [(4, 5), (5, 4)]:
+            with pytest.raises(ResourceLimitError, match=r"^maps with 10 edges"):
+                melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
+            with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
+                melonic_limit_table(p, n, (8,), EntryDistribution("rademacher"))
 
     def test_pairing_guard_refuses_before_enumerating(self, monkeypatch):
         def no_enumeration(p, n):

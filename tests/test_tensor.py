@@ -747,6 +747,12 @@ class TestPairingOracle:
             expected_balanced_invariant(10, 2, 4, GAUSSIAN_GOTE)
         with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
             expected_balanced_invariant(2, 10, 4, RADEMACHER)
+        # the pairing route keeps the partition route's cap on the maps it
+        # enumerates: (4, 5) has no pairing term, (5, 4) only 43,200
+        assert tensor._pairing_terms(4, 5) == 0 and tensor._pairing_terms(5, 4) == 43_200
+        for p, n in [(4, 5), (5, 4)]:
+            with pytest.raises(ResourceLimitError, match=r"^maps with 10 edges"):
+                expected_balanced_invariant(p, n, 4, GAUSSIAN_GOTE)
         # the variance prices the disjoint union of two classes
         with pytest.raises(ResourceLimitError, match=r"^484989120 pairing terms"):
             balanced_invariant_variance(3, 6, 4, GAUSSIAN_GOTE)
