@@ -7,7 +7,10 @@ full symmetry is structural, never duplicated.  Trace invariants contract one
 dense tensor copy per map vertex over the shared edge indices, along numpy's
 greedy path; a contraction whose largest intermediate would be too big, or
 that has no pairwise order within the path budget, is sliced over the index
-of one edge and summed over its values.  The tetrahedron K4 at p = 3 has its
+of one edge and summed over its values.  Each plan is compiled once per
+(equation, N) into a step program of numpy's own pairwise batched-GEMM
+steps, so a contraction gives ``np.einsum``'s value bit for bit without
+re-parsing its path on every call.  The tetrahedron K4 at p = 3 has its
 own kernel of one matrix product per index value.  A contraction whose
 predicted FLOP or memory exceeds a fixed limit is refused before it starts.
 Exact expectations of trace invariants are rational polynomials in N.  Under
@@ -64,12 +67,17 @@ class _IndexTable:
         self.size = math.comb(N + p - 1, p) if p > 0 else 1
         # python binomial table for scalar ranking (exact, overflow-free)
         self._binom = [[math.comb(j, k) for k in range(p + 1)] for j in range(N + p + 1)]
-        rows = np.array(
-            list(itertools.combinations_with_replacement(range(N), p)), dtype=np.int64
-        ).reshape(self.size, p)
-        ranks = self._rank_rows(rows)
-        order = np.argsort(ranks)
-        self.mindex = rows[order]
+        # colex order of the sorted q-indices: one block per last coordinate c
+        # in increasing order, each block the first C(c + q - 1, q - 1) rows of
+        # order q - 1 (those with every entry <= c) followed by c
+        mindex = np.zeros((1, 0), dtype=np.int64)
+        for q in range(1, p + 1):
+            counts = np.array([math.comb(c + q - 1, q - 1) for c in range(N)], dtype=np.int64)
+            starts = np.repeat(np.cumsum(counts) - counts, counts)
+            rows = np.arange(len(starts), dtype=np.int64) - starts
+            last = np.repeat(np.arange(N, dtype=np.int64), counts)
+            mindex = np.column_stack([mindex[rows], last])
+        self.mindex = mindex
         assert np.array_equal(self._rank_rows(self.mindex), np.arange(self.size))
         # product of factorials of the index multiplicities, per rank
         runlen = np.ones(self.size, dtype=np.int64)
@@ -85,12 +93,11 @@ class _IndexTable:
         self._flat_sorted: Optional[np.ndarray] = None
 
     def _rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        p, N = self.p, self.N
+        p = self.p
         if p == 0:
             return np.zeros(len(rows), dtype=np.int64)
         binom = np.array(self._binom, dtype=np.int64)
-        js = rows + np.arange(p, dtype=np.int64)
-        return binom[js, np.arange(1, p + 1)].sum(axis=1)
+        return sum(binom[rows[:, k] + k, k + 1] for k in range(p))
 
     def rank(self, idx: Sequence[int]) -> int:
         srt = sorted(idx)
@@ -346,6 +353,100 @@ def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
+class _Step:
+    """One step of a compiled contraction: the operands at positions ``take``,
+    popped in that order, become one operand appended last.
+
+    A step of two operands is numpy's batched-GEMM form of their einsum: each
+    operand takes its single-operand subscript in ``prep`` (diagonals, sums,
+    transposes) and its reshape in ``shapes`` where these are not None, then
+    ``join`` combines the two (``np.matmul``, or ``np.multiply`` when no index
+    is summed between them), and the result takes the reshape ``out_shape``
+    and the axis order ``perm`` where these are not None.  A step of one or
+    of more than two operands is the single einsum ``eq``.
+    """
+
+    take: tuple[int, ...]
+    eq: Optional[str] = None
+    prep: tuple[Optional[str], Optional[str]] = (None, None)
+    shapes: tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]] = (None, None)
+    join: Optional[Callable] = None
+    out_shape: Optional[tuple[int, ...]] = None
+    perm: Optional[tuple[int, ...]] = None
+
+    def __call__(self, *ops):
+        if self.eq is not None:
+            return np.einsum(self.eq, *ops)
+        a, b = ops
+        (prep_a, prep_b), (shape_a, shape_b) = self.prep, self.shapes
+        if prep_a is not None:
+            a = np.einsum(prep_a, a)
+        if shape_a is not None:
+            a = a.reshape(shape_a)
+        if prep_b is not None:
+            b = np.einsum(prep_b, b)
+        if shape_b is not None:
+            b = b.reshape(shape_b)
+        ab = self.join(a, b)
+        if self.out_shape is not None:
+            ab = ab.reshape(self.out_shape)
+        if self.perm is not None:
+            ab = ab.transpose(self.perm)
+        return ab
+
+
+def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
+    """The step a,b->out with every index of size N, grouped as numpy's
+    ``bmm_einsum`` groups it (the einsum_bmm scheme of Gray & Kourtis,
+    Quantum 5, 410 (2021)).  Every letter of a trace equation sits on two
+    slots, so a letter of both operands is needed by no other operand: it is
+    contracted, and numpy's batch group stays empty.  Letters of one operand
+    that out keeps are kept, each group in operand order, and every other
+    letter is summed by its operand's own subscript.  numpy drops axes of
+    size 1, so at N = 1 nothing is contracted and the step is a product."""
+
+    def prep(term: str, desired: str) -> Optional[str]:
+        return None if term == desired else f"{term}->{desired}"
+
+    left, right = dict.fromkeys(a), dict.fromkeys(b)
+    summed = [x for x in left if x in right] if N > 1 else []
+    if not summed:
+        # each operand summed to the letters of out it holds, laid out in
+        # out's order with a size-1 axis for each letter it lacks
+        return _Step(
+            take,
+            prep=tuple(prep(t, "".join(x for x in out if x in t)) for t in (a, b)),
+            shapes=tuple(tuple(N if x in t else 1 for x in out) for t in (a, b)),
+            join=np.multiply,
+        )
+    keep_a = [x for x in left if x not in right and x in out]
+    keep_b = [x for x in right if x not in left and x in out]
+
+    def fused(*groups: list) -> Optional[tuple[int, ...]]:
+        if all(len(g) == 1 for g in groups):
+            return None
+        return tuple(N ** len(g) for g in groups)
+
+    produced = "".join(keep_a + keep_b)
+    return _Step(
+        take,
+        prep=(prep(a, "".join(keep_a + summed)), prep(b, "".join(summed + keep_b))),
+        shapes=(fused(keep_a, summed), fused(summed, keep_b)),
+        join=np.matmul,
+        out_shape=None if fused(keep_a, keep_b) is None else (N,) * len(produced),
+        perm=None if produced == out else tuple(produced.index(x) for x in out),
+    )
+
+
+def _run_steps(steps: Sequence[_Step], operands: list) -> np.ndarray:
+    """Run a compiled contraction on its operands, dropping each input as
+    soon as its step has consumed it; returns the last operand."""
+    for step in steps:
+        operands.append(step(*[operands.pop(j) for j in step.take]))
+    return operands[0]
+
+
+@dataclass(frozen=True)
 class _Plan:
     """How ``trace_invariant`` contracts one einsum equation at one N.
 
@@ -353,16 +454,20 @@ class _Plan:
     every tuple ``idx`` of their values, ``eq`` (the equation without those
     letters) is contracted along ``path`` with ``dense[idx[j] for j in h]``
     as the operand of a vertex whose entry of ``holders`` is ``h``, and the
-    results are summed.  An unsliced plan contracts once.  ``flop`` (numpy's
-    count, all slices together) and ``max_elems`` (the largest intermediate
-    of one slice, in elements) are predicted from the path's index sets;
-    ``widest`` is the most operands of one step, above 2 only when numpy's
-    search fell back to its naive loop.
+    results are summed.  An unsliced plan contracts once.  ``steps`` is
+    ``path`` compiled once into the operations numpy's
+    ``np.einsum(eq, ..., optimize=path)`` performs, so running it gives the
+    same value bit for bit without numpy's per-call parsing.  ``flop``
+    (numpy's count, all slices together) and ``max_elems`` (the largest
+    intermediate of one slice, in elements) are predicted from the path's
+    index sets; ``widest`` is the most operands of one step, above 2 only
+    when numpy's search fell back to its naive loop.
     """
 
     sliced: str
     eq: str
     path: list
+    steps: tuple[_Step, ...]
     holders: tuple[tuple[int, ...], ...]
     flop: int
     max_elems: int
@@ -381,7 +486,11 @@ def _einsum_eq(b: CombinatorialMap) -> str:
 
 def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
     """numpy's greedy path for eq with the letters in sliced fixed and every
-    index of size N, and its cost."""
+    index of size N, its step program and its cost.
+
+    Like numpy's contraction loop, each step pops its operands from the
+    highest position down and appends the result, whose letters (those still
+    needed by another operand) are sorted."""
     terms = eq[:-2].split(",")
     holders = tuple(tuple(j for j, e in enumerate(sliced) if e in t) for t in terms)
     # allow intermediates up to order 4 (capped), else the path search
@@ -391,17 +500,25 @@ def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
     terms = eq[:-2].split(",")
     shapes = [np.broadcast_to(np.zeros(()), (N,) * len(t)) for t in terms]
     path = np.einsum_path(eq, *shapes, optimize=("greedy", budget))[0]
-    sets = [set(t) for t in terms]
+    steps = []
     flop = max_elems = widest = 0
     for step in path[1:]:
-        picked = [sets.pop(j) for j in sorted(step, reverse=True)]
+        take = tuple(sorted(step, reverse=True))
+        picked = [terms.pop(j) for j in take]
         union = set().union(*picked)
-        kept = union & set().union(*sets)
+        kept = union & set().union(*terms)
+        out = "".join(sorted(kept))
+        terms.append(out)
+        if len(take) == 2:
+            steps.append(_pairwise(take, *picked, out, N))
+        else:
+            steps.append(_Step(take, eq=",".join(picked) + "->" + out))
         flop += N ** len(union) * (max(1, len(step) - 1) + (kept != union))
         max_elems = max(max_elems, N ** len(kept))
         widest = max(widest, len(step))
-        sets.append(kept)
-    return _Plan(sliced, eq, path, holders, N ** len(sliced) * flop, max_elems, widest)
+    return _Plan(
+        sliced, eq, path, tuple(steps), holders, N ** len(sliced) * flop, max_elems, widest
+    )
 
 
 def _better(new: _Plan, old: _Plan) -> bool:
@@ -446,15 +563,12 @@ def _plan(eq: str, N: int) -> _Plan:
 
 
 def _contract(plan: _Plan, dense: np.ndarray) -> float:
-    """The einsum route: contract plan.eq along plan.path once per value tuple
-    of the sliced edge indices, and sum the slices with ``math.fsum``.  An
-    unsliced plan is the sum over zero edges, one term, with every operand
-    the same ``dense`` object."""
+    """Run plan.steps once per value tuple of the sliced edge indices, and
+    sum the slices with ``math.fsum``.  An unsliced plan is the sum over zero
+    edges, one term, with every operand the same ``dense`` object."""
     return math.fsum(
-        np.einsum(
-            plan.eq,
-            *[dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders],
-            optimize=plan.path,
+        _run_steps(
+            plan.steps, [dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders]
         )
         for idx in itertools.product(range(len(dense)), repeat=len(plan.sliced))
     )

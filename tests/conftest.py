@@ -1,8 +1,9 @@
 """Shared test oracles, deliberately independent of the library code paths
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
 the injective-trace and exhaustive-sum references for the partition oracle,
-the sliced GEMM order for the tetrahedral trace invariant, the dense-position
-ranks by sorting every multi-index of the grid, the alternative
+the sliced GEMM order for the tetrahedral trace invariant, numpy's own
+``np.einsum`` along a contraction plan's path, the index table and the
+dense-position ranks by sorting multi-indices, the alternative
 Fuss-Catalan closed form, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
 relabelling, and small combinatorial helpers."""
@@ -125,6 +126,34 @@ def k4_trace_sliced_gemm(T: SymTensor) -> float:
         Z = np.tensordot(Y, A, axes=(1, 0)).transpose(0, 2, 1)
         total.append(float(np.vdot(Z, dense)))
     return math.fsum(total)
+
+
+def einsum_contract(plan, dense: np.ndarray) -> float:
+    """A contraction plan by ``np.einsum`` along its path, once per value
+    tuple of the sliced edge indices, the slices summed with ``math.fsum``:
+    the route the compiled step program replaced, which it must equal bit
+    for bit."""
+    return math.fsum(
+        np.einsum(
+            plan.eq,
+            *[dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders],
+            optimize=plan.path,
+        )
+        for idx in itertools.product(range(len(dense)), repeat=len(plan.sliced))
+    )
+
+
+def index_table_by_sorting(p: int, N: int):
+    """(mindex, orbit, sigma2) of ``_IndexTable``: every sorted multi-index,
+    sorted colexicographically (by its reversed tuple), its number of
+    distinct axis orders p!/prod(c!), and its GOTE variance prod(c!)/(p-1)!
+    over the multiplicities c of its entries."""
+    rows = sorted(itertools.combinations_with_replacement(range(N), p), key=lambda r: r[::-1])
+    cprod = [math.prod(math.factorial(c) for c in Counter(r).values()) for r in rows]
+    mindex = np.array(rows, dtype=np.int64).reshape(len(rows), p)
+    orbit = np.array([math.factorial(p) // c for c in cprod], dtype=np.int64)
+    sigma2 = np.array(cprod, dtype=np.float64) / float(math.factorial(p - 1))
+    return mindex, orbit, sigma2
 
 
 def dense_map_by_sorting(p: int, N: int) -> np.ndarray:

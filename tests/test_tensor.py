@@ -48,8 +48,10 @@ from melonic.tensor import (
 from conftest import (
     automorphism_count,
     dense_map_by_sorting,
+    einsum_contract,
     exact_i2_variance,
     expected_trace_exhaustive,
+    index_table_by_sorting,
     injective_trace,
     k4_trace_sliced_gemm,
     multilinear_transform,
@@ -114,6 +116,16 @@ class TestStorage:
         got = tensor._IndexTable(p, N).dense_map()
         assert got.dtype == np.int64
         assert np.array_equal(got, dense_map_by_sorting(p, N))
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 33])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_index_table_matches_sorted_tuples(self, p, N):
+        tbl = tensor._IndexTable(p, N)
+        mindex, orbit, sigma2 = index_table_by_sorting(p, N)
+        assert tbl.mindex.dtype == np.int64
+        assert np.array_equal(tbl.mindex, mindex)
+        assert np.array_equal(tbl.orbit, orbit)
+        assert np.array_equal(tbl.sigma2, sigma2)
 
 
 class TestEnsembles:
@@ -469,9 +481,15 @@ def _k4():
 
 
 def _einsum_route(b, T):
-    """Tr_b(T) by the einsum executor along the current plan, whatever route
-    trace_invariant would take."""
+    """Tr_b(T) by the compiled step program of the current plan, whatever
+    route trace_invariant would take."""
     return tensor._contract(tensor._plan(tensor._einsum_eq(b), T.N), T._dense())
+
+
+def _joining_edges(eq):
+    """The letters of eq on two different operands: the edges a plan may slice."""
+    terms = eq[:-2].split(",")
+    return [e for e in tensor._EINSUM_LETTERS if sum(e in t for t in terms) == 2]
 
 
 def _numpy_cost(plan, N):
@@ -506,8 +524,7 @@ class TestSlicedContraction:
         # every edge between two vertices, and for n <= 4 every pair of them
         for b, want in zip(reps, unsliced):
             eq = tensor._einsum_eq(b)
-            terms = eq[:-2].split(",")
-            edges = [e for e in tensor._EINSUM_LETTERS if sum(e in t for t in terms) == 2]
+            edges = _joining_edges(eq)
             pairs = ["".join(c) for c in itertools.combinations(edges, 2)] if n <= 4 else []
             for T, value in zip(tensors, want):
                 for sliced in edges + pairs:
@@ -534,6 +551,32 @@ class TestSlicedContraction:
         assert len(tensor._plan(eq, 96).sliced) == 1
         T = sample_gote(3, 96, seed=7)
         assert _einsum_route(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
+
+
+class TestStepProgram:
+    @pytest.mark.parametrize("N", [1, 2, 7, 16])
+    @pytest.mark.parametrize("p,n", [(2, 6), (3, 2), (3, 4), (3, 6), (4, 2), (4, 4)])
+    def test_equals_numpy_einsum_bit_for_bit(self, p, n, N):
+        # N = 1 takes numpy's size-1 handling: every step is a product
+        dense = sample_gote(p, N, seed=(p, n, N))._dense()
+        for b in _class_reps(p, n):
+            eq = tensor._einsum_eq(b)
+            for sliced in ["", *_joining_edges(eq)]:
+                plan = tensor._greedy_plan(eq, N, sliced)
+                assert tensor._contract(plan, dense) == einsum_contract(plan, dense)
+
+    def test_no_contraction_reparses_a_path(self, monkeypatch):
+        einsum, options = np.einsum, []
+
+        def spy(*operands, **kwargs):
+            options.append(kwargs)
+            return einsum(*operands, **kwargs)
+
+        T = sample_gote(3, 8, seed=9)
+        want = balanced_invariant(6, T)
+        monkeypatch.setattr(tensor.np, "einsum", spy)
+        assert balanced_invariant(6, T) == want
+        assert options and not any("optimize" in kw for kw in options)
 
 
 class TestK4Kernel:
@@ -579,7 +622,15 @@ class TestContractionGuard:
     @pytest.fixture(autouse=True)
     def _nothing_contracts(self, monkeypatch):
         monkeypatch.setattr(tensor, "_k4_trace", _no_contraction)
+        monkeypatch.setattr(tensor, "_run_steps", _no_contraction)
         monkeypatch.setattr(tensor.np, "einsum", _no_contraction)
+
+    def test_step_program_refused_before_contracting(self, monkeypatch):
+        b = next(rep for rep in _class_reps(3, 4) if rep != _k4())
+        _, flop, _ = tensor._route(b, 16)
+        monkeypatch.setattr(tensor, "_MAX_FLOP", flop - 1)
+        with pytest.raises(ResourceLimitError, match="FLOP"):
+            trace_invariant(b, sample_gote(3, 16, seed=0))
 
     def test_flop_limit_refuses_before_contracting(self, monkeypatch):
         # the K4 kernel's N^3 (N + 1)^2 at N = 16
