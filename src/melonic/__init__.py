@@ -12,6 +12,7 @@ from .counting import (
     count_dyck,
     count_melonic_maps,
     count_noncrossing_div,
+    count_rooted_maps,
     dyck_from_hypertree,
     fuss_catalan,
     generating_series_check,

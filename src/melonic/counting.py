@@ -1,5 +1,6 @@
 """Exact enumeration identities: Fuss-Catalan numbers, generalized Dyck
-paths, plane hypertrees, melonic map counts, and non-crossing partitions.
+paths, plane hypertrees, rooted and melonic map counts, and non-crossing
+partitions.
 
 Everything here is exact integer arithmetic; these counts are the ground
 truth the numerical modules are checked against.
@@ -196,6 +197,29 @@ def count_melonic_maps(p: int, n: int) -> int:
     if p < 3 or n < 0:
         raise ContractViolation("need p >= 3 and n >= 0")
     return fuss_catalan(p, n) * math.factorial(p - 1) ** n
+
+
+def count_rooted_maps(p: int, n: int) -> int:
+    """|B_n^(p)|, the rooted connected p-regular maps with n vertices, from
+    the exponential formula sum_n (np-1)!! x^n/n! = exp(sum_n C_n x^n/n!)
+    over n labelled vertices of fixed cyclic order (Flajolet & Sedgewick,
+    Analytic Combinatorics, ch. II), C_n counting connected matchings:
+    relabelling and rooting act freely, so |B_n^(p)| = C_n np / (n! p^n).
+
+    >>> [count_rooted_maps(3, n) for n in (2, 4, 6, 8)]
+    [5, 60, 1105, 27120]
+    """
+    if p < 2:
+        raise ContractViolation("p must be at least 2")
+    if n < 1:
+        raise ContractViolation("n must be at least 1")
+    matchings = [math.prod(range(k * p - 1, 0, -2)) * (k * p % 2 == 0) for k in range(n + 1)]
+    connected = [0] * (n + 1)
+    for k in range(1, n + 1):  # the component of the first vertex has j vertices
+        connected[k] = matchings[k] - sum(
+            math.comb(k - 1, j - 1) * connected[j] * matchings[k - j] for j in range(1, k)
+        )
+    return connected[n] * p // (p**n * math.factorial(n - 1))
 
 
 def noncrossing_partitions_div(m: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError, ResourceLimitError
 from .limitlaw import contracted_law, moment
-from .maps import canonical_code, rooted_connected
+from .maps import _check_map_budget, canonical_code, rooted_connected
 from .hypergraph import is_melonic_graph
 from .tensor import (
     _MAX_EDGES,
@@ -35,24 +35,18 @@ from .tensor import (
     sample_wigner,
 )
 
-_HALFEDGE_GUARD = 22
 _SAMPLE_STREAM = 0
 _VECTOR_STREAM = 1
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
+_SPECTRUM_MARGIN = 0.1  # resolvent_crosscheck refuses |z| this close to the spectrum
 
 
 def _check_enumeration_feasible(p: int, n_max: int) -> None:
-    if p >= 3 and p * n_max > _HALFEDGE_GUARD:
-        raise ResourceLimitError(
-            f"p*n = {p * n_max} halfedges exceeds the enumeration guard ({_HALFEDGE_GUARD})"
-        )
     if p * n_max // 2 > _MAX_EDGES:
         raise ResourceLimitError(
             f"{p * n_max // 2} edges exceeds the contraction guard ({_MAX_EDGES})"
         )
+    for n in range(1, n_max + 1):  # at odd p, odd n has no map: n_max alone would admit (3, 9)
+        _check_map_budget(p, n)
 
 
 @dataclass
@@ -261,8 +255,8 @@ def melonic_limit_table(
     """
     if p < 3:
         raise ContractViolation("the per-map limit table needs p >= 3")
-    _check_enumeration_feasible(p, n)
     polynomial, basis = _exact_route(p, n, dist)
+    _check_enumeration_feasible(p, n)
     maps = rooted_connected(p, n)
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     rows = []
@@ -325,7 +319,7 @@ def contraction_moments(
     rows: list[MomentEstimate] = []
     for N in N_grid:
         if random_unit:
-            u = _rng(seed, N, _VECTOR_STREAM).standard_normal(N)
+            u = np.random.default_rng((seed, N, _VECTOR_STREAM)).standard_normal(N)
             u /= np.linalg.norm(u)
         else:
             u = np.zeros(N)
@@ -370,7 +364,6 @@ def resolvent_crosscheck(
     K: int,
     seed: int,
     tensor: Optional[SymTensor] = None,
-    margin: float = 0.1,
 ) -> ResolventCheck:
     """p=2 consistency: the truncated moment expansion of the resolvent trace
     against the dense linear-algebra value (1/N) Tr((zI - M)^{-1}).
@@ -384,7 +377,7 @@ def resolvent_crosscheck(
     dense = W.to_dense()
     radius = float(np.max(np.abs(np.linalg.eigvalsh(dense)))) if N else 0.0
     zc = complex(z)
-    if abs(zc) <= radius + margin:
+    if abs(zc) <= radius + _SPECTRUM_MARGIN:
         raise DomainError(f"|z| = {abs(zc):.4g} too close to the spectrum (radius {radius:.4g})")
     series = resolvent_series(W, zc, K)
     direct = complex(np.trace(np.linalg.inv(zc * np.eye(N) - dense)) / N)

@@ -25,8 +25,9 @@ infinity.  Branch selection:
 Densities use closed forms at p = 2, 3 and Stieltjes inversion with a small
 imaginary offset plus one Richardson step for p >= 4; the inversion
 pipeline is validated against the closed forms.  ``density`` and
-``inversion_density`` take a scalar or an array of points; an array is
-evaluated as one continuation path per imaginary offset.
+``inversion_density`` take a scalar or an array of points and evaluate
+either as one continuation path per imaginary offset; a scalar gives a
+Python float.
 """
 
 from __future__ import annotations
@@ -178,22 +179,14 @@ def density(p: int, y):
     """
     if p < 2:
         raise ContractViolation("p must be at least 2")
-    omega = support_radius(p)
-    if np.ndim(y):
-        ys = np.asarray(y, dtype=float)
-        out = np.zeros(ys.shape)
-        inside = np.abs(ys) < omega
-        if p >= 4:
-            out[inside] = inversion_density(p, ys[inside])
-        else:
-            out[inside] = [_closed_form(p, v) for v in ys[inside].tolist()]
-        return out
-    y = float(y)
-    if abs(y) >= omega:
-        return 0.0
+    ys = np.asarray(y, dtype=float)
+    out = np.zeros(ys.shape)
+    inside = np.abs(ys) < support_radius(p)
     if p >= 4:
-        return inversion_density(p, y)
-    return _closed_form(p, y)
+        out[inside] = inversion_density(p, ys[inside])
+    else:
+        out[inside] = [_closed_form(p, v) for v in ys[inside].tolist()]
+    return out if np.ndim(y) else float(out)
 
 
 def _closed_form(p: int, y: float) -> float:
@@ -208,17 +201,13 @@ def _closed_form(p: int, y: float) -> float:
 
 def inversion_density(p: int, y):
     """Density by Stieltjes inversion: -Im R(y + i eta) / pi with one
-    Richardson step in eta to cancel the O(eta) bias.  An array of y is
-    evaluated as one continuation path per eta."""
-    if np.ndim(y):
-        ys = np.asarray(y, dtype=float)
-        flat = ys.ravel()
-        m1 = -_stieltjes_path(p, flat + 1j * _INVERSION_ETA).imag / math.pi
-        m2 = -_stieltjes_path(p, flat + 2j * _INVERSION_ETA).imag / math.pi
-        return np.maximum(0.0, 2.0 * m1 - m2).reshape(ys.shape)
-    m1 = -stieltjes(p, complex(y, _INVERSION_ETA)).imag / math.pi
-    m2 = -stieltjes(p, complex(y, 2.0 * _INVERSION_ETA)).imag / math.pi
-    return max(0.0, 2.0 * m1 - m2)
+    Richardson step in eta to cancel the O(eta) bias.  y, a scalar or an
+    array, is evaluated as one continuation path per eta."""
+    ys = np.asarray(y, dtype=float)
+    m1 = -_stieltjes_path(p, ys.ravel() + 1j * _INVERSION_ETA).imag / math.pi
+    m2 = -_stieltjes_path(p, ys.ravel() + 2j * _INVERSION_ETA).imag / math.pi
+    out = np.maximum(0.0, 2.0 * m1 - m2).reshape(ys.shape)
+    return out if np.ndim(y) else float(out)
 
 
 class LimitLaw:
@@ -249,19 +238,14 @@ class LimitLaw:
         return (-self.omega_c, self.omega_c)
 
     def moment(self, n: int) -> Fraction:
-        base = moment(self.p, n)
-        if n % 2 or base == 0:
-            return Fraction(base)
-        return Fraction(base) / Fraction(self.dilation) ** n if self.dilation != 1.0 else Fraction(base)
+        return Fraction(moment(self.p, n)) / Fraction(self.dilation) ** n
 
     def density(self, y):
         """Density at y, a scalar or an array."""
         return self.dilation * density(self.p, y * self.dilation)
 
     def stieltjes(self, z: complex) -> complex:
-        if self.dilation != 1.0:
-            return self.dilation * stieltjes(self.p, complex(z) * self.dilation)
-        return stieltjes(self.p, z)
+        return self.dilation * stieltjes(self.p, complex(z) * self.dilation)
 
 
 class ContractedLaw(LimitLaw):

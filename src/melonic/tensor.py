@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ContractViolation, ResourceLimitError
 from .maps import CombinatorialMap, cycles, edge_list, multigraph, rooted_connected
+from .maps import _check_map_budget
 
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
@@ -122,11 +123,8 @@ class _IndexTable:
         """flat dense position of each sorted multi-index, in rank order."""
         if self._flat_sorted is None:
             p, N = self.p, self.N
-            if p == 0:
-                self._flat_sorted = np.zeros(1, dtype=np.int64)
-            else:
-                weights = N ** np.arange(p - 1, -1, -1, dtype=np.int64)
-                self._flat_sorted = self.mindex @ weights
+            weights = N ** np.arange(p - 1, -1, -1, dtype=np.int64)
+            self._flat_sorted = self.mindex @ weights
         return self._flat_sorted
 
 
@@ -134,6 +132,8 @@ class _IndexTable:
 def _table(p: int, N: int) -> _IndexTable:
     if p < 0 or N < 1:
         raise ContractViolation("need p >= 0 and N >= 1")
+    if p > 20:  # the orbit sizes p! / prod(c!) are int64
+        raise ResourceLimitError(f"order {p} exceeds the index table's limit of order 20")
     return _IndexTable(p, N)
 
 
@@ -775,31 +775,20 @@ def _pairing_terms(p: int, n: int) -> int:
     return math.prod(range(n - 1, 0, -2)) * math.factorial(p) ** (n // 2)
 
 
-def _check_oracle_work(p: int, n: int, pairing: bool, pair_of_classes: bool = False) -> None:
+def _check_oracle_work(p: int, n: int, pairing: bool) -> None:
     """Refuse an exact expectation over classes of n vertices of valence p
     before any work when its route's count exceeds the route's guard: the
-    pairing terms of ``_pairing_terms`` (per pair of classes when
-    ``pair_of_classes``) against ``_PAIRING_TERM_GUARD``, or the Bell(pn/2)
-    edge partitions against ``_PARTITION_EDGE_GUARD`` edges.
-
-    Both routes first enumerate the maps of B_n^(p), so the pairing route
-    keeps the same pn/2 edge cap on that enumeration: odd n has no pairing
-    term at all, yet (4, 5) has 100,278 maps."""
-    m = p * n // 2
+    pairing terms of ``_pairing_terms`` against ``_PAIRING_TERM_GUARD``, or
+    the Bell(pn/2) edge partitions against ``_PARTITION_EDGE_GUARD`` edges."""
     if pairing:
-        vertices = 2 * n if pair_of_classes else n
-        terms = _pairing_terms(p, vertices)
+        terms = _pairing_terms(p, n)
         if terms > _PAIRING_TERM_GUARD:
             raise ResourceLimitError(
-                f"{terms} pairing terms per class of {vertices} vertices exceed the "
+                f"{terms} pairing terms per class of {n} vertices exceed the "
                 f"pairing guard ({_PAIRING_TERM_GUARD})"
             )
-        if p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
-            raise ResourceLimitError(
-                f"maps with {m} edges exceed the enumeration cap ({_PARTITION_EDGE_GUARD} edges)"
-            )
-    elif p * n % 2 == 0 and m > _PARTITION_EDGE_GUARD:
-        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
+    elif p * n % 2 == 0 and p * n // 2 > _PARTITION_EDGE_GUARD:
+        raise ResourceLimitError(f"Bell({p * n // 2}) partitions exceed the partition guard")
 
 
 def _pairing_counts(verts: Sequence[tuple[int, ...]], p: int) -> list[int]:
@@ -894,11 +883,12 @@ def _exact_route(
     p: int, n: int, dist: EntryDistribution
 ) -> tuple[Callable[[CombinatorialMap], list], Callable[[int, int], int]]:
     """(polynomial of a map, basis of its coefficients) of the exact oracle
-    for dist at (p, n), refused by ``_check_oracle_work`` before any map is
-    enumerated: the pairing route in the powers N^k for gaussian-gote, the
-    partition route in the falling factorials N^(k) for the other laws."""
+    for dist at (p, n), refused by ``_check_oracle_work``, then by the map
+    budget, before any map is enumerated: the pairing route in the powers N^k
+    for gaussian-gote, the partition route in the falling factorials N^(k)."""
     pairing = dist.kind == "gaussian-gote"
     _check_oracle_work(p, n, pairing)
+    _check_map_budget(p, n)
     if pairing:
         return _pairing_polynomial, pow
     return partial(_trace_polynomial, dist=dist), math.perm
@@ -943,7 +933,7 @@ def _variance_counts(p: int, n: int) -> list[int]:
     product of the two single-class counts.  Unordered pairs are summed once,
     twice off the diagonal.
     """
-    _check_oracle_work(p, n, pairing=True, pair_of_classes=True)
+    _check_oracle_work(p, 2 * n, pairing=True)  # the disjoint union of two classes
     classes = [(_vertex_edge_ids(b), w) for b, w in _trace_classes(p, n)]
     m = p * n // 2
     single = [_pairing_counts(verts, p) for verts, _ in classes]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import melonic
-from melonic import cli, experiments, tensor
+from melonic import cli, experiments, maps, tensor
 from melonic.cli import main
 from melonic.counting import fuss_catalan
 from melonic.errors import (
@@ -292,6 +292,27 @@ class TestErrors:
     def test_enumeration_guard(self, capsys):
         code, err = self.fail(capsys, "mc", "--p", "3", "--n", "8")
         assert code == 5 and "ResourceLimitError" in err
+
+    @pytest.mark.parametrize(
+        "cmd, p, n, count", [("enumerate", 3, 8, 27_120), ("classify", 4, 5, 100_278)]
+    )
+    def test_map_budget_refuses_before_building_maps(self, monkeypatch, capsys, cmd, p, n, count):
+        def no_construction(p, n):
+            raise AssertionError("maps built before the map budget")
+
+        monkeypatch.setattr(maps, "_canonical_sigma", no_construction)
+        code, err = self.fail(capsys, cmd, "--p", str(p), "--n", str(n))
+        assert code == 5 and f"{count} maps at p={p}, n={n} exceed the map budget" in err
+
+    def test_odd_order_without_maps_is_refused_before_sampling(self, monkeypatch, capsys):
+        # no map has one vertex of odd valence, so only the index table's
+        # order limit refuses sampling order-23 tensors
+        def no_table(p, N):
+            raise AssertionError("index table built before the guard")
+
+        monkeypatch.setattr(tensor, "_IndexTable", no_table)
+        code, err = self.fail(capsys, "mc", "--p", "23", "--n", "1", "--N", "2")
+        assert code == 5 and "order 23 exceeds the index table's limit" in err
 
     def test_p2_edge_guard_refuses_before_sampling(self, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):

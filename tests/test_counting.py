@@ -8,6 +8,7 @@ from melonic.counting import (
     count_dyck,
     count_melonic_maps,
     count_noncrossing_div,
+    count_rooted_maps,
     dyck_from_hypertree,
     enumerate_dyck_paths,
     fuss_catalan,
@@ -17,7 +18,8 @@ from melonic.counting import (
 )
 from melonic.errors import ContractViolation, InvalidPathError
 from melonic.hypergraph import is_melonic_graph
-from melonic.maps import enumerate_rooted_connected
+from melonic import maps
+from melonic.maps import enumerate_rooted_connected, rooted_connected
 
 from conftest import fuss_catalan_alt
 
@@ -183,6 +185,34 @@ class TestMelonicCounts:
     def test_p2_rejected(self):
         with pytest.raises(ContractViolation):
             count_melonic_maps(2, 3)
+
+
+class TestRootedMapCounts:
+    @pytest.mark.parametrize(
+        "p, n",
+        [(2, n) for n in range(1, 11)]
+        + [(3, n) for n in range(1, 7)]
+        + [(4, n) for n in range(1, 5)]
+        + [(5, 2), (6, 2)],
+    )
+    def test_matches_enumeration(self, p, n):
+        assert count_rooted_maps(p, n) == len(rooted_connected(p, n))
+
+    def test_sizes_beyond_the_map_budget_without_enumerating(self, monkeypatch):
+        def no_construction(p, n):
+            raise AssertionError("maps enumerated")
+
+        monkeypatch.setattr(maps, "_canonical_sigma", no_construction)
+        sizes = [(3, 8), (4, 5), (5, 4), (4, 6), (8, 2)]
+        assert [count_rooted_maps(p, n) for p, n in sizes] == [
+            27_120, 100_278, 869_400, 2_450_304, 252_000
+        ]
+
+    def test_domain(self):
+        with pytest.raises(ContractViolation, match="p must be at least 2"):
+            count_rooted_maps(1, 2)
+        with pytest.raises(ContractViolation, match="n must be at least 1"):
+            count_rooted_maps(3, 0)
 
 
 class TestGeneratingSeries:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from melonic.counting import count_melonic_maps, fuss_catalan
-from melonic import experiments
+from melonic.counting import count_melonic_maps, count_rooted_maps, fuss_catalan
+from melonic import experiments, maps
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
 from melonic.maps import rooted_connected
 from melonic.experiments import (
@@ -218,10 +218,10 @@ class TestMelonicLimitTable:
             raise AssertionError("maps enumerated before the partition guard")
 
         monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
-        # both routes cap the maps they enumerate at the partition guard's
-        # 9 edges, though (4, 5) has no pairing term and (5, 4) only 43,200
+        # the pairing route admits (4, 5), with no pairing term, and (5, 4),
+        # with 43,200, but their 100,278 and 869,400 maps exceed the map budget
         for p, n in [(4, 5), (5, 4)]:
-            with pytest.raises(ResourceLimitError, match=r"^maps with 10 edges"):
+            with pytest.raises(ResourceLimitError, match=rf"^{count_rooted_maps(p, n)} maps"):
                 melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
             with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
                 melonic_limit_table(p, n, (8,), EntryDistribution("rademacher"))
@@ -234,6 +234,37 @@ class TestMelonicLimitTable:
         # one pair of two 10-valent vertices: 10! slot bijections
         with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms"):
             melonic_limit_table(10, 2, (8,), GAUSSIAN_GOTE)
+
+
+class TestMapBudget:
+    """Every enumeration is priced by its exact map count before any map is
+    built; the count is in the refusal."""
+
+    @pytest.fixture
+    def no_maps(self, monkeypatch):
+        def no_construction(p, n):
+            raise AssertionError("maps built before the map budget")
+
+        monkeypatch.setattr(maps, "_canonical_sigma", no_construction)
+
+    @pytest.mark.parametrize(
+        "p, n_max, n, count",
+        # (3, 9): n = 9 has no map at p = 3, but n = 8 has 27,120
+        [(5, 4, 4, 869_400), (11, 2, 2, 1_249_937_325), (3, 9, 8, 27_120)],
+    )
+    def test_mc_refused_with_the_count(self, no_maps, p, n_max, n, count):
+        cfg = ExperimentConfig(p=p, n_max=n_max, N_grid=(4,), samples=2)
+        with pytest.raises(ResourceLimitError, match=rf"^{count} maps at p={p}, n={n} exceed"):
+            mc_moments(cfg)
+
+    @pytest.mark.parametrize("p, n, count", [(6, 3, 472_200), (8, 2, 252_000)])
+    def test_exact_table_refused_with_the_count(self, no_maps, p, n, count):
+        with pytest.raises(ResourceLimitError, match=rf"^{count} maps at p={p}, n={n} exceed"):
+            melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
+
+    def test_p7_n2_is_admitted(self, no_maps):
+        assert count_rooted_maps(7, 2) == 19_305 <= maps._MAP_GUARD
+        experiments._check_enumeration_feasible(7, 2)
 
 
 class TestClosure:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from melonic import tensor
-from melonic.counting import fuss_catalan
+from melonic.counting import count_rooted_maps, fuss_catalan
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
     CombinatorialMap,
@@ -652,6 +652,17 @@ class TestContractionGuard:
                 assert flop <= tensor._MAX_FLOP
                 assert 8 * max_elems <= tensor._MAX_INTERMEDIATE_BYTES
 
+    def test_index_table_refused_beyond_order_20(self, monkeypatch):
+        def no_table(p, N):
+            raise AssertionError("index table built before the guard")
+
+        # 21! overflows the int64 orbit sizes; order 20 still builds
+        assert tensor._table(20, 1).orbit.tolist() == [1]
+        monkeypatch.setattr(tensor, "_IndexTable", no_table)
+        for p in (21, 23):
+            with pytest.raises(ResourceLimitError, match=rf"^order {p} exceeds"):
+                sample_gote(p, 2, seed=0)
+
     def test_k4_refused_at_N256_before_densifying(self):
         # a stand-in tensor: the guard must not need its entries
         T = types.SimpleNamespace(p=3, N=256, _dense=_no_contraction)
@@ -798,11 +809,11 @@ class TestPairingOracle:
             expected_balanced_invariant(10, 2, 4, GAUSSIAN_GOTE)
         with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
             expected_balanced_invariant(2, 10, 4, RADEMACHER)
-        # the pairing route keeps the partition route's cap on the maps it
-        # enumerates: (4, 5) has no pairing term, (5, 4) only 43,200
+        # the map budget refuses what the pairing route admits: (4, 5) has no
+        # pairing term, (5, 4) only 43,200
         assert tensor._pairing_terms(4, 5) == 0 and tensor._pairing_terms(5, 4) == 43_200
         for p, n in [(4, 5), (5, 4)]:
-            with pytest.raises(ResourceLimitError, match=r"^maps with 10 edges"):
+            with pytest.raises(ResourceLimitError, match=rf"^{count_rooted_maps(p, n)} maps"):
                 expected_balanced_invariant(p, n, 4, GAUSSIAN_GOTE)
         # the variance prices the disjoint union of two classes
         with pytest.raises(ResourceLimitError, match=r"^484989120 pairing terms"):
