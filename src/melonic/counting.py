@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import ContractViolation, InvalidPathError
@@ -61,24 +60,28 @@ class DyckPath:
         return len(self.steps) // self.p
 
 
+def _excursions(length: int, steps: Sequence[int]) -> int:
+    """Count the lattice paths of ``length`` steps, each taken from
+    ``steps``, from height 0 back to 0 that never go below 0, by a DP over
+    heights; a height the remaining steps cannot fall back from is dropped."""
+    fall = -min(steps)
+    counts = [1]
+    for left in range(length - 1, -1, -1):
+        nxt = [0] * (min(left * fall, len(counts) - 1 + max(steps)) + 1)
+        for h, c in enumerate(counts):
+            if c:
+                for s in steps:
+                    if 0 <= h + s < len(nxt):
+                        nxt[h + s] += c
+        counts = nxt
+    return counts[0]
+
+
 def count_dyck(p: int, n: int) -> int:
-    """Count the (p-1)-Dyck paths of length n*p by dynamic programming."""
+    """Count the (p-1)-Dyck paths of length n*p, steps +1 and -(p-1)."""
     if p < 2 or n < 0:
         raise ContractViolation("need p >= 2 and n >= 0")
-    length = n * p
-    heights = [0] * (length + 1)
-    heights[0] = 1
-    for _ in range(length):
-        nxt = [0] * (length + 1)
-        for h, c in enumerate(heights):
-            if not c:
-                continue
-            if h + 1 <= length:
-                nxt[h + 1] += c
-            if h - (p - 1) >= 0:
-                nxt[h - (p - 1)] += c
-        heights = nxt
-    return heights[0]
+    return _excursions(n * p, (1, 1 - p))
 
 
 def enumerate_dyck_paths(p: int, n: int) -> Iterator[DyckPath]:
@@ -222,62 +225,17 @@ def count_rooted_maps(p: int, n: int) -> int:
     return connected[n] * p // (p**n * math.factorial(n - 1))
 
 
-def noncrossing_partitions_div(m: int, d: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Non-crossing partitions of m linearly ordered points whose blocks all
-    have size divisible by d, generated exhaustively.
-
-    The block of the first point is chosen together with the gaps it cuts;
-    a gap can only be filled if its size is itself a multiple of d, which
-    prunes the search to roughly the output size.
-    """
-
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not points:
-            yield ()
-            return
-        first, rest = points[0], points[1:]
-        for size in range(d, len(points) + 1, d):
-            for others in combinations(range(len(rest)), size - 1):
-                gaps = []
-                prev = -1
-                feasible = True
-                for idx in others:
-                    gap = rest[prev + 1 : idx]
-                    if len(gap) % d:
-                        feasible = False
-                        break
-                    gaps.append(gap)
-                    prev = idx
-                if not feasible:
-                    continue
-                tail = rest[prev + 1 :]
-                if len(tail) % d:
-                    continue
-                gaps.append(tail)
-                block = (first,) + tuple(rest[i] for i in others)
-
-                def fill(gi: int, acc):
-                    if gi == len(gaps):
-                        yield acc
-                        return
-                    for sub in rec(gaps[gi]):
-                        yield from fill(gi + 1, acc + sub)
-
-                yield from fill(0, (block,))
-
-    if m % d:
-        return
-    yield from rec(tuple(range(m)))
-
-
 def count_noncrossing_div(p: int, n: int) -> int:
     """Non-crossing partitions of n(p-1) points into blocks of size divisible
-    by p-1, counted by exhaustive generation."""
+    by d = p-1, counted by their Lukasiewicz paths (Flajolet & Sedgewick,
+    Analytic Combinatorics, 2009, I.5): reading the points in order, the
+    path rises s-1 at the first point of a block of size s and falls 1 at
+    every other point, and the blocks nest like a stack exactly when they do
+    not cross."""
     if p < 2 or n < 0:
         raise ContractViolation("need p >= 2 and n >= 0")
-    if n == 0:
-        return 1
-    return sum(1 for _ in noncrossing_partitions_div(n * (p - 1), p - 1))
+    d = p - 1
+    return _excursions(n * d, (-1, *range(d - 1, n * d, d)))
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:

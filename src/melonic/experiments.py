@@ -16,18 +16,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, ResourceLimitError
+from .errors import ContractViolation, DomainError
 from .limitlaw import contracted_law, moment
 from .maps import _check_map_budget, canonical_code, rooted_connected
 from .hypergraph import is_melonic_graph
 from .tensor import (
-    _MAX_EDGES,
     GAUSSIAN_GOTE,
     EntryDistribution,
     SymTensor,
     _at,
+    _check_storage,
     _class_keys,
     _exact_route,
+    _route,
+    _trace_classes,
     balanced_invariant,
     contract,
     resolvent_series,
@@ -40,13 +42,20 @@ _VECTOR_STREAM = 1
 _SPECTRUM_MARGIN = 0.1  # resolvent_crosscheck refuses |z| this close to the spectrum
 
 
-def _check_enumeration_feasible(p: int, n_max: int) -> None:
-    if p * n_max // 2 > _MAX_EDGES:
-        raise ResourceLimitError(
-            f"{p * n_max // 2} edges exceeds the contraction guard ({_MAX_EDGES})"
-        )
-    for n in range(1, n_max + 1):  # at odd p, odd n has no map: n_max alone would admit (3, 9)
+def _check_enumeration_feasible(
+    p: int, ns: Sequence[int], N_grid: Sequence[int], order: int
+) -> None:
+    """Refuse a Monte Carlo run before its first sample: by the map counts,
+    the storage of the sampled order-``order`` tensor at every N, and the
+    route of every class of every n in ns at every N, largest n first."""
+    for n in range(1, max(ns, default=0) + 1):  # at odd p, odd n has no map: (3, 9) needs n = 8
         _check_map_budget(p, n)
+    for N in N_grid:
+        _check_storage(order, N)
+    for n in sorted((n for n in ns if n > 0), reverse=True):  # I_0 = N contracts nothing
+        for rep, _ in _trace_classes(p, n):
+            for N in N_grid:
+                _route(rep, N)
 
 
 @dataclass
@@ -201,8 +210,8 @@ def _estimate_rows(
 def mc_moments(cfg: ExperimentConfig) -> list[MomentEstimate]:
     """Sample Wigner tensors and estimate E[I_n/N] for every n <= n_max on
     the N grid, against the limiting moments."""
-    _check_enumeration_feasible(cfg.p, cfg.n_max)
     ns = list(range(1, cfg.n_max + 1))
+    _check_enumeration_feasible(cfg.p, ns, cfg.N_grid, cfg.p)
     targets = [float(moment(cfg.p, n)) for n in ns]
     rows: list[MomentEstimate] = []
     for N in cfg.N_grid:
@@ -223,7 +232,11 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
     for a, b in zip(cfg.N_grid, cfg.N_grid[1:]):
         if b != 2 * a:
             raise ContractViolation("N_grid must double between consecutive entries")
-    _check_enumeration_feasible(cfg.p, cfg.n_max)
+    if cfg.n_max < 1 or cfg.p * cfg.n_max % 2:
+        raise ContractViolation(
+            f"no map has p={cfg.p} and n={cfg.n_max}: I_n is constant, its variance 0"
+        )
+    _check_enumeration_feasible(cfg.p, [cfg.n_max], cfg.N_grid, cfg.p)
     variances = []
     for N in cfg.N_grid:
         data = sample_invariants(cfg.p, N, [cfg.n_max], cfg.samples, cfg.seed, cfg.dist)
@@ -256,7 +269,6 @@ def melonic_limit_table(
     if p < 3:
         raise ContractViolation("the per-map limit table needs p >= 3")
     polynomial, basis = _exact_route(p, n, dist)
-    _check_enumeration_feasible(p, n)
     maps = rooted_connected(p, n)
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     rows = []
@@ -313,8 +325,8 @@ def contraction_moments(
         # depth >= 2, so the flat profile would drift from the target law
         raise ContractViolation("the off-diagonal-only profile is valid for k <= 1 only")
     law = contracted_law(p, k)  # validates 0 <= k <= p-2
-    _check_enumeration_feasible(p - k, n_max)
     ns = list(range(1, n_max + 1))
+    _check_enumeration_feasible(p - k, ns, N_grid, p)
     targets = [float(law.moment(n)) for n in ns]
     rows: list[MomentEstimate] = []
     for N in N_grid:
@@ -346,7 +358,7 @@ def heavy_tail_moments(
     """
     if dist is None:
         dist = EntryDistribution("symmetrized-pareto", tail_index)
-    _check_enumeration_feasible(p, n)
+    _check_enumeration_feasible(p, [n], N_grid, p)
     target = float(moment(p, n))
     rows = []
     for N in N_grid:

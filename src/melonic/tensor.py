@@ -12,7 +12,9 @@ of one edge and summed over its values.  Each plan is compiled once per
 steps, so a contraction gives ``np.einsum``'s value bit for bit without
 re-parsing its path on every call.  The tetrahedron K4 at p = 3 has its
 own kernel of one matrix product per index value.  A contraction whose
-predicted FLOP or memory exceeds a fixed limit is refused before it starts.
+predicted FLOP or memory exceeds a fixed limit is refused before it starts,
+and so is a tensor whose index table and dense expansion would exceed the
+memory limit, before its table is built.
 Exact expectations of trace invariants are rational polynomials in N.  Under
 Gaussian entries they come from Isserlis' theorem, one dynamic programme over
 vertex pairings per class; under the other exact laws from one pass over the
@@ -53,7 +55,8 @@ _PAIRING_TERM_GUARD = 250_000
 # more float64 elements than this (2 MiB), and refuses a route predicted to
 # exceed either limit below.  The K4 kernel fits them up to N = 200 (3.2e11
 # FLOP and a 64 MB intermediate); every other class at p = 3, n = 4 at
-# N = 128 predicts at most 1.1e9 FLOP.
+# N = 128 predicts at most 1.1e9 FLOP.  The byte limit also bounds a
+# tensor's index table and dense expansion together (``_check_storage``).
 _SLICE_ELEMS = 2**18
 _MAX_FLOP = 10**12
 _MAX_INTERMEDIATE_BYTES = 2**30
@@ -128,12 +131,27 @@ class _IndexTable:
         return self._flat_sorted
 
 
+def _check_storage(p: int, N: int) -> None:
+    """Refuse an order-p, dimension-N tensor before its index table is built
+    when the table and the dense expansion every invariant makes together
+    exceed ``_MAX_INTERMEDIATE_BYTES``: building the table holds at most
+    2p + 4 int64 columns of C(N+p-1, p) rows, and the dense expansion is N^p
+    float64 entries plus the N^p int64 ``dense_map``."""
+    if p > 20:  # the orbit sizes p! / prod(c!) are int64
+        raise ResourceLimitError(f"order {p} exceeds the index table's limit of order 20")
+    need = 8 * (2 * p + 4) * math.comb(N + p - 1, p) + 16 * N**p
+    if need > _MAX_INTERMEDIATE_BYTES:
+        raise ResourceLimitError(
+            f"an order-{p} tensor at N={N} needs {need:.3g} bytes for its index "
+            f"table and dense expansion; the limit is {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
+        )
+
+
 @lru_cache(maxsize=64)
 def _table(p: int, N: int) -> _IndexTable:
     if p < 0 or N < 1:
         raise ContractViolation("need p >= 0 and N >= 1")
-    if p > 20:  # the orbit sizes p! / prod(c!) are int64
-        raise ResourceLimitError(f"order {p} exceeds the index table's limit of order 20")
+    _check_storage(p, N)
     return _IndexTable(p, N)
 
 
@@ -605,15 +623,29 @@ def _k4_trace(dense: np.ndarray) -> float:
 
 def _route(b: CombinatorialMap, N: int):
     """(evaluate, FLOP, largest intermediate in elements) of Tr_b at
-    dimension N: the K4 kernel for the tetrahedron, else the einsum plan.
-    ``evaluate`` takes the dense tensor.  The kernel's slice a multiplies
-    N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes 2 N^2 (N - a) for
-    its trace sums, N^3 (N + 1)^2 over all a; its largest intermediate is Q
-    at a = 0."""
+    dimension N: the K4 kernel for the tetrahedron, else the einsum plan,
+    refused with ``ResourceLimitError`` before any contraction when b has
+    more edges than einsum letters or the route is predicted to exceed
+    ``_MAX_FLOP`` or ``_MAX_INTERMEDIATE_BYTES``.  ``evaluate`` takes the
+    dense tensor.  The kernel's slice a multiplies N x N by N x N(N - a) in
+    2 N^3 (N - a) FLOP and takes 2 N^2 (N - a) for its trace sums,
+    N^3 (N + 1)^2 over all a; its largest intermediate is Q at a = 0."""
+    m = b.size // 2
+    if m > _MAX_EDGES:
+        raise ResourceLimitError(f"{m} edges exceeds the contraction guard ({_MAX_EDGES})")
     if _is_k4(b):
-        return _k4_trace, N**3 * (N + 1) ** 2, N**3
-    plan = _plan(_einsum_eq(b), N)
-    return partial(_contract, plan), plan.flop, plan.max_elems
+        evaluate, flop, max_elems = _k4_trace, N**3 * (N + 1) ** 2, N**3
+    else:
+        plan = _plan(_einsum_eq(b), N)
+        evaluate, flop, max_elems = partial(_contract, plan), plan.flop, plan.max_elems
+    if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
+        raise ResourceLimitError(
+            f"the trace invariant of a {b.n}-vertex map at N={N} is predicted to "
+            f"take {flop:.3g} FLOP with a largest intermediate of "
+            f"{8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
+            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
+        )
+    return evaluate, flop, max_elems
 
 
 def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
@@ -627,22 +659,11 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
     the index of one edge (more only while no pairwise order exists): each of
     the N slices puts ``T[i]`` at the edge's two vertices, which by symmetry
     is the slice on any axis, and the slices are summed with ``math.fsum``.
-    A route predicted to exceed ``_MAX_FLOP`` or ``_MAX_INTERMEDIATE_BYTES``
-    raises ``ResourceLimitError`` before any contraction starts.
+    ``_route`` refuses a route over the limits before any contraction starts.
     """
     if b.p != T.p:
         raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    m = b.size // 2
-    if m > _MAX_EDGES:
-        raise ResourceLimitError(f"{m} edges exceeds the contraction guard")
-    evaluate, flop, max_elems = _route(b, T.N)
-    if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
-        raise ResourceLimitError(
-            f"the trace invariant of a {b.n}-vertex map at N={T.N} is predicted to "
-            f"take {flop:.3g} FLOP with a largest intermediate of "
-            f"{8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
-            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
-        )
+    evaluate, _, _ = _route(b, T.N)
     return evaluate(T._dense())
 
 

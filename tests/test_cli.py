@@ -1,9 +1,12 @@
 import argparse
 import json
+import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,25 @@ from melonic.errors import (
     ResourceLimitError,
 )
 from melonic.maps import enumerate_rooted_connected
+
+
+def run_capped(*argv):
+    """Run the CLI in a child process whose address space is capped at 2 GiB,
+    so a guard that admits too much fails the run, not the host."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(melonic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "melonic.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
 
 
 def run(tmp_path, *argv):
@@ -322,8 +344,33 @@ class TestErrors:
         code, err = self.fail(capsys, "mc", "--p", "2", "--n", "53", "--N", "4")
         assert code == 5 and "53 edges exceeds the contraction guard" in err
 
+    @pytest.mark.parametrize(
+        "argv, p, N",
+        [
+            (("mc", "--p", "4", "--n", "1", "--N", "200"), 4, 200),
+            (("mc", "--p", "6", "--n", "2", "--N", "32"), 6, 32),
+            (("mc", "--p", "8", "--n", "1"), 8, 16),
+            (("contract", "--p", "8", "--k", "6", "--n", "2", "--N", "32"), 8, 32),
+        ],
+    )
+    def test_storage_refused_under_a_memory_ceiling(self, argv, p, N):
+        # the index table's 2p + 4 int64 columns and the 16 N^p dense bytes
+        need = 8 * (2 * p + 4) * math.comb(N + p - 1, p) + 16 * N**p
+        done = run_capped(*argv)
+        assert done.returncode == 5, done.stderr
+        assert f"order-{p} tensor at N={N} needs {need:.3g} bytes" in done.stderr
+
+    def test_var_refuses_a_degree_without_maps(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.fail(
+                capsys, "var", "--p", "3", "--n", "7", "--N", "4,8", "--samples", "4"
+            )
+        assert code == 3 and "no map has p=3 and n=7" in err
+        assert caught == []
+
     def test_contraction_cost_guard(self, monkeypatch, capsys):
-        # the smaller classes contract first; K4 is refused before its kernel
+        # every class is priced before the first sample; K4 is refused first
         def no_contraction(dense):
             raise AssertionError("contracted before the guard")
 

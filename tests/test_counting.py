@@ -14,7 +14,6 @@ from melonic.counting import (
     fuss_catalan,
     generating_series_check,
     hypertree_from_dyck,
-    noncrossing_partitions_div,
 )
 from melonic.errors import ContractViolation, InvalidPathError
 from melonic.hypergraph import is_melonic_graph
@@ -146,26 +145,17 @@ class TestNonCrossing:
         assert count_noncrossing_div(2, 3) == 5
         assert count_noncrossing_div(3, 2) == 3
 
-    def test_frozen_listing_p3_n2(self):
-        got = {frozenset(part) for part in noncrossing_partitions_div(4, 2)}
-        assert got == {
-            frozenset({(0, 1, 2, 3)}),
-            frozenset({(0, 1), (2, 3)}),
-            frozenset({(0, 3), (1, 2)}),
-        }
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_naive_filter(self, d):
+        # count_noncrossing_div(p, n) covers n(p-1) points with d = p-1
         for m in range(0, 8, d):
-            naive = naive_noncrossing_div(m, d)
-            got = {frozenset(part) for part in noncrossing_partitions_div(m, d)}
-            assert got == naive
-            assert len(list(noncrossing_partitions_div(m, d))) == len(naive)
+            assert count_noncrossing_div(d + 1, m // d) == len(naive_noncrossing_div(m, d))
 
     def test_matches_closed_form(self):
-        for p in (2, 3, 4):
-            for n in range(6):
+        for p in range(2, 7):
+            for n in range(13):
                 assert count_noncrossing_div(p, n) == fuss_catalan(p, n)
+        assert count_noncrossing_div(3, 12) == 50_067_108
 
 
 class TestMelonicCounts:

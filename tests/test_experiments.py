@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from melonic.counting import count_melonic_maps, count_rooted_maps, fuss_catalan
-from melonic import experiments, maps
+from melonic import experiments, maps, tensor
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
 from melonic.maps import rooted_connected
 from melonic.experiments import (
@@ -117,6 +117,21 @@ class TestVarianceScaling:
             ExperimentConfig(p=2, n_max=2, N_grid=(16, 32, 64), samples=300, seed=1)
         )
         assert -2.8 < res.slope < -1.2
+
+    def test_no_map_is_refused_before_sampling(self, monkeypatch):
+        # I_n is constant when no map has n vertices: every sample variance
+        # would be 0 and its logarithm -inf
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the check")
+
+        monkeypatch.setattr(experiments, "sample_invariants", no_sampling)
+        for p, n in [(3, 7), (5, 1), (3, 0)]:
+            with pytest.raises(ContractViolation, match=rf"no map has p={p} and n={n}"):
+                variance_scaling(ExperimentConfig(p=p, n_max=n, N_grid=(4, 8), samples=4))
+
+    def test_even_pn_keeps_its_slope(self):
+        res = variance_scaling(ExperimentConfig(p=4, n_max=3, N_grid=(4, 8), samples=8))
+        assert all(v > 0 for _, v in res.rows) and math.isfinite(res.slope)
 
 
 class TestExactVarianceOracle:
@@ -263,8 +278,60 @@ class TestMapBudget:
             melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
 
     def test_p7_n2_is_admitted(self, no_maps):
+        # the map counts alone: the route check that follows groups the maps
         assert count_rooted_maps(7, 2) == 19_305 <= maps._MAP_GUARD
-        experiments._check_enumeration_feasible(7, 2)
+        for n in (1, 2):
+            maps._check_map_budget(7, n)
+
+
+class TestUpFrontPricing:
+    """Every run prices its tensor storage and each class's contraction at
+    every N before the first sample."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the up-front check")
+
+        monkeypatch.setattr(experiments, "sample_invariants", refuse)
+
+    @pytest.mark.parametrize(
+        "n, grid, message",
+        [
+            # K_{3,3} and other n = 6 classes at N = 128, after N = 16 is admitted
+            (6, (16, 128), r"6-vertex map at N=128 is predicted to take 1\.77e\+13 FLOP"),
+            (4, (256,), r"4-vertex map at N=256 is predicted to take 1\.11e\+12 FLOP"),
+        ],
+    )
+    def test_contraction_refused_before_sampling(self, no_sampling, n, grid, message):
+        with pytest.raises(ResourceLimitError, match=message):
+            mc_moments(ExperimentConfig(p=3, n_max=n, N_grid=grid, samples=2))
+
+    def test_largest_n_is_priced_first(self, monkeypatch, no_sampling):
+        def no_plan(eq, N):
+            raise AssertionError("a smaller cycle planned before the 53-cycle")
+
+        monkeypatch.setattr(tensor, "_plan", no_plan)
+        with pytest.raises(ResourceLimitError, match="53 edges exceeds the contraction guard"):
+            mc_moments(ExperimentConfig(p=2, n_max=53, N_grid=(4,), samples=2))
+
+    def test_check_builds_no_table(self, monkeypatch):
+        def no_table(p, N):
+            raise AssertionError("index table built by the check")
+
+        monkeypatch.setattr(tensor, "_IndexTable", no_table)
+        experiments._check_enumeration_feasible(3, [1, 2, 3, 4], (24, 40), 3)
+
+    def test_storage_refused_before_sampling(self, no_sampling):
+        message = r"order-6 tensor at N=32 needs 1\.75e\+10 bytes"
+        with pytest.raises(ResourceLimitError, match=message):
+            mc_moments(ExperimentConfig(p=6, n_max=2, N_grid=(32,), samples=2))
+
+    def test_contract_prices_classes_at_the_contracted_order(self, monkeypatch, no_sampling):
+        # order 4 contracted once: the order-3 tetrahedron's 1.18e6 FLOP at N = 16
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
+        with pytest.raises(ResourceLimitError, match=r"4-vertex map at N=16 .* 1\.18e\+06 FLOP"):
+            contraction_moments(p=4, k=1, N_grid=(16,), n_max=4, samples=2, seed=1)
 
 
 class TestClosure:

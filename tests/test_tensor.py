@@ -639,10 +639,12 @@ class TestContractionGuard:
             trace_invariant(_k4(), sample_gote(3, 16, seed=0))
 
     def test_byte_limit_refuses(self, monkeypatch):
-        # admits an N^2 intermediate, not the K4 kernel's N^3
+        # admits an N^2 intermediate, not the K4 kernel's N^3; the tensor is
+        # built first, since the limit also prices its storage
+        T = sample_gote(3, 16, seed=0)
         monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * 16**2)
         with pytest.raises(ResourceLimitError, match=r"intermediate of 3\.28e\+04 bytes"):
-            trace_invariant(_k4(), sample_gote(3, 16, seed=0))
+            trace_invariant(_k4(), T)
 
     def test_limits_admit_p3_n4_up_to_N200(self, monkeypatch):
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
@@ -662,6 +664,20 @@ class TestContractionGuard:
         for p in (21, 23):
             with pytest.raises(ResourceLimitError, match=rf"^order {p} exceeds"):
                 sample_gote(p, 2, seed=0)
+
+    def test_storage_refused_before_building(self, monkeypatch):
+        def no_table(p, N):
+            raise AssertionError("index table built before the guard")
+
+        monkeypatch.setattr(tensor, "_IndexTable", no_table)
+        # 2p + 4 int64 columns of C(N+p-1, p) rows, and 16 N^p dense bytes
+        for p, N in [(4, 200), (6, 32), (8, 16), (3, 332)]:
+            need = 8 * (2 * p + 4) * math.comb(N + p - 1, p) + 16 * N**p
+            assert need > tensor._MAX_INTERMEDIATE_BYTES
+            message = re.escape(f"N={N} needs {need:.3g} bytes")
+            with pytest.raises(ResourceLimitError, match=message):
+                sample_gote(p, N, seed=0)
+        tensor._check_storage(3, 331)
 
     def test_k4_refused_at_N256_before_densifying(self):
         # a stand-in tensor: the guard must not need its entries
