@@ -7,6 +7,8 @@ are bit-reproducible.  Settings come from one ExperimentConfig: its
 defaults, then a JSON config file (--config), then explicit flags.  Each
 subcommand accepts only the flags it reads.  The package's own errors end
 the run with a one-line message and the exit codes listed in _EXIT_CODES.
+enumerate, classify, count and moments are exact and never load numpy; the
+other subcommands import it, with the modules they run, when they start.
 """
 
 from __future__ import annotations
@@ -16,11 +18,9 @@ import json
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
-from . import counting, experiments, limitlaw, maps
+from . import counting, exact, maps
 from .errors import ContractViolation, DomainError, NumericalError, ResourceLimitError
-from .experiments import ExperimentConfig
+from .exact import ExperimentConfig
 from .hypergraph import (
     euler_deficiency,
     hypergraph_of,
@@ -180,6 +180,7 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_count(args, cfg):
+    counting._check_count_table(cfg.p, cfg.n_max)
     rows = []
     for n in range(cfg.n_max + 1):
         rows.append(
@@ -202,7 +203,7 @@ def _cmd_count(args, cfg):
 
 def _cmd_moments(args, cfg):
     rows = []
-    table = experiments.melonic_limit_table(cfg.p, cfg.n_max, cfg.N_grid, cfg.dist)
+    table = exact.melonic_limit_table(cfg.p, cfg.n_max, cfg.N_grid, cfg.dist)
     for r in table:
         for N, val, dev in zip(cfg.N_grid, r.values, r.deviations):
             rows.append((r.code, N, val, r.alpha, dev))
@@ -215,17 +216,22 @@ def _cmd_moments(args, cfg):
 
 
 def _cmd_mc(args, cfg):
+    from . import experiments
     header, data = _estimate_table(experiments.mc_moments(cfg))
     _emit_table(header, data, cfg.out, cfg.fmt)
 
 
 def _cmd_var(args, cfg):
+    from . import experiments
     res = experiments.variance_scaling(cfg)
     rows = [(N, v, res.slope) for N, v in res.rows]
     _emit_table(["N", "variance", "slope"], rows, cfg.out, cfg.fmt)
 
 
 def _cmd_law(args, cfg):
+    import numpy as np
+
+    from . import limitlaw
     p, k = cfg.p, args.k
     if args.grid < 1:
         raise ContractViolation(f"--grid must be at least 1, got {args.grid}")
@@ -246,6 +252,7 @@ def _cmd_law(args, cfg):
 
 
 def _cmd_contract(args, cfg):
+    from . import experiments
     rows = experiments.contraction_moments(
         p=cfg.p,
         k=args.k,
@@ -261,6 +268,7 @@ def _cmd_contract(args, cfg):
 
 
 def _cmd_heavytail(args, cfg):
+    from . import experiments
     rows = experiments.heavy_tail_moments(
         p=cfg.p,
         n=cfg.n_max,
@@ -274,6 +282,7 @@ def _cmd_heavytail(args, cfg):
 
 
 def _cmd_resolvent(args, cfg):
+    from . import experiments
     r = experiments.resolvent_crosscheck(cfg.N_grid[0], args.z, args.K, cfg.seed)
     rows = [(r.N, r.z.real, r.K, r.series, r.direct, r.gap, r.tail_bound, r.spectral_radius)]
     _emit_table(

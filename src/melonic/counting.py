@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ContractViolation, InvalidPathError
+from .errors import ContractViolation, InvalidPathError, ResourceLimitError
+
+# (height, step) pairs, each at most one big-integer addition, that the
+# excursion DPs of one count table may visit: about 40 ns each on a 2-core
+# x86-64 host, so p = 3 is admitted up to n = 95 (about 2 s)
+_COUNT_TABLE_GUARD = 5 * 10**7
 
 
 def fuss_catalan(p: int, k: int) -> int:
@@ -75,6 +80,27 @@ def _excursions(length: int, steps: Sequence[int]) -> int:
                         nxt[h + s] += c
         counts = nxt
     return counts[0]
+
+
+def _check_count_table(p: int, n_max: int) -> None:
+    """Refuse the table of rows n = 0..n_max before any row when its
+    excursion DPs would visit more (height, step) pairs than
+    ``_COUNT_TABLE_GUARD``.  An ``_excursions`` of L steps from S step sizes,
+    falling at most f a step, keeps at most (left + 1) f + 1 heights with
+    ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all: row n has
+    L = np, S = 2, f = p-1 in ``count_dyck`` and L = n(p-1), S = n+1, f = 1
+    in ``count_noncrossing_div``.  s_k sums n^k over the rows; s_3 = s_1^2."""
+    if p < 2 or n_max < 1:
+        return  # the rows refuse p < 2 themselves
+    m, d = n_max, p - 1
+    s1, s2 = m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6
+    dyck = d * (p * p * s2 + p * s1) + 2 * p * s1
+    pairs = dyck + (d * d * (s1 * s1 + s2) + 3 * d * (s2 + s1)) // 2
+    if pairs > _COUNT_TABLE_GUARD:
+        raise ResourceLimitError(
+            f"the count table to n={n_max} at p={p} takes about {pairs:.3g} "
+            f"big-integer additions; the limit is {_COUNT_TABLE_GUARD:.3g}"
+        )
 
 
 def count_dyck(p: int, n: int) -> int:

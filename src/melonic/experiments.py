@@ -1,5 +1,6 @@
-"""Monte Carlo engine and exact finite-N tables for the desk-scale
-verification runs.
+"""Monte Carlo engine for the desk-scale verification runs; the exact
+finite-N tables and the run configuration live in the numpy-free ``exact``
+module.
 
 Reproducibility contract: every sample draws from its own RNG substream
 derived from (seed, N, stream tag, sample index), and samples are drawn,
@@ -10,26 +11,25 @@ given (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .limitlaw import contracted_law, moment
-from .maps import _check_map_budget, canonical_code, rooted_connected
-from .hypergraph import is_melonic_graph
-from .tensor import (
+from .exact import (
     GAUSSIAN_GOTE,
     EntryDistribution,
-    SymTensor,
-    _at,
-    _check_storage,
-    _class_keys,
-    _exact_route,
-    _route,
+    ExperimentConfig,
+    _require_maps,
     _trace_classes,
+)
+from .limitlaw import contracted_law, moment
+from .maps import _check_map_budget
+from .tensor import (
+    SymTensor,
+    _check_storage,
+    _route,
     balanced_invariant,
     contract,
     resolvent_series,
@@ -59,49 +59,6 @@ def _check_enumeration_feasible(
 
 
 @dataclass
-class ExperimentConfig:
-    """Shared knobs of the Monte Carlo subcommands."""
-
-    p: int = 3
-    n_max: int = 2
-    N_grid: tuple[int, ...] = (16, 32)
-    samples: int = 200
-    seed: int = 1
-    dist: EntryDistribution = GAUSSIAN_GOTE
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        self.N_grid = tuple(self.N_grid)
-        if isinstance(self.dist, str):
-            self.dist = EntryDistribution.from_string(self.dist)
-        if list(self.N_grid) != sorted(self.N_grid) or len(set(self.N_grid)) != len(self.N_grid):
-            raise ContractViolation("N_grid must be strictly ascending")
-        if not self.N_grid:
-            raise ContractViolation("N_grid must not be empty")
-        if any(N < 1 for N in self.N_grid):
-            raise ContractViolation("dimensions must be positive")
-        if self.samples < 2:
-            raise ContractViolation("need at least 2 samples to estimate a variance")
-        if self.fmt not in ("csv", "json"):
-            raise ContractViolation("format must be csv or json")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Build a config from a parsed JSON object whose keys are the field
-        names (``format`` is accepted for ``fmt``); unknown keys are refused."""
-        if not isinstance(obj, dict):
-            raise ContractViolation("a config must be a JSON object")
-        kw = dict(obj)
-        if "format" in kw:
-            kw["fmt"] = kw.pop("format")
-        unknown = sorted(set(kw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ContractViolation(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**kw)
-
-
-@dataclass
 class MomentEstimate:
     """One Monte Carlo row: estimates of I_n/N at one dimension."""
 
@@ -123,19 +80,6 @@ class HeavyTailEstimate:
     median: float
     iqr: float
     target: float
-
-
-@dataclass
-class MelonicLimitRow:
-    """Exact expectations of one trace invariant along an N grid."""
-
-    index: int
-    code: tuple[int, ...]
-    melonic: bool
-    alpha: float
-    values: tuple[float, ...]
-    deviations: tuple[float, ...]
-    slope: Optional[float]
 
 
 @dataclass
@@ -232,10 +176,7 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
     for a, b in zip(cfg.N_grid, cfg.N_grid[1:]):
         if b != 2 * a:
             raise ContractViolation("N_grid must double between consecutive entries")
-    if cfg.n_max < 1 or cfg.p * cfg.n_max % 2:
-        raise ContractViolation(
-            f"no map has p={cfg.p} and n={cfg.n_max}: I_n is constant, its variance 0"
-        )
+    _require_maps(cfg.p, cfg.n_max)
     _check_enumeration_feasible(cfg.p, [cfg.n_max], cfg.N_grid, cfg.p)
     variances = []
     for N in cfg.N_grid:
@@ -245,59 +186,6 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
         np.polyfit(np.log(np.asarray(cfg.N_grid, float)), np.log(variances), 1)[0]
     )
     return VarianceScaling(rows=tuple(zip(cfg.N_grid, variances)), slope=slope)
-
-
-def melonic_limit_table(
-    p: int, n: int, N_grid: Sequence[int], dist: EntryDistribution
-) -> list[MelonicLimitRow]:
-    """Exact E[Tr_b(W_N)]/N for every rooted connected map with n vertices,
-    against the melonic limit alpha = (p-1)!^{-n/2}.
-
-    The exact values depend on the map's multigraph only, so the polynomial
-    in N of the law's exact route (``tensor._exact_route``: Wick pairings for
-    gaussian-gote, edge partitions otherwise) is formed once per class and
-    evaluated on the grid.
-    The deviation column decays like 1/N; the fitted log-log slope is
-    reported per map, or None when the grid has a single N (no line to fit)
-    or the map is exact at every N (deviation identically zero, which the
-    flat variance profile produces on melonic maps).
-
-    p >= 3 only: at p = 2 the single cycle map is folded by every
-    non-crossing partition and its limit is a Catalan number, so the
-    one-partition weight alpha does not describe it.
-    """
-    if p < 3:
-        raise ContractViolation("the per-map limit table needs p >= 3")
-    polynomial, basis = _exact_route(p, n, dist)
-    maps = rooted_connected(p, n)
-    alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
-    rows = []
-    logN = np.log(np.asarray(N_grid, dtype=float))
-    exact: dict = {}
-    for i, (b, key) in enumerate(zip(maps, _class_keys(p, n))):
-        melonic = is_melonic_graph(b)
-        alpha = alpha_melonic if melonic else Fraction(0)
-        if key not in exact:
-            coeffs = polynomial(b)
-            exact[key] = [_at(coeffs, basis, b, N) / N for N in N_grid]
-        values = exact[key]
-        devs = [abs(v - alpha) for v in values]
-        if len(N_grid) > 1 and all(d > 0 for d in devs):
-            slope = float(np.polyfit(logN, np.log([float(d) for d in devs]), 1)[0])
-        else:
-            slope = None
-        rows.append(
-            MelonicLimitRow(
-                index=i,
-                code=canonical_code(b),
-                melonic=melonic,
-                alpha=float(alpha),
-                values=tuple(float(v) for v in values),
-                deviations=tuple(float(d) for d in devs),
-                slope=slope,
-            )
-        )
-    return rows
 
 
 def contraction_moments(
@@ -358,6 +246,7 @@ def heavy_tail_moments(
     """
     if dist is None:
         dist = EntryDistribution("symmetrized-pareto", tail_index)
+    _require_maps(p, n)
     _check_enumeration_feasible(p, [n], N_grid, p)
     target = float(moment(p, n))
     rows = []

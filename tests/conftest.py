@@ -31,16 +31,14 @@ from melonic.maps import (
     multigraph,
     rooted_connected,
 )
-from melonic.tensor import (
-    _EINSUM_LETTERS,
+from melonic.exact import (
     EntryDistribution,
-    SymTensor,
     _scale_exact,
-    _table,
     _vertex_edge_ids,
     entry_sigma2,
     expected_trace_partitions,
 )
+from melonic.tensor import _EINSUM_LETTERS, SymTensor, _table
 
 _EXHAUSTIVE_TERM_GUARD = 10**8
 _INJECTIVE_TERM_GUARD = 2 * 10**6

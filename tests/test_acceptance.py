@@ -27,11 +27,9 @@ from melonic.counting import (
     hypertree_from_dyck,
 )
 from melonic.experiments import (
-    ExperimentConfig,
     contraction_moments,
     heavy_tail_moments,
     mc_moments,
-    melonic_limit_table,
     resolvent_crosscheck,
     variance_scaling,
 )
@@ -44,14 +42,16 @@ from melonic.limitlaw import (
     support_radius,
 )
 from melonic.maps import enumerate_rooted_connected
-from melonic.tensor import (
+from melonic.exact import (
     GAUSSIAN_GOTE,
     RADEMACHER,
     EntryDistribution,
-    SymTensor,
+    ExperimentConfig,
     expected_balanced_invariant,
     expected_trace_partitions,
+    melonic_limit_table,
 )
+from melonic.tensor import SymTensor
 
 from conftest import exact_i2_variance, expected_trace_exhaustive, moment_by_quadrature
 
@@ -252,7 +252,7 @@ def test_c07_variance_scaling_slope():
     O(1/N^2) bound, whose matrix-case rate -2 the band was built around.
     For the invariant Gaussian profile the pairing oracle gives it in closed
     form, Var[I_2/N] = 30/N^3 + 180/N^4 + 240/N^5
-    (``tensor.balanced_invariant_variance``), so the exact rate is N^-3.
+    (``exact.balanced_invariant_variance``), so the exact rate is N^-3.
     The bound itself is verified a fortiori.  See the decisions ledger.
     """
     with _Timer(600.0) as t:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import melonic
-from melonic import cli, experiments, maps, tensor
+from melonic import cli, counting, exact, experiments, maps, tensor
 from melonic.cli import main
 from melonic.counting import fuss_catalan
 from melonic.errors import (
@@ -85,6 +85,10 @@ class TestCount:
             assert int(r["fuss_catalan"]) == fuss_catalan(3, n)
             assert r["fuss_catalan"] == r["dyck"] == r["noncrossing"]
 
+    def test_n12_is_admitted(self, tmp_path):
+        _, rows = csv_rows(run(tmp_path, "count", "--p", "3", "--n", "12"))
+        assert rows[-1]["noncrossing"] == str(fuss_catalan(3, 12)) == "50067108"
+
 
 class TestMomentsExact:
     def test_exact_rows(self, tmp_path):
@@ -104,9 +108,9 @@ class TestMomentsExact:
         args = ("moments", "--p", p, "--n", "4", "--N", "3,8,16", "--dist", "gaussian-gote")
         pairing = run(tmp_path, *args)
         monkeypatch.setattr(
-            experiments,
+            exact,
             "_exact_route",
-            lambda p, n, dist: (partial(tensor._trace_polynomial, dist=dist), math.perm),
+            lambda p, n, dist: (partial(exact._trace_polynomial, dist=dist), math.perm),
         )
         assert run(tmp_path, *args).encode() == pairing.encode()
 
@@ -369,6 +373,34 @@ class TestErrors:
         assert code == 3 and "no map has p=3 and n=7" in err
         assert caught == []
 
+    @pytest.mark.parametrize("n", ["9", "0"])
+    def test_moments_refuses_a_degree_without_maps(self, monkeypatch, capsys, n):
+        def no_route(*args):
+            raise AssertionError("oracle route chosen before the degree check")
+
+        monkeypatch.setattr(exact, "_exact_route", no_route)
+        code, err = self.fail(capsys, "moments", "--p", "3", "--n", n, "--N", "8")
+        assert code == 3 and f"no map has p=3 and n={n}" in err
+
+    @pytest.mark.parametrize("n", ["3", "0"])
+    def test_heavytail_refuses_a_degree_without_maps(self, monkeypatch, capsys, n):
+        def no_pricing(*args):
+            raise AssertionError("run priced before the degree check")
+
+        monkeypatch.setattr(experiments, "_check_enumeration_feasible", no_pricing)
+        code, err = self.fail(
+            capsys, "heavytail", "--p", "3", "--n", n, "--N", "8", "--samples", "4"
+        )
+        assert code == 3 and f"no map has p=3 and n={n}" in err
+
+    def test_count_table_is_priced_before_any_row(self, monkeypatch, capsys):
+        def no_row(*args):
+            raise AssertionError("a row counted before the guard")
+
+        monkeypatch.setattr(counting, "_excursions", no_row)
+        code, err = self.fail(capsys, "count", "--p", "3", "--n", "200")
+        assert code == 5 and "to n=200 at p=3 takes about 8.7e+08 big-integer additions" in err
+
     def test_contraction_cost_guard(self, monkeypatch, capsys):
         # every class is priced before the first sample; K4 is refused first
         def no_contraction(dense):
@@ -396,22 +428,85 @@ class TestErrors:
         assert err == f"melonic count: {error.__name__}: first line second line\n"
 
 
+def run_child(code):
+    """stdout of ``python -c code`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(melonic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# every name ``melonic`` exported before its numpy modules were loaded lazily
+EXPORTED = {
+    "CombinatorialMap", "ContractViolation", "ContractedLaw", "DomainError", "DyckPath",
+    "EdgePartition", "EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE",
+    "HeavyTailEstimate", "Hypergraph", "Hypermap", "InvalidPartitionError",
+    "InvalidPathError", "LimitLaw", "MomentEstimate", "NumericalError", "Permutation",
+    "PlaneHypertree", "RADEMACHER", "ResourceLimitError", "SymTensor", "balanced_invariant",
+    "balanced_invariant_variance", "canonical_code", "contract", "contracted_law",
+    "contraction_moments", "count_dyck", "count_melonic_maps", "count_noncrossing_div",
+    "count_rooted_maps", "cycles", "density", "dual", "dyck_from_hypertree", "edge_list",
+    "enumerate_edge_partitions", "enumerate_rooted_connected", "euler_deficiency",
+    "expected_balanced_invariant", "expected_trace_partitions", "fuss_catalan",
+    "generating_series_check", "has_cycle", "heavy_tail_moments", "hypergraph_of",
+    "hypertree_from_dyck", "inversion_density", "is_connected", "is_double_hypertree",
+    "is_hypertree", "is_melonic_graph", "mc_moments", "melonic_limit_table",
+    "melonic_partition", "merge_edges", "moment", "relabel", "resolvent_crosscheck",
+    "resolvent_series", "sample_gote", "sample_wigner", "stieltjes", "support_radius",
+    "trace_invariant", "variance_scaling",
+}
+NUMPY_LOADED = "print('numpy' in sys.modules)"
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency: scipy serves the tests alone;
         # samples run in one thread, so no executor module is loaded either
-        src = str(Path(melonic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
-            "import sys, melonic, melonic.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'concurrent')))"
+            "import sys, melonic, melonic.cli, melonic.experiments, melonic.limitlaw;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
+        assert run_child(probe) == "[]\n"
+
+    def test_import_loads_no_numpy(self):
+        assert run_child(f"import sys, melonic, melonic.cli; {NUMPY_LOADED}") == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            (["count", "--p", "3", "--n", "5"], False),
+            (["classify", "--p", "3", "--n", "4"], False),
+            (["enumerate", "--p", "3", "--n", "4"], False),
+            (["moments", "--p", "3", "--n", "4", "--N", "8,16", "--dist", "gaussian-gote"], False),
+            (["mc", "--p", "3", "--n", "2", "--N", "4", "--samples", "2"], True),
+        ],
+    )
+    def test_only_array_subcommands_load_numpy(self, argv, loads):
+        code = (
+            "import contextlib, io, sys\n"
+            "from melonic import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            f"{NUMPY_LOADED}\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert run_child(code) == f"{loads}\n"
+
+    def test_every_exported_name_resolves(self):
+        assert set(melonic.__all__) == EXPORTED
+        star: dict = {}
+        exec("from melonic import *", star)
+        for name in EXPORTED:
+            assert star[name] is getattr(melonic, name)
+        assert melonic.SymTensor is tensor.SymTensor
+        assert melonic.melonic_limit_table is exact.melonic_limit_table
+        assert set(dir(melonic)) >= EXPORTED | {"tensor", "experiments", "limitlaw"}
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            melonic.nothing

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -15,9 +16,9 @@ from melonic.counting import (
     generating_series_check,
     hypertree_from_dyck,
 )
-from melonic.errors import ContractViolation, InvalidPathError
+from melonic.errors import ContractViolation, InvalidPathError, ResourceLimitError
 from melonic.hypergraph import is_melonic_graph
-from melonic import maps
+from melonic import counting, maps
 from melonic.maps import enumerate_rooted_connected, rooted_connected
 
 from conftest import fuss_catalan_alt
@@ -203,6 +204,41 @@ class TestRootedMapCounts:
             count_rooted_maps(1, 2)
         with pytest.raises(ContractViolation, match="n must be at least 1"):
             count_rooted_maps(3, 0)
+
+
+class TestCountTableGuard:
+    """The count table is priced by the (height, step) pairs its excursion
+    DPs visit, summed in closed form over the rows."""
+
+    @staticmethod
+    def dp_pairs(length, steps):
+        # the DP keeps heights 0..min(left * fall, top + max step) each step
+        fall, heights, pairs = -min(steps), 1, 0
+        for left in range(length - 1, -1, -1):
+            pairs += heights * len(steps)
+            heights = min(left * fall, heights - 1 + max(steps)) + 1
+        return pairs
+
+    @pytest.mark.parametrize("p, m", [(2, 7), (3, 12), (4, 9), (5, 4), (8, 3)])
+    def test_closed_form_is_the_row_sum_and_bounds_the_dp(self, monkeypatch, p, m):
+        bound = visited = 0
+        for n in range(1, m + 1):
+            d = p - 1
+            for length, steps in [(n * p, (1, -d)), (n * d, (-1, *range(d - 1, n * d, d)))]:
+                fall = -min(steps)
+                bound += len(steps) * (fall * length * (length + 1) // 2 + length)
+                visited += self.dp_pairs(length, steps)
+        assert visited <= bound
+        monkeypatch.setattr(counting, "_COUNT_TABLE_GUARD", bound)
+        counting._check_count_table(p, m)
+        monkeypatch.setattr(counting, "_COUNT_TABLE_GUARD", bound - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(f"about {bound:.3g} big-integer")):
+            counting._check_count_table(p, m)
+
+    def test_admits_n12_and_refuses_n200_at_p3(self):
+        counting._check_count_table(3, 12)
+        with pytest.raises(ResourceLimitError, match=r"8\.7e\+08 big-integer additions"):
+            counting._check_count_table(3, 200)
 
 
 class TestGeneratingSeries:

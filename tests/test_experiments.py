@@ -5,28 +5,25 @@ import numpy as np
 import pytest
 
 from melonic.counting import count_melonic_maps, count_rooted_maps, fuss_catalan
-from melonic import experiments, maps, tensor
+from melonic import exact, experiments, maps, tensor
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
 from melonic.maps import rooted_connected
-from melonic.experiments import (
+from melonic.exact import (
+    GAUSSIAN_GOTE,
+    EntryDistribution,
     ExperimentConfig,
+    expected_trace_partitions,
+    melonic_limit_table,
+)
+from melonic.experiments import (
     contraction_moments,
     heavy_tail_moments,
     mc_moments,
-    melonic_limit_table,
     resolvent_crosscheck,
     sample_invariants,
     variance_scaling,
 )
-from melonic.tensor import (
-    GAUSSIAN_GOTE,
-    EntryDistribution,
-    SymTensor,
-    balanced_invariant,
-    contract,
-    expected_trace_partitions,
-    sample_wigner,
-)
+from melonic.tensor import SymTensor, balanced_invariant, contract, sample_wigner
 
 from conftest import exact_i2_variance
 
@@ -82,7 +79,7 @@ class TestMonteCarloEngine:
         # expectation, which itself sits 5/N above the limiting Catalan
         # number 2 (the finite-size shift is much larger than the Monte
         # Carlo resolution, so the limit is only approached, never asserted)
-        from melonic.tensor import expected_balanced_invariant
+        from melonic.exact import expected_balanced_invariant
 
         rows = mc_moments(
             ExperimentConfig(p=2, n_max=4, N_grid=(100,), samples=100, seed=8)
@@ -179,6 +176,7 @@ class TestMelonicLimitTable:
         # a line through one point is no fit; polyfit would warn per row
         rows = melonic_limit_table(3, 2, (8,), GAUSSIAN_GOTE)
         assert [r.slope for r in rows] == [None] * len(rows)
+        assert [r.slope for r in melonic_limit_table(3, 2, (8, 8), GAUSSIAN_GOTE)] == [None] * 5
         two = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
         assert [r.values for r in rows] == [r.values[:1] for r in two]
 
@@ -232,7 +230,7 @@ class TestMelonicLimitTable:
         def no_enumeration(p, n):
             raise AssertionError("maps enumerated before the partition guard")
 
-        monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
         # the pairing route admits (4, 5), with no pairing term, and (5, 4),
         # with 43,200, but their 100,278 and 869,400 maps exceed the map budget
         for p, n in [(4, 5), (5, 4)]:
@@ -245,7 +243,7 @@ class TestMelonicLimitTable:
         def no_enumeration(p, n):
             raise AssertionError("maps enumerated before the pairing guard")
 
-        monkeypatch.setattr(experiments, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
         # one pair of two 10-valent vertices: 10! slot bijections
         with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms"):
             melonic_limit_table(10, 2, (8,), GAUSSIAN_GOTE)

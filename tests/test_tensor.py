@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from melonic import tensor
+from melonic import exact, tensor
 from melonic.counting import count_rooted_maps, fuss_catalan
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
@@ -23,18 +23,20 @@ from melonic.maps import (
     relabel,
     rooted_connected,
 )
-from melonic.tensor import (
+from melonic.exact import (
     GAUSSIAN_GOTE,
     RADEMACHER,
     EntryDistribution,
-    SymTensor,
     _multigraph_key,
     _trace_classes,
-    balanced_invariant,
     balanced_invariant_variance,
-    contract,
     expected_balanced_invariant,
     expected_trace_partitions,
+)
+from melonic.tensor import (
+    SymTensor,
+    balanced_invariant,
+    contract,
     load_tensor,
     resolvent_series,
     sample_gote,
@@ -717,7 +719,7 @@ class TestExactExpectations:
         bound = (n // 2) * (p - 1) + 1
         for dist in dists:
             for rep, _ in _trace_classes(p, n):
-                coeffs = tensor._trace_polynomial(rep, dist)
+                coeffs = exact._trace_polynomial(rep, dist)
                 degree = max(k for k, c in enumerate(coeffs) if c)
                 assert degree <= bound
                 assert (degree == bound) == is_melonic_graph(rep)
@@ -786,18 +788,18 @@ class TestPairingOracle:
     @pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (3, 4), (4, 2), (4, 4)])
     def test_matches_partition_route(self, p, n):
         for rep, _ in _trace_classes(p, n):
-            pairing = tensor._pairing_polynomial(rep)
-            partitions = tensor._trace_polynomial(rep, GAUSSIAN_GOTE)
+            pairing = exact._pairing_polynomial(rep)
+            partitions = exact._trace_polynomial(rep, GAUSSIAN_GOTE)
             for N in (1, 2, 3, 7):
-                assert tensor._at(pairing, pow, rep, N) == tensor._at(
+                assert exact._at(pairing, pow, rep, N) == exact._at(
                     partitions, math.perm, rep, N
                 )
 
     def test_route_is_chosen_by_the_law(self):
-        assert tensor._exact_route(3, 4, GAUSSIAN_GOTE) == (tensor._pairing_polynomial, pow)
+        assert exact._exact_route(3, 4, GAUSSIAN_GOTE) == (exact._pairing_polynomial, pow)
         for dist in (FLAT, RADEMACHER, UNIFORM):
-            polynomial, basis = tensor._exact_route(3, 4, dist)
-            assert polynomial.func is tensor._trace_polynomial and basis is math.perm
+            polynomial, basis = exact._exact_route(3, 4, dist)
+            assert polynomial.func is exact._trace_polynomial and basis is math.perm
 
     @pytest.mark.parametrize("p, n, top", [(3, 6, 12), (4, 4, 4)])
     def test_degree_bound_and_fuss_catalan_top(self, p, n, top):
@@ -806,28 +808,28 @@ class TestPairingOracle:
         bound = (n // 2) * (p - 1) + 1
         weighted = 0
         for rep, count in _trace_classes(p, n):
-            counts = tensor._pairing_counts(tensor._vertex_edge_ids(rep), p)
+            counts = exact._pairing_counts(exact._vertex_edge_ids(rep), p)
             assert not any(counts[bound + 1 :])
             weighted += count * counts[bound]
         assert bound == 7 and top == fuss_catalan(p, n // 2)
         assert Fraction(weighted, math.factorial(p - 1) ** (n // 2)) == top
 
     def test_odd_vertex_count_has_no_pairing(self):
-        assert tensor._pairing_counts([(0, 0)], 2) == [0, 0]
+        assert exact._pairing_counts([(0, 0)], 2) == [0, 0]
 
     def test_work_guard_per_route(self, monkeypatch):
-        assert tensor._pairing_terms(3, 6) == 15 * 6**3
+        assert exact._pairing_terms(3, 6) == 15 * 6**3
         for pairing in (True, False):
-            tensor._check_oracle_work(3, 6, pairing)
+            exact._check_oracle_work(3, 6, pairing)
         # both refusals come before any map is enumerated
-        monkeypatch.setattr(tensor, "_trace_classes", _no_contraction)
+        monkeypatch.setattr(exact, "_trace_classes", _no_contraction)
         with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms per class"):
             expected_balanced_invariant(10, 2, 4, GAUSSIAN_GOTE)
         with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
             expected_balanced_invariant(2, 10, 4, RADEMACHER)
         # the map budget refuses what the pairing route admits: (4, 5) has no
         # pairing term, (5, 4) only 43,200
-        assert tensor._pairing_terms(4, 5) == 0 and tensor._pairing_terms(5, 4) == 43_200
+        assert exact._pairing_terms(4, 5) == 0 and exact._pairing_terms(5, 4) == 43_200
         for p, n in [(4, 5), (5, 4)]:
             with pytest.raises(ResourceLimitError, match=rf"^{count_rooted_maps(p, n)} maps"):
                 expected_balanced_invariant(p, n, 4, GAUSSIAN_GOTE)
@@ -846,7 +848,7 @@ class TestPairingOracle:
     )
     def test_variance_polynomial(self, p, n, inverse_powers):
         # Var[I_n/N] as {j: coefficient of N^-j}
-        assert _inverse_powers(tensor._variance_counts(p, n), p, n, 2) == inverse_powers
+        assert _inverse_powers(exact._variance_counts(p, n), p, n, 2) == inverse_powers
 
     def test_variance_i2_matches_disjoint_union_reference(self):
         for N in (2, 3, 16):
