@@ -31,14 +31,14 @@ from .exact import (
     GAUSSIAN_GOTE, RADEMACHER, EntryDistribution, ExperimentConfig, balanced_invariant_variance,
     expected_balanced_invariant, expected_trace_partitions, melonic_limit_table,
 )
+from .limitlaw import (
+    ContractedLaw, LimitLaw, contracted_law, density, inversion_density, moment, stieltjes,
+    support_radius,
+)
 
 # The modules that load numpy are imported when one of their names is first
 # read (PEP 562), so the exact subcommands start without numpy.
 _LAZY = {
-    "limitlaw": (
-        "ContractedLaw", "LimitLaw", "contracted_law", "density", "inversion_density",
-        "moment", "stieltjes", "support_radius",
-    ),
     "tensor": (
         "SymTensor", "balanced_invariant", "contract", "resolvent_series", "sample_gote",
         "sample_wigner", "trace_invariant",

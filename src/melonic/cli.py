@@ -7,8 +7,9 @@ are bit-reproducible.  Settings come from one ExperimentConfig: its
 defaults, then a JSON config file (--config), then explicit flags.  Each
 subcommand accepts only the flags it reads.  The package's own errors end
 the run with a one-line message and the exit codes listed in _EXIT_CODES.
-enumerate, classify, count and moments are exact and never load numpy; the
-other subcommands import it, with the modules they run, when they start.
+enumerate, classify, count and moments are exact and law computes on Python
+floats, so these five never load numpy; the other subcommands import it,
+with the modules they run, when they start.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from . import counting, exact, maps
+from . import counting, exact, limitlaw, maps
 from .errors import ContractViolation, DomainError, NumericalError, ResourceLimitError
 from .exact import ExperimentConfig
 from .hypergraph import (
@@ -228,23 +229,30 @@ def _cmd_var(args, cfg):
     _emit_table(["N", "variance", "slope"], rows, cfg.out, cfg.fmt)
 
 
-def _cmd_law(args, cfg):
-    import numpy as np
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    """points evenly spaced floats from lo to hi, bit for bit those of
+    ``np.linspace(lo, hi, points)``."""
+    if points == 1:
+        return [lo]
+    step = (hi - lo) / (points - 1)
+    ys = [lo + i * step for i in range(points)]
+    ys[-1] = hi
+    return ys
 
-    from . import limitlaw
+
+def _cmd_law(args, cfg):
     p, k = cfg.p, args.k
     if args.grid < 1:
         raise ContractViolation(f"--grid must be at least 1, got {args.grid}")
     law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
-    lo, hi = law.support()
-    ys = np.linspace(lo, hi, args.grid)
+    ys = _grid(*law.support(), args.grid)
     # the k = 0 route inverts at the support endpoints too; law.density
     # gives 0 there
     if k == 0 and p >= 4:
         dens = limitlaw.inversion_density(p, ys)
     else:
         dens = law.density(ys)
-    _emit_table(["y", "density"], list(zip(ys.tolist(), dens.tolist())), cfg.out, cfg.fmt)
+    _emit_table(["y", "density"], list(zip(ys, dens)), cfg.out, cfg.fmt)
     # the moment table always goes to stdout (next to the file, or below
     # the density grid)
     mom_rows = [(n, float(law.moment(n))) for n in range(0, 9)]

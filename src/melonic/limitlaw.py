@@ -3,45 +3,51 @@ Stieltjes transform, densities, and the dilated law of contracted tensors.
 
 The Stieltjes transform R(z) is the solution of
 ``P(R) = z^{p-2} R^p - z R + 1 = 0`` on the branch behaving like 1/z at
-infinity.  Branch selection:
+infinity.  Branch selection rests on one certificate (``_nearest_root``).
+With ``gamma = max_{2<=k<=p} (C(p,k) |z^{p-2}| |zeta|^{p-k} / |P'(zeta)|)^{1/(k-1)}``
+the Taylor expansion of P at zeta gives ``1 <= sum_{k>=2} (gamma |d|)^{k-1}``
+for any other root zeta + d, so every other root is at least 1/(2 gamma)
+from zeta.  A Newton result zeta is certified to be the root nearest a
+point r when it is finite, its residual is below ``_RESIDUAL_TOL``, and it
+lies within 1/(4 gamma) of r.  Newton runs while its step shrinks, which
+near a simple root is to the float limit.
 
 - **Homotopy** (``stieltjes``, one point).  The root is tracked along the
-  ray from far outside the support down to z: at each step ``np.roots``
-  gives all p roots and the one nearest the previous step's root is kept
-  and Newton-polished.  This is the unambiguous reading of the series
-  definition, and it is the reference for the path below.
+  segment from z0 = max(1, 4 omega_c / |z|) z, far outside the support,
+  down to z.  At z0 it is the root nearest 1/z0.  Each step runs Newton
+  from the previous root and keeps the result only if it is certified to be
+  the root nearest that previous root; otherwise the step is halved, and a
+  step below ``_STEP_FLOOR`` of the segment raises NumericalError.  This is
+  the unambiguous reading of the series definition, and it is the
+  reference for the path below.
 - **Continuation** (``_stieltjes_path``, a grid of points).  The first
   point runs the homotopy.  Each later point runs Newton from the previous
-  point's root and keeps the result zeta only if it is certified to be the
-  root nearest that previous root, the homotopy's own selection rule.  With
-  ``gamma = max_{2<=k<=p} (C(p,k) |z^{p-2}| |zeta|^{p-k} / |P'(zeta)|)^{1/(k-1)}``
-  the Taylor expansion of P at zeta gives ``1 <= sum_{k>=2} (gamma |d|)^{k-1}``
-  for any other root zeta + d, so every other root is at least 1/(2 gamma)
-  from zeta.  zeta is kept when it is finite, its residual is below
-  ``_RESIDUAL_TOL``, and it lies within 1/(4 gamma) of the previous root.
-  Otherwise the point falls back to the homotopy, so it gets the same value
-  as a call of ``stieltjes`` at that point.
+  point's root and keeps the result if it is certified to be the root
+  nearest that previous root.  Otherwise the point runs the homotopy, so it
+  gets the same value as a call of ``stieltjes`` at that point.
 
 Densities use closed forms at p = 2, 3 and Stieltjes inversion with a small
 imaginary offset plus one Richardson step for p >= 4; the inversion
 pipeline is validated against the closed forms.  ``density`` and
-``inversion_density`` take a scalar or an array of points and evaluate
-either as one continuation path per imaginary offset; a scalar gives a
-Python float.
+``inversion_density`` take a scalar, a list or an array of points and
+evaluate them as one continuation path per imaginary offset.  The module
+computes on Python floats and complex numbers; numpy is imported only to
+give an array back for an array argument.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
-
-import numpy as np
 
 from .counting import fuss_catalan
 from .errors import ContractViolation, DomainError, NumericalError
 
 _RESIDUAL_TOL = 1e-12
 _INVERSION_ETA = 1e-4  # eta, the imaginary offset of Stieltjes inversion
+_NEWTON_ITERATIONS = 60
+_STEP_FLOOR = 2.0**-40  # smallest homotopy step, as a fraction of the segment
 
 
 def critical_z(p: int) -> float:
@@ -68,27 +74,21 @@ def _fixed_point_residual(p: int, z: complex, r: complex) -> complex:
     return z ** (p - 2) * r**p - z * r + 1
 
 
-def _polish(p: int, z: complex, r: complex) -> complex:
-    for _ in range(60):
-        f = _fixed_point_residual(p, z, r)
-        if abs(f) < 1e-15 * max(1.0, abs(z * r)):
-            break
+def _newton(p: int, z: complex, r: complex) -> complex:
+    """Newton's iteration for P at z from r, run while its step shrinks:
+    to the float limit near a simple root, and no further where it does not
+    contract (the certificate then refuses the result)."""
+    last = math.inf
+    for _ in range(_NEWTON_ITERATIONS):
         fp = p * z ** (p - 2) * r ** (p - 1) - z
         if fp == 0:
             break
-        step = f / fp
-        r -= step
-        if abs(step) < 1e-16 * max(1.0, abs(r)):
+        step = _fixed_point_residual(p, z, r) / fp
+        if not abs(step) < last:
             break
+        r -= step
+        last = abs(step)
     return r
-
-
-def _track_root(p: int, z: complex, r: complex) -> complex:
-    """Root of the degree-p fixed-point polynomial nearest to r, polished."""
-    coeffs = [z ** (p - 2)] + [0] * (p - 2) + [-z, 1]
-    roots = np.roots(coeffs)
-    r = complex(roots[np.argmin(np.abs(roots - r))])
-    return _polish(p, z, r)
 
 
 def _refuse_support(p: int, z: complex) -> None:
@@ -100,34 +100,32 @@ def _refuse_support(p: int, z: complex) -> None:
 
 
 def stieltjes(p: int, z: complex) -> complex:
-    """The Stieltjes transform of the limit law at z, by homotopy.
+    """The Stieltjes transform of the limit law at z, by certified homotopy.
 
     Raises DomainError for z on (or within 1e-9 of) the real support
-    interval, NumericalError if the homotopy fails to reach residual 1e-12.
+    interval, NumericalError if no certified step longer than
+    ``_STEP_FLOOR`` of the segment is found.
     """
     if p < 2:
         raise ContractViolation("p must be at least 2")
     z = complex(z)
     _refuse_support(p, z)
-    t0 = max(1.0, 4.0 * support_radius(p) / abs(z))
-    for attempts in range(4):
-        if t0 == 1.0:
-            ts = [1.0]
+    z0 = max(1.0, 4.0 * support_radius(p) / abs(z)) * z
+    r = _newton(p, z0, 1.0 / z0)
+    if not _nearest_root(p, z0, r, 1.0 / z0):
+        raise NumericalError(f"no certified root at the homotopy start, p={p}, z={z}")
+    s, h = 0.0, 1.0  # the part of the segment walked, the next step
+    while s < 1.0:
+        t = min(s + h, 1.0)
+        zt = z if t == 1.0 else z0 + t * (z - z0)
+        zeta = _newton(p, zt, r)
+        if _nearest_root(p, zt, zeta, r):
+            s, r, h = t, zeta, min(2.0 * h, 1.0 - t)
+        elif h > _STEP_FLOOR:
+            h *= 0.5
         else:
-            steps = 40 * 2**attempts
-            # geometric approach of t -> 1 keeps steps dense near the endpoint
-            ts = [1.0 + (t0 - 1.0) * 2.0 ** (-k * 12.0 / steps) for k in range(steps)]
-            ts.append(1.0)
-        r = 1.0 / (ts[0] * z)
-        ok = True
-        for t in ts:
-            r = _track_root(p, t * z, r)
-            if not (math.isfinite(r.real) and math.isfinite(r.imag)):
-                ok = False
-                break
-        if ok and abs(_fixed_point_residual(p, z, r)) < _RESIDUAL_TOL:
-            return r
-    raise NumericalError(f"root tracking failed at p={p}, z={z}")
+            raise NumericalError(f"root tracking stalled at p={p}, z={z}")
+    return r
 
 
 def _nearest_root(p: int, z: complex, zeta: complex, r: complex) -> bool:
@@ -148,30 +146,46 @@ def _nearest_root(p: int, z: complex, zeta: complex, r: complex) -> bool:
     return 4.0 * gamma * abs(zeta - r) < 1.0
 
 
-def _stieltjes_path(p: int, zs: np.ndarray) -> np.ndarray:
-    """The Stieltjes transform at each point of the 1-d complex array zs,
-    continued from point to point; the first point, and every point whose
-    continued root is not certified, calls ``stieltjes``."""
+def _stieltjes_path(p: int, zs: list[complex]) -> list[complex]:
+    """The Stieltjes transform at each point of zs, continued from point to
+    point; the first point, and every point whose continued root is not
+    certified, calls ``stieltjes``."""
     if p < 2:
         raise ContractViolation("p must be at least 2")
-    points = zs.tolist()
-    for z in points:
+    for z in zs:
         _refuse_support(p, z)
-    out = np.empty(len(points), dtype=complex)
+    out = []
     r = None
-    for i, z in enumerate(points):
+    for z in zs:
         if r is not None:
-            zeta = _polish(p, z, r)
+            zeta = _newton(p, z, r)
             if _nearest_root(p, z, zeta, r):
-                out[i] = r = zeta
+                out.append(zeta)
+                r = zeta
                 continue
-        out[i] = r = stieltjes(p, z)
+        r = stieltjes(p, z)
+        out.append(r)
     return out
 
 
+def _pointwise(y, values):
+    """values, a function from a list of floats to a list of floats, at y:
+    a scalar gives a float, a list a list, an array an ndarray of its shape.
+    numpy is imported for an array only, whose caller has loaded it."""
+    if isinstance(y, list):
+        return values([float(v) for v in y])
+    if isinstance(y, numbers.Real):
+        return values([float(y)])[0]
+    import numpy as np
+
+    ys = np.asarray(y, dtype=float)
+    out = values(ys.ravel().tolist())
+    return np.array(out, dtype=float).reshape(ys.shape) if ys.ndim else out[0]
+
+
 def density(p: int, y):
-    """Density of the limit law at y (a scalar or an array); zero outside
-    the support.
+    """Density of the limit law at y (a scalar, a list or an array); zero
+    outside the support.
 
     Closed forms at p = 2 (semicircle) and p = 3 (cube-root profile, with an
     integrable |y|^{-1/3} singularity at the origin); Stieltjes inversion for
@@ -179,14 +193,21 @@ def density(p: int, y):
     """
     if p < 2:
         raise ContractViolation("p must be at least 2")
-    ys = np.asarray(y, dtype=float)
-    out = np.zeros(ys.shape)
-    inside = np.abs(ys) < support_radius(p)
+    return _pointwise(y, lambda ys: _densities(p, ys))
+
+
+def _densities(p: int, ys: list[float]) -> list[float]:
+    omega = support_radius(p)
+    inside = [i for i, v in enumerate(ys) if abs(v) < omega]
+    points = [ys[i] for i in inside]
     if p >= 4:
-        out[inside] = inversion_density(p, ys[inside])
+        vals = _inversion(p, points)
     else:
-        out[inside] = [_closed_form(p, v) for v in ys[inside].tolist()]
-    return out if np.ndim(y) else float(out)
+        vals = [_closed_form(p, v) for v in points]
+    out = [0.0] * len(ys)
+    for i, v in zip(inside, vals):
+        out[i] = v
+    return out
 
 
 def _closed_form(p: int, y: float) -> float:
@@ -201,13 +222,17 @@ def _closed_form(p: int, y: float) -> float:
 
 def inversion_density(p: int, y):
     """Density by Stieltjes inversion: -Im R(y + i eta) / pi with one
-    Richardson step in eta to cancel the O(eta) bias.  y, a scalar or an
-    array, is evaluated as one continuation path per eta."""
-    ys = np.asarray(y, dtype=float)
-    m1 = -_stieltjes_path(p, ys.ravel() + 1j * _INVERSION_ETA).imag / math.pi
-    m2 = -_stieltjes_path(p, ys.ravel() + 2j * _INVERSION_ETA).imag / math.pi
-    out = np.maximum(0.0, 2.0 * m1 - m2).reshape(ys.shape)
-    return out if np.ndim(y) else float(out)
+    Richardson step in eta to cancel the O(eta) bias.  y, a scalar, a list
+    or an array, is evaluated as one continuation path per eta."""
+    return _pointwise(y, lambda ys: _inversion(p, ys))
+
+
+def _inversion(p: int, ys: list[float]) -> list[float]:
+    m1, m2 = (
+        [-r.imag / math.pi for r in _stieltjes_path(p, [complex(v, eta) for v in ys])]
+        for eta in (_INVERSION_ETA, 2.0 * _INVERSION_ETA)
+    )
+    return [max(0.0, 2.0 * a - b) for a, b in zip(m1, m2)]
 
 
 class LimitLaw:
@@ -241,8 +266,9 @@ class LimitLaw:
         return Fraction(moment(self.p, n)) / Fraction(self.dilation) ** n
 
     def density(self, y):
-        """Density at y, a scalar or an array."""
-        return self.dilation * density(self.p, y * self.dilation)
+        """Density at y, a scalar, a list or an array."""
+        d = self.dilation
+        return _pointwise(y, lambda ys: [d * v for v in density(self.p, [u * d for u in ys])])
 
     def stieltjes(self, z: complex) -> complex:
         return self.dilation * stieltjes(self.p, complex(z) * self.dilation)

@@ -4,7 +4,8 @@ the injective-trace and exhaustive-sum references for the partition oracle,
 the sliced GEMM order for the tetrahedral trace invariant, numpy's own
 ``np.einsum`` along a contraction plan's path, the index table and the
 dense-position ranks by sorting multi-indices, the alternative
-Fuss-Catalan closed form, quadrature moments of the limit law, the exact
+Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
+``np.roots`` homotopy, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
 relabelling, and small combinatorial helpers."""
 
@@ -19,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 
 from melonic.errors import ContractViolation, NumericalError, ResourceLimitError
-from melonic.limitlaw import density, support_radius
+from melonic.limitlaw import _refuse_support, density, support_radius
 from melonic.maps import (
     CombinatorialMap,
     EdgePartition,
@@ -247,6 +248,60 @@ def expected_trace_exhaustive(
             term *= mom
         total += term
     return _scale_exact(total, b.n, p, N)
+
+
+def _polish_to_residual(p: int, z: complex, r: complex) -> complex:
+    for _ in range(60):
+        f = z ** (p - 2) * r**p - z * r + 1
+        if abs(f) < 1e-15 * max(1.0, abs(z * r)):
+            break
+        fp = p * z ** (p - 2) * r ** (p - 1) - z
+        if fp == 0:
+            break
+        step = f / fp
+        r -= step
+        if abs(step) < 1e-16 * max(1.0, abs(r)):
+            break
+    return r
+
+
+def _track_root(p: int, z: complex, r: complex) -> complex:
+    """Root of the degree-p fixed-point polynomial nearest to r, polished."""
+    coeffs = [z ** (p - 2)] + [0] * (p - 2) + [-z, 1]
+    roots = np.roots(coeffs)
+    r = complex(roots[np.argmin(np.abs(roots - r))])
+    return _polish_to_residual(p, z, r)
+
+
+def stieltjes_by_roots(p: int, z: complex) -> complex:
+    """The Stieltjes transform of the limit law at z by the fixed-step
+    homotopy over all roots: along the ray from far outside the support to
+    z, ``np.roots`` gives every root of z^{p-2} R^p - z R + 1 at each step
+    and the one nearest the previous step's root is kept and Newton-polished
+    to residual tolerance; 40, 80, 160, then 320 steps are tried."""
+    if p < 2:
+        raise ContractViolation("p must be at least 2")
+    z = complex(z)
+    _refuse_support(p, z)
+    t0 = max(1.0, 4.0 * support_radius(p) / abs(z))
+    for attempts in range(4):
+        if t0 == 1.0:
+            ts = [1.0]
+        else:
+            steps = 40 * 2**attempts
+            # geometric approach of t -> 1 keeps steps dense near the endpoint
+            ts = [1.0 + (t0 - 1.0) * 2.0 ** (-k * 12.0 / steps) for k in range(steps)]
+            ts.append(1.0)
+        r = 1.0 / (ts[0] * z)
+        ok = True
+        for t in ts:
+            r = _track_root(p, t * z, r)
+            if not (math.isfinite(r.real) and math.isfinite(r.imag)):
+                ok = False
+                break
+        if ok and abs(z ** (p - 2) * r**p - z * r + 1) < 1e-12:
+            return r
+    raise NumericalError(f"root tracking failed at p={p}, z={z}")
 
 
 def moment_by_quadrature(p: int, n: int) -> float:

@@ -169,6 +169,20 @@ class TestLaw:
         ys = [float(r["y"]) for r in rows]
         assert ys[0] == pytest.approx(-(2**0.5))
 
+    def test_grid_is_linspace_bit_for_bit(self):
+        import numpy as np
+
+        from melonic import limitlaw
+
+        for p in range(2, 9):
+            for k in (0, 1, 2):
+                if k > p - 2:
+                    continue
+                law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
+                for points in (1, 2, 3, 9, 11, 33, 101, 201):
+                    ys = cli._grid(*law.support(), points)
+                    assert ys == np.linspace(*law.support(), points).tolist()
+
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_empty_grid_is_refused(self, capsys, grid):
         code = main(["law", "--p", "4", "--grid", grid])
@@ -478,6 +492,7 @@ class TestImport:
 
     def test_import_loads_no_numpy(self):
         assert run_child(f"import sys, melonic, melonic.cli; {NUMPY_LOADED}") == "False\n"
+        assert run_child(f"import sys, melonic.limitlaw; {NUMPY_LOADED}") == "False\n"
 
     @pytest.mark.parametrize(
         "argv, loads",
@@ -487,6 +502,9 @@ class TestImport:
             (["enumerate", "--p", "3", "--n", "4"], False),
             (["moments", "--p", "3", "--n", "4", "--N", "8,16", "--dist", "gaussian-gote"], False),
             (["mc", "--p", "3", "--n", "2", "--N", "4", "--samples", "2"], True),
+            (["law", "--p", "3"], False),
+            (["law", "--p", "4"], False),
+            (["law", "--p", "5", "--k", "1", "--format", "json"], False),
         ],
     )
     def test_only_array_subcommands_load_numpy(self, argv, loads):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from melonic import cli, limitlaw
-from melonic.errors import ContractViolation, DomainError
+from melonic.errors import ContractViolation, DomainError, NumericalError
 from melonic.limitlaw import (
     ContractedLaw,
     LimitLaw,
@@ -19,7 +19,7 @@ from melonic.limitlaw import (
     support_radius,
 )
 
-from conftest import moment_by_quadrature
+from conftest import moment_by_quadrature, stieltjes_by_roots
 
 
 class TestMoments:
@@ -44,13 +44,47 @@ class TestStieltjes:
             r = stieltjes(p, 50.0)
             assert abs(50.0 * r - 1) < 1e-3
 
+    @staticmethod
+    def _residual_grid(p):
+        w = support_radius(p)
+        return [w + 0.2, -w - 0.2, 3 * w, complex(0.3, 0.7), complex(-w, 0.05)]
+
     def test_residual_on_grid(self):
         for p in (2, 3, 4, 6):
-            w = support_radius(p)
-            pts = [w + 0.2, -w - 0.2, 3 * w, complex(0.3, 0.7), complex(-w, 0.05)]
-            for z in pts:
+            for z in self._residual_grid(p):
                 r = stieltjes(p, z)
                 assert abs(z ** (p - 2) * r**p - z * r + 1) < 1e-12
+
+    def test_matches_roots_homotopy(self):
+        for p in range(2, 9):
+            for z in self._residual_grid(p):
+                ref = stieltjes_by_roots(p, z)
+                assert abs(stieltjes(p, z) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_matches_roots_homotopy_on_law_grid(self, p):
+        # every point of the default `law` grid at both offsets of the
+        # inversion, the support endpoints included
+        for y in cli._grid(-support_radius(p), support_radius(p), 101):
+            for eta in (1e-4, 2e-4):
+                ref = stieltjes_by_roots(p, complex(y, eta))
+                assert abs(stieltjes(p, complex(y, eta)) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("accepted", [0, 1])
+    def test_refused_steps_end_in_numerical_error(self, monkeypatch, accepted):
+        # with nothing certified the start is refused; with the start alone
+        # certified every step is halved down to the floor; either way the
+        # call raises instead of looping
+        calls = []
+
+        def refuse(p, z, zeta, r):
+            calls.append(z)
+            return len(calls) <= accepted
+
+        monkeypatch.setattr(limitlaw, "_nearest_root", refuse)
+        with pytest.raises(NumericalError):
+            stieltjes(4, complex(0.3, 1e-4))
+        assert len(calls) <= 2 + 40
 
     def test_series_coefficients(self):
         z = 10.0
@@ -103,6 +137,17 @@ class TestDensity:
             epsabs=1e-7, epsrel=1e-7, limit=200,
         )[0]
         assert val == pytest.approx(1.0, abs=1e-4)
+
+    def test_ill_conditioned_endpoints(self):
+        # At y = +-omega_c two roots nearly meet and the Richardson step
+        # cancels.  The reference is the same Richardson quantity,
+        # 2 m(1e-4) - m(2e-4) with m(eta) = -Im R(y + i eta) / pi, at these
+        # float points and offsets, computed offline with 60-digit mpmath
+        # (root tracking by mpmath.polyroots along the ray, nearest root).
+        ref = 1.8784907834774507e-4
+        w = support_radius(4)
+        for y in (w, -w):
+            assert abs(inversion_density(4, y) - ref) <= 1e-11 * ref
 
     def test_inversion_matches_closed_form_p2(self):
         grid = np.linspace(-1.9, 1.9, 101)
@@ -167,15 +212,22 @@ class TestContinuation:
         assert type(stieltjes(4, complex(0.3, 1e-4))) is complex
         assert type(inversion_density(4, 0.3)) is float
         assert type(inversion_density(4, np.float64(0.3))) is float
+        assert type(inversion_density(4, np.array(0.3))) is float
         assert type(density(4, 0.3)) is float
         assert type(density(3, 0.3)) is float
 
+    def test_lists_give_lists(self):
+        ys = [-0.7, 0.3, 2.5]
+        assert inversion_density(4, ys) == inversion_density(4, np.array(ys)).tolist()
+        assert density(3, ys) == density(3, np.array(ys)).tolist()
+        law = ContractedLaw(5, 1)
+        assert law.density(ys) == law.density(np.array(ys)).tolist()
+
     def test_point_on_support_is_refused(self):
-        zs = np.array([complex(0.1, 1e-4), complex(0.5, 0.0)])
         with pytest.raises(DomainError):
-            limitlaw._stieltjes_path(4, zs)
+            limitlaw._stieltjes_path(4, [complex(0.1, 1e-4), complex(0.5, 0.0)])
         with pytest.raises(DomainError):
-            limitlaw._stieltjes_path(4, np.array([0j]))
+            limitlaw._stieltjes_path(4, [0j])
 
 
 class TestQuadratureMoments:
