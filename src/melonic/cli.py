@@ -3,7 +3,9 @@
 Subcommands: enumerate | classify | count | moments | mc | var | law |
 contract | heavytail | resolvent-check.  Tabular output is CSV (default) or
 JSON via --format; floats are serialised with 17 significant digits so runs
-are bit-reproducible.  Settings come from one ExperimentConfig: its
+are bit-reproducible at a fixed BLAS thread count (the matrix products of
+the contractions may round differently with another OPENBLAS_NUM_THREADS,
+which shows at N >= 32).  Settings come from one ExperimentConfig: its
 defaults, then a JSON config file (--config), then explicit flags.  Each
 subcommand accepts only the flags it reads.  The package's own errors end
 the run with a one-line message and the exit codes listed in _EXIT_CODES.
@@ -143,8 +145,12 @@ def _config(args) -> ExperimentConfig:
     """Dataclass defaults < config file < explicit flags."""
     cfg = ExperimentConfig()
     if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:  # a missing file, or not JSON
+            raise ContractViolation(f"cannot read config {args.config}: {exc}") from None
+        cfg = ExperimentConfig.from_json(obj)
     flags = {
         f.name: getattr(args, f.name)
         for f in fields(cfg)
@@ -181,25 +187,14 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_count(args, cfg):
-    counting._check_count_table(cfg.p, cfg.n_max)
-    rows = []
-    for n in range(cfg.n_max + 1):
-        rows.append(
-            (
-                cfg.p,
-                n,
-                counting.fuss_catalan(cfg.p, n),
-                counting.count_dyck(cfg.p, n),
-                counting.count_noncrossing_div(cfg.p, n),
-                counting.count_melonic_maps(cfg.p, n) if cfg.p >= 3 else "",
-            )
-        )
-    _emit_table(
-        ["p", "n", "fuss_catalan", "dyck", "noncrossing", "melonic_maps"],
-        rows,
-        cfg.out,
-        cfg.fmt,
-    )
+    p, ns = cfg.p, range(cfg.n_max + 1)
+    counting._check_count_table(p, cfg.n_max)
+    fuss = [counting.fuss_catalan(p, n) for n in ns]  # refuses p < 2 on any row
+    dyck, noncrossing = counting.count_columns(p, cfg.n_max)
+    melonic = [counting.count_melonic_maps(p, n) if p >= 3 else "" for n in ns]
+    rows = [(p, n, fuss[n], dyck[n], noncrossing[n], melonic[n]) for n in ns]
+    header = ["p", "n", "fuss_catalan", "dyck", "noncrossing", "melonic_maps"]
+    _emit_table(header, rows, cfg.out, cfg.fmt)
 
 
 def _cmd_moments(args, cfg):

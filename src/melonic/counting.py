@@ -14,9 +14,9 @@ from typing import Iterator, Sequence
 
 from .errors import ContractViolation, InvalidPathError, ResourceLimitError
 
-# (height, step) pairs, each at most one big-integer addition, that the
-# excursion DPs of one count table may visit: about 40 ns each on a 2-core
-# x86-64 host, so p = 3 is admitted up to n = 95 (about 2 s)
+# (height, step) pairs, each at most one big-integer addition, that the two
+# excursion DPs of one count table may visit: about 60 ns each on a 2-core
+# x86-64 host, so p = 3 is admitted up to n = 288 (about 3 s)
 _COUNT_TABLE_GUARD = 5 * 10**7
 
 
@@ -65,12 +65,14 @@ class DyckPath:
         return len(self.steps) // self.p
 
 
-def _excursions(length: int, steps: Sequence[int]) -> int:
-    """Count the lattice paths of ``length`` steps, each taken from
-    ``steps``, from height 0 back to 0 that never go below 0, by a DP over
-    heights; a height the remaining steps cannot fall back from is dropped."""
+def _excursions(length: int, steps: Sequence[int]) -> list[int]:
+    """counts[k]: the lattice paths of k steps, each taken from ``steps``,
+    from height 0 back to 0 that never go below 0, for k = 0..length, by one
+    DP over heights.  A height the remaining steps cannot fall back from is
+    dropped, so it cannot fall back within fewer steps either."""
     fall = -min(steps)
     counts = [1]
+    at_zero = [1]
     for left in range(length - 1, -1, -1):
         nxt = [0] * (min(left * fall, len(counts) - 1 + max(steps)) + 1)
         for h, c in enumerate(counts):
@@ -79,23 +81,41 @@ def _excursions(length: int, steps: Sequence[int]) -> int:
                     if 0 <= h + s < len(nxt):
                         nxt[h + s] += c
         counts = nxt
-    return counts[0]
+        at_zero.append(counts[0])
+    return at_zero
+
+
+def _dyck_column(p: int, n_max: int) -> list[int]:
+    return _excursions(n_max * p, (1, 1 - p))[::p]
+
+
+def _noncrossing_column(p: int, n_max: int) -> list[int]:
+    # an up-step of n(p-1) or more cannot fall back within n(p-1) steps, so
+    # the step set of n_max serves every row
+    d = p - 1
+    return _excursions(n_max * d, (-1, *range(d - 1, n_max * d, d)))[::d]
+
+
+def count_columns(p: int, n_max: int) -> tuple[list[int], list[int]]:
+    """``count_dyck(p, n)`` and ``count_noncrossing_div(p, n)`` for
+    n = 0..n_max (none when n_max < 0), one excursion DP per column."""
+    if n_max < 0:
+        return [], []
+    if p < 2:
+        raise ContractViolation("need p >= 2")
+    return _dyck_column(p, n_max), _noncrossing_column(p, n_max)
 
 
 def _check_count_table(p: int, n_max: int) -> None:
-    """Refuse the table of rows n = 0..n_max before any row when its
+    """Refuse the table of rows n = 0..n_max before any row when its two
     excursion DPs would visit more (height, step) pairs than
     ``_COUNT_TABLE_GUARD``.  An ``_excursions`` of L steps from S step sizes,
     falling at most f a step, keeps at most (left + 1) f + 1 heights with
-    ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all: row n has
-    L = np, S = 2, f = p-1 in ``count_dyck`` and L = n(p-1), S = n+1, f = 1
-    in ``count_noncrossing_div``.  s_k sums n^k over the rows; s_3 = s_1^2."""
+    ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all."""
     if p < 2 or n_max < 1:
-        return  # the rows refuse p < 2 themselves
-    m, d = n_max, p - 1
-    s1, s2 = m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6
-    dyck = d * (p * p * s2 + p * s1) + 2 * p * s1
-    pairs = dyck + (d * d * (s1 * s1 + s2) + 3 * d * (s2 + s1)) // 2
+        return  # the columns refuse p < 2 themselves
+    dyck, noncrossing = (n_max * p, 2, p - 1), (n_max * (p - 1), n_max + 1, 1)  # (L, S, f)
+    pairs = sum(S * (f * L * (L + 1) // 2 + L) for L, S, f in (dyck, noncrossing))
     if pairs > _COUNT_TABLE_GUARD:
         raise ResourceLimitError(
             f"the count table to n={n_max} at p={p} takes about {pairs:.3g} "
@@ -107,7 +127,7 @@ def count_dyck(p: int, n: int) -> int:
     """Count the (p-1)-Dyck paths of length n*p, steps +1 and -(p-1)."""
     if p < 2 or n < 0:
         raise ContractViolation("need p >= 2 and n >= 0")
-    return _excursions(n * p, (1, 1 - p))
+    return _dyck_column(p, n)[-1]
 
 
 def enumerate_dyck_paths(p: int, n: int) -> Iterator[DyckPath]:
@@ -260,8 +280,7 @@ def count_noncrossing_div(p: int, n: int) -> int:
     not cross."""
     if p < 2 or n < 0:
         raise ContractViolation("need p >= 2 and n >= 0")
-    d = p - 1
-    return _excursions(n * d, (-1, *range(d - 1, n * d, d)))
+    return _noncrossing_column(p, n)[-1]
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:

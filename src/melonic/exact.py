@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import os
 import statistics
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitError
 from .hypergraph import is_melonic_graph
@@ -79,7 +81,10 @@ class EntryDistribution:
         """Parse e.g. ``"rademacher"`` or ``"symmetrized-pareto:3.5"``."""
         if ":" in text:
             kind, arg = text.split(":", 1)
-            return cls(kind, float(arg))
+            try:
+                return cls(kind, float(arg))
+            except ValueError:
+                raise ContractViolation(f"tail index {arg!r} is not a number") from None
         return cls(text)
 
     @property
@@ -466,9 +471,20 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        for name in ("p", "n_max", "samples", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ContractViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.N_grid, str) or not isinstance(self.N_grid, Iterable):
+            raise ContractViolation(f"N_grid must be a list of integers, got {self.N_grid!r}")
         self.N_grid = tuple(self.N_grid)
+        if not all(isinstance(N, numbers.Integral) for N in self.N_grid):
+            raise ContractViolation(f"N_grid must be a list of integers, got {self.N_grid!r}")
         if isinstance(self.dist, str):
             self.dist = EntryDistribution.from_string(self.dist)
+        if not isinstance(self.dist, EntryDistribution):
+            raise ContractViolation(f"dist must be a distribution name, got {self.dist!r}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ContractViolation(f"out must be a path, got {self.out!r}")
         if list(self.N_grid) != sorted(self.N_grid) or len(set(self.N_grid)) != len(self.N_grid):
             raise ContractViolation("N_grid must be strictly ascending")
         if not self.N_grid:
@@ -514,10 +530,10 @@ def melonic_limit_table(
     """Exact E[Tr_b(W_N)]/N for every rooted connected map with n vertices,
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
-    The exact values depend on the map's multigraph only, so the polynomial
-    in N of the law's exact route (``_exact_route``: Wick pairings for
-    gaussian-gote, edge partitions otherwise) is formed once per class and
-    evaluated on the grid.
+    The exact values and the melonic flag depend on the map's multigraph
+    only, so each class is peeled once, and the polynomial in N of the law's
+    exact route (``_exact_route``: Wick pairings for gaussian-gote, edge
+    partitions otherwise) is formed once per class and evaluated on the grid.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -533,30 +549,23 @@ def melonic_limit_table(
     polynomial, basis = _exact_route(p, n, dist)
     maps = rooted_connected(p, n)
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
-    rows = []
     logN = [math.log(N) for N in N_grid]
-    exact: dict = {}
+    per_class: dict = {}  # the row of each class's first map
+    rows = []
     for i, (b, key) in enumerate(zip(maps, _class_keys(p, n))):
-        melonic = is_melonic_graph(b)
-        alpha = alpha_melonic if melonic else Fraction(0)
-        if key not in exact:
+        code = canonical_code(b)
+        if key not in per_class:
+            melonic = is_melonic_graph(b)  # peeling reads the multigraph only
+            alpha = alpha_melonic if melonic else Fraction(0)
             coeffs = polynomial(b)
-            exact[key] = [_at(coeffs, basis, b, N) / N for N in N_grid]
-        values = exact[key]
-        devs = [abs(v - alpha) for v in values]
-        if len(set(N_grid)) > 1 and all(d > 0 for d in devs):
-            slope = statistics.linear_regression(logN, [math.log(d) for d in devs]).slope
-        else:
+            values = [_at(coeffs, basis, b, N) / N for N in N_grid]
+            devs = [abs(v - alpha) for v in values]
             slope = None
-        rows.append(
-            MelonicLimitRow(
-                index=i,
-                code=canonical_code(b),
-                melonic=melonic,
-                alpha=float(alpha),
-                values=tuple(float(v) for v in values),
-                deviations=tuple(float(d) for d in devs),
-                slope=slope,
+            if len(set(N_grid)) > 1 and all(d > 0 for d in devs):
+                slope = statistics.linear_regression(logN, [math.log(d) for d in devs]).slope
+            per_class[key] = MelonicLimitRow(
+                i, code, melonic, float(alpha),
+                tuple(map(float, values)), tuple(map(float, devs)), slope,
             )
-        )
+        rows.append(replace(per_class[key], index=i, code=code))
     return rows

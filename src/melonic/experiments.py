@@ -45,10 +45,11 @@ _SPECTRUM_MARGIN = 0.1  # resolvent_crosscheck refuses |z| this close to the spe
 def _check_enumeration_feasible(
     p: int, ns: Sequence[int], N_grid: Sequence[int], order: int
 ) -> None:
-    """Refuse a Monte Carlo run before its first sample: by the map counts,
-    the storage of the sampled order-``order`` tensor at every N, and the
-    route of every class of every n in ns at every N, largest n first."""
-    for n in range(1, max(ns, default=0) + 1):  # at odd p, odd n has no map: (3, 9) needs n = 8
+    """Refuse a Monte Carlo run before its first sample: by the map count of
+    every n in ns, the storage of the sampled order-``order`` tensor at every
+    N, and the route of every class of every n in ns at every N, largest n
+    first."""
+    for n in ns:
         _check_map_budget(p, n)
     for N in N_grid:
         _check_storage(order, N)

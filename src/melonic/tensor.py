@@ -25,6 +25,7 @@ import json
 import math
 import string
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -118,15 +119,20 @@ class _IndexTable:
         return self._flat_sorted
 
 
+def _storage_bytes(p: int, N: int) -> int:
+    """Bytes of an order-p, dimension-N tensor's index table and the dense
+    expansion every invariant makes: building the table holds at most 2p + 4
+    int64 columns of C(N+p-1, p) rows, and the dense expansion is N^p float64
+    entries plus the N^p int64 ``dense_map``."""
+    return 8 * (2 * p + 4) * math.comb(N + p - 1, p) + 16 * N**p
+
+
 def _check_storage(p: int, N: int) -> None:
     """Refuse an order-p, dimension-N tensor before its index table is built
-    when the table and the dense expansion every invariant makes together
-    exceed ``_MAX_INTERMEDIATE_BYTES``: building the table holds at most
-    2p + 4 int64 columns of C(N+p-1, p) rows, and the dense expansion is N^p
-    float64 entries plus the N^p int64 ``dense_map``."""
+    when ``_storage_bytes`` exceeds ``_MAX_INTERMEDIATE_BYTES``."""
     if p > 20:  # the orbit sizes p! / prod(c!) are int64
         raise ResourceLimitError(f"order {p} exceeds the index table's limit of order 20")
-    need = 8 * (2 * p + 4) * math.comb(N + p - 1, p) + 16 * N**p
+    need = _storage_bytes(p, N)
     if need > _MAX_INTERMEDIATE_BYTES:
         raise ResourceLimitError(
             f"an order-{p} tensor at N={N} needs {need:.3g} bytes for its index "
@@ -134,12 +140,27 @@ def _check_storage(p: int, N: int) -> None:
         )
 
 
-@lru_cache(maxsize=64)
+# index tables by (p, N), least recently used first
+_TABLES: OrderedDict[tuple[int, int], _IndexTable] = OrderedDict()
+
+
 def _table(p: int, N: int) -> _IndexTable:
+    """The shared index table of shape (p, N).  Before building a new one,
+    the least recently used tables are dropped while the retained ones and
+    the new one would exceed ``_MAX_INTERMEDIATE_BYTES`` by
+    ``_storage_bytes``: the cache stays within the limit that
+    ``_check_storage`` sets for a single tensor."""
+    if (p, N) in _TABLES:
+        _TABLES.move_to_end((p, N))
+        return _TABLES[p, N]
     if p < 0 or N < 1:
         raise ContractViolation("need p >= 0 and N >= 1")
     _check_storage(p, N)
-    return _IndexTable(p, N)
+    need = _storage_bytes(p, N)
+    while _TABLES and need + sum(_storage_bytes(*k) for k in _TABLES) > _MAX_INTERMEDIATE_BYTES:
+        _TABLES.popitem(last=False)
+    _TABLES[p, N] = table = _IndexTable(p, N)
+    return table
 
 
 class SymTensor:

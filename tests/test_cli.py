@@ -25,6 +25,14 @@ from melonic.errors import (
 from melonic.maps import enumerate_rooted_connected
 
 
+def child_env(**extra):
+    """This environment plus ``extra``, with this checkout's package first on
+    the path of a child interpreter."""
+    src = str(Path(melonic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def run_capped(*argv):
     """Run the CLI in a child process whose address space is capped at 2 GiB,
     so a guard that admits too much fails the run, not the host."""
@@ -32,16 +40,28 @@ def run_capped(*argv):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    src = str(Path(melonic.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "melonic.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
         preexec_fn=cap,
     )
+
+
+def run_cli(argv, **env):
+    """stdout of the CLI in a child process, with ``env`` added to its
+    environment."""
+    done = subprocess.run(
+        [sys.executable, "-m", "melonic.cli", *argv],
+        env=child_env(**env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def run(tmp_path, *argv):
@@ -89,6 +109,12 @@ class TestCount:
         _, rows = csv_rows(run(tmp_path, "count", "--p", "3", "--n", "12"))
         assert rows[-1]["noncrossing"] == str(fuss_catalan(3, 12)) == "50067108"
 
+    def test_n200_is_admitted(self, tmp_path):
+        _, rows = csv_rows(run(tmp_path, "count", "--p", "3", "--n", "200"))
+        assert len(rows) == 201
+        for r in rows:
+            assert r["dyck"] == r["noncrossing"] == str(fuss_catalan(3, int(r["n"])))
+
 
 class TestMomentsExact:
     def test_exact_rows(self, tmp_path):
@@ -124,6 +150,12 @@ class TestMc:
         header, rows = csv_rows(a)
         mean = rows[1]["mean"]
         assert len(mean.replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+    def test_bytes_do_not_depend_on_blas_threads_at_golden_size(self):
+        # at N >= 32 they can: the thread count is part of the run's setting
+        argv = ("mc", "--p", "3", "--n", "6", "--N", "8,16", "--samples", "4", "--seed", "7")
+        outs = [run_cli(argv, OPENBLAS_NUM_THREADS=str(t)) for t in (1, 2)]
+        assert outs[0] == outs[1] and outs[0].startswith("N,n,mean")
 
     def test_json_format(self, tmp_path):
         text = run(
@@ -308,6 +340,28 @@ class TestErrors:
         code, err = self.fail(capsys, "--config", str(cfg), "count")
         assert code == 3 and "ContractViolation: unknown config keys: sede" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config"),
+            ("{not json", "cannot read config"),
+            ('{"N_grid": 5}', "N_grid must be a list of integers, got 5"),
+            ('{"samples": "x"}', "samples must be an integer, got 'x'"),
+        ],
+    )
+    def test_malformed_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, err = self.fail(capsys, "--config", str(cfg), "mc", "--samples", "2")
+        assert code == 3 and f"ContractViolation: {message}" in err
+
+    def test_malformed_tail_index(self, capsys):
+        code, err = self.fail(
+            capsys, "mc", "--N", "8", "--samples", "2", "--dist", "symmetrized-pareto:abc"
+        )
+        assert code == 3 and "tail index 'abc' is not a number" in err
+
     def test_config_key_k_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 1}))
@@ -412,8 +466,8 @@ class TestErrors:
             raise AssertionError("a row counted before the guard")
 
         monkeypatch.setattr(counting, "_excursions", no_row)
-        code, err = self.fail(capsys, "count", "--p", "3", "--n", "200")
-        assert code == 5 and "to n=200 at p=3 takes about 8.7e+08 big-integer additions" in err
+        code, err = self.fail(capsys, "count", "--p", "3", "--n", "300")
+        assert code == 5 and "to n=300 at p=3 takes about 5.61e+07 big-integer additions" in err
 
     def test_contraction_cost_guard(self, monkeypatch, capsys):
         # every class is priced before the first sample; K4 is refused first
@@ -445,11 +499,9 @@ class TestErrors:
 def run_child(code):
     """stdout of ``python -c code`` in a fresh interpreter that imports this
     checkout's package."""
-    src = str(Path(melonic.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=60,

@@ -206,9 +206,41 @@ class TestRootedMapCounts:
             count_rooted_maps(3, 0)
 
 
+class TestCountColumns:
+    """Both columns of the count table come from one excursion DP each."""
+
+    @pytest.mark.parametrize("p", range(2, 7))
+    def test_rows_are_fuss_catalan(self, p):
+        dyck, noncrossing = counting.count_columns(p, 12)
+        assert dyck == noncrossing == [fuss_catalan(p, n) for n in range(13)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_prefix_is_its_own_table(self, p):
+        # a column to n_max holds the rows of every shorter table
+        full = counting.count_columns(p, 9)
+        for m in range(10):
+            assert counting.count_columns(p, m) == (full[0][: m + 1], full[1][: m + 1])
+
+    def test_shorter_lengths_are_exact(self):
+        # Motzkin-like steps: brute force over every step sequence
+        steps = (-1, 0, 2)
+        got = counting._excursions(7, steps)
+        for k in range(8):
+            walks = 0
+            for seq in itertools.product(steps, repeat=k):
+                heights = list(itertools.accumulate(seq))
+                walks += all(h >= 0 for h in heights) and (not heights or heights[-1] == 0)
+            assert got[k] == walks
+
+    def test_no_rows_below_zero(self):
+        assert counting.count_columns(3, -1) == ([], [])
+        with pytest.raises(ContractViolation):
+            counting.count_columns(1, 2)
+
+
 class TestCountTableGuard:
-    """The count table is priced by the (height, step) pairs its excursion
-    DPs visit, summed in closed form over the rows."""
+    """The count table is priced by the (height, step) pairs its two
+    excursion DPs visit."""
 
     @staticmethod
     def dp_pairs(length, steps):
@@ -221,13 +253,15 @@ class TestCountTableGuard:
 
     @pytest.mark.parametrize("p, m", [(2, 7), (3, 12), (4, 9), (5, 4), (8, 3)])
     def test_closed_form_is_the_row_sum_and_bounds_the_dp(self, monkeypatch, p, m):
+        # each DP row, ``left`` steps to go, keeps at most (left + 1) * fall + 1
+        # heights; the guard's closed form is the sum of these rows over both
+        # passes, and the pairs the DPs visit stay below it
+        d = p - 1
         bound = visited = 0
-        for n in range(1, m + 1):
-            d = p - 1
-            for length, steps in [(n * p, (1, -d)), (n * d, (-1, *range(d - 1, n * d, d)))]:
-                fall = -min(steps)
-                bound += len(steps) * (fall * length * (length + 1) // 2 + length)
-                visited += self.dp_pairs(length, steps)
+        for length, steps in [(m * p, (1, -d)), (m * d, (-1, *range(d - 1, m * d, d)))]:
+            fall = -min(steps)
+            bound += sum(len(steps) * ((left + 1) * fall + 1) for left in range(length))
+            visited += self.dp_pairs(length, steps)
         assert visited <= bound
         monkeypatch.setattr(counting, "_COUNT_TABLE_GUARD", bound)
         counting._check_count_table(p, m)
@@ -235,10 +269,10 @@ class TestCountTableGuard:
         with pytest.raises(ResourceLimitError, match=re.escape(f"about {bound:.3g} big-integer")):
             counting._check_count_table(p, m)
 
-    def test_admits_n12_and_refuses_n200_at_p3(self):
-        counting._check_count_table(3, 12)
-        with pytest.raises(ResourceLimitError, match=r"8\.7e\+08 big-integer additions"):
-            counting._check_count_table(3, 200)
+    def test_admits_n200_and_refuses_n300_at_p3(self):
+        counting._check_count_table(3, 200)
+        with pytest.raises(ResourceLimitError, match=r"5\.61e\+07 big-integer additions"):
+            counting._check_count_table(3, 300)
 
 
 class TestGeneratingSeries:

@@ -7,6 +7,7 @@ import pytest
 from melonic.counting import count_melonic_maps, count_rooted_maps, fuss_catalan
 from melonic import exact, experiments, maps, tensor
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
+from melonic.hypergraph import is_melonic_graph
 from melonic.maps import rooted_connected
 from melonic.exact import (
     GAUSSIAN_GOTE,
@@ -180,6 +181,20 @@ class TestMelonicLimitTable:
         two = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
         assert [r.values for r in rows] == [r.values[:1] for r in two]
 
+    @pytest.mark.parametrize("p, n, classes", [(3, 4, 5), (3, 6, 17), (4, 4, 10)])
+    def test_one_peel_per_class(self, monkeypatch, p, n, classes):
+        # the class flag is the per-map detector's answer for every map
+        peels = []
+
+        def counted(b):
+            peels.append(b)
+            return is_melonic_graph(b)
+
+        monkeypatch.setattr(exact, "is_melonic_graph", counted)
+        rows = melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
+        assert len(peels) == classes == len(exact._trace_classes(p, n))
+        assert [r.melonic for r in rows] == [is_melonic_graph(b) for b in rooted_connected(p, n)]
+
     def test_one_partition_pass_per_class(self, monkeypatch):
         # the polynomial in N serves the whole grid: 5 classes x Bell(6) on
         # the partition route, and none on the Gaussian pairing route
@@ -312,6 +327,12 @@ class TestUpFrontPricing:
         monkeypatch.setattr(tensor, "_plan", no_plan)
         with pytest.raises(ResourceLimitError, match="53 edges exceeds the contraction guard"):
             mc_moments(ExperimentConfig(p=2, n_max=53, N_grid=(4,), samples=2))
+
+    def test_map_budget_is_read_at_the_given_degrees_only(self, monkeypatch):
+        budgets = []
+        monkeypatch.setattr(experiments, "_check_map_budget", lambda p, n: budgets.append(n))
+        experiments._check_enumeration_feasible(4, [3], (8,), 4)
+        assert budgets == [3]
 
     def test_check_builds_no_table(self, monkeypatch):
         def no_table(p, N):

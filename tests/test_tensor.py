@@ -2,7 +2,7 @@ import itertools
 import math
 import re
 import types
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -680,6 +680,23 @@ class TestContractionGuard:
             with pytest.raises(ResourceLimitError, match=message):
                 sample_gote(p, N, seed=0)
         tensor._check_storage(3, 331)
+
+    def test_table_cache_evicts_to_the_storage_limit(self, monkeypatch):
+        # room for either table alone but not for both: the older one goes
+        monkeypatch.setattr(tensor, "_TABLES", OrderedDict())
+        small, large = tensor._storage_bytes(3, 8), tensor._storage_bytes(3, 9)
+        monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", small + large - 1)
+        first = tensor._table(3, 8)
+        assert tensor._table(3, 8) is first
+        tensor._table(3, 9)
+        assert list(tensor._TABLES) == [(3, 9)]
+        assert tensor._table(3, 8) is not first
+
+    def test_table_cache_keeps_the_tetrahedron_tables(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_TABLES", OrderedDict())
+        tables = [tensor._table(3, N) for N in (32, 48, 64)]
+        assert [tensor._table(3, N) for N in (32, 48, 64)] == tables
+        assert list(tensor._TABLES) == [(3, 32), (3, 48), (3, 64)]
 
     def test_k4_refused_at_N256_before_densifying(self):
         # a stand-in tensor: the guard must not need its entries
