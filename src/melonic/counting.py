@@ -69,16 +69,21 @@ def _excursions(length: int, steps: Sequence[int]) -> list[int]:
     """counts[k]: the lattice paths of k steps, each taken from ``steps``,
     from height 0 back to 0 that never go below 0, for k = 0..length, by one
     DP over heights.  A height the remaining steps cannot fall back from is
-    dropped, so it cannot fall back within fewer steps either."""
-    fall = -min(steps)
+    dropped, so it cannot fall back within fewer steps either; the steps are
+    tried in ascending order up to the first that lands above the kept
+    heights."""
+    steps = sorted(steps)
+    fall = -steps[0]
     counts = [1]
     at_zero = [1]
     for left in range(length - 1, -1, -1):
-        nxt = [0] * (min(left * fall, len(counts) - 1 + max(steps)) + 1)
+        nxt = [0] * (min(left * fall, len(counts) - 1 + steps[-1]) + 1)
         for h, c in enumerate(counts):
             if c:
                 for s in steps:
-                    if 0 <= h + s < len(nxt):
+                    if h + s >= len(nxt):
+                        break
+                    if h + s >= 0:
                         nxt[h + s] += c
         counts = nxt
         at_zero.append(counts[0])
@@ -111,7 +116,10 @@ def _check_count_table(p: int, n_max: int) -> None:
     excursion DPs would visit more (height, step) pairs than
     ``_COUNT_TABLE_GUARD``.  An ``_excursions`` of L steps from S step sizes,
     falling at most f a step, keeps at most (left + 1) f + 1 heights with
-    ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all."""
+    ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all.  That is an
+    upper bound: the DP skips heights of count zero and stops at the first
+    step that lands above the kept heights, so at p = 3, n = 200 it visits
+    2.8e6 of the 1.69e7 pairs priced."""
     if p < 2 or n_max < 1:
         return  # the columns refuse p < 2 themselves
     dyck, noncrossing = (n_max * p, 2, p - 1), (n_max * (p - 1), n_max + 1, 1)  # (L, S, f)
@@ -137,24 +145,18 @@ def enumerate_dyck_paths(p: int, n: int) -> Iterator[DyckPath]:
     Closing from height h with r steps left takes exactly (h+r)/p more
     down-steps, which prunes both branches exactly.
     """
-    length = n * p
-    steps: list[int] = []
 
-    def rec(height: int, remaining: int):
+    def rec(steps: tuple[int, ...], height: int, remaining: int):
         if remaining == 0:
-            yield DyckPath(tuple(steps), p)
+            yield DyckPath(steps, p)
             return
         downs_needed = (height + remaining) // p
         if remaining - 1 >= downs_needed:
-            steps.append(1)
-            yield from rec(height + 1, remaining - 1)
-            steps.pop()
+            yield from rec(steps + (1,), height + 1, remaining - 1)
         if height >= p - 1:
-            steps.append(-(p - 1))
-            yield from rec(height - (p - 1), remaining - 1)
-            steps.pop()
+            yield from rec(steps + (-(p - 1),), height - (p - 1), remaining - 1)
 
-    yield from rec(0, length)
+    yield from rec((), 0, n * p)
 
 
 class PlaneHypertree:

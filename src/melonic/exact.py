@@ -71,8 +71,8 @@ class EntryDistribution:
         if self.kind not in KINDS:
             raise ContractViolation(f"unknown entry distribution {self.kind!r}")
         if self.kind == "symmetrized-pareto":
-            if self.tail_index is None or self.tail_index <= 2:
-                raise ContractViolation("symmetrized-pareto needs tail_index > 2")
+            if self.tail_index is None or not 2 < self.tail_index < math.inf:
+                raise ContractViolation("symmetrized-pareto needs a finite tail_index > 2")
         elif self.tail_index is not None:
             raise ContractViolation("tail_index only applies to symmetrized-pareto")
 
@@ -82,9 +82,10 @@ class EntryDistribution:
         if ":" in text:
             kind, arg = text.split(":", 1)
             try:
-                return cls(kind, float(arg))
+                tail_index = float(arg)
             except ValueError:
                 raise ContractViolation(f"tail index {arg!r} is not a number") from None
+            return cls(kind, tail_index)
         return cls(text)
 
     @property
@@ -493,6 +494,8 @@ class ExperimentConfig:
             raise ContractViolation("dimensions must be positive")
         if self.samples < 2:
             raise ContractViolation("need at least 2 samples to estimate a variance")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be nonnegative, got {self.seed}")
         if self.fmt not in ("csv", "json"):
             raise ContractViolation("format must be csv or json")
 

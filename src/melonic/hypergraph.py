@@ -138,46 +138,37 @@ def hypergraph_of(b: Hypermap) -> Hypergraph:
     return Hypergraph(len(cycles(b.sigma)), edges)
 
 
+def _incidence(h: Hypergraph) -> tuple[bool, int]:
+    """One union-find pass over the incidence bipartite multigraph (a node
+    per vertex and per distinct hyperedge, l_v(e) links between them): has
+    it a cycle, that is more links than merges, and how many components."""
+    nv = h.num_vertices
+    nodes = nv + len(h.edges)
+    ds = DisjointSets(nodes)
+    merges = sum(ds.union(v, nv + i) for i, e in enumerate(h.edges) for v in e)
+    return sum(map(len, h.edges)) > merges, nodes - merges
+
+
 def has_cycle(h: Hypergraph) -> bool:
     """Cycle in the incidence bipartite multigraph.
 
     A vertex of inner multiplicity >= 2 inside a hyperedge is a length-1
-    cycle; otherwise parallel structure is detected by union-find.  Outer
-    multiplicities m(e) are ignored (they belong to the reduced view).
+    cycle.  Outer multiplicities m(e) are ignored (they belong to the
+    reduced view).
     """
-    nv = h.num_vertices
-    ds = DisjointSets(nv + len(h.edges))
-    for i, e in enumerate(h.edges):
-        counts = Counter(e)
-        if any(c >= 2 for c in counts.values()):
-            return True
-        for v in counts:
-            if not ds.union(v, nv + i):
-                return True
-    return False
-
-
-def _is_connected_incidence(h: Hypergraph) -> bool:
-    total = h.num_vertices + len(h.edges)
-    if total <= 1:
-        return True
-    ds = DisjointSets(total)
-    comp = total
-    for i, e in enumerate(h.edges):
-        for v in set(e):
-            if ds.union(v, h.num_vertices + i):
-                comp -= 1
-    return comp == 1
+    return _incidence(h)[0]
 
 
 def is_hypertree(h: Hypergraph) -> bool:
-    """Connected and acyclic, as a simple hypergraph.
+    """Connected (at most one node counts) and acyclic, as a simple
+    hypergraph.
 
     Raises if outer multiplicities are present; reduce first.
     """
     if not h.is_simple():
         raise ContractViolation("is_hypertree expects a reduced (simple) hypergraph")
-    return _is_connected_incidence(h) and not has_cycle(h)
+    cyclic, components = _incidence(h)
+    return components <= 1 and not cyclic
 
 
 def is_double_hypertree(h: Hypergraph) -> bool:
@@ -197,7 +188,7 @@ def euler_deficiency(h: Hypergraph, p: int) -> int:
         raise ContractViolation("euler_deficiency expects a reduced hypergraph")
     if any(len(e) != p for e in h.edges):
         raise ContractViolation("hypergraph is not p-uniform")
-    if not _is_connected_incidence(h):
+    if _incidence(h)[1] > 1:
         raise ContractViolation("hypergraph is not connected")
     return 1 - h.num_vertices + (p - 1) * len(h.edges)
 

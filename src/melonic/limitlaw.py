@@ -77,13 +77,17 @@ def _fixed_point_residual(p: int, z: complex, r: complex) -> complex:
 def _newton(p: int, z: complex, r: complex) -> complex:
     """Newton's iteration for P at z from r, run while its step shrinks:
     to the float limit near a simple root, and no further where it does not
-    contract (the certificate then refuses the result)."""
+    contract (the certificate then refuses the result).  An overflow gives
+    NaN, which the certificate refuses too."""
     last = math.inf
     for _ in range(_NEWTON_ITERATIONS):
-        fp = p * z ** (p - 2) * r ** (p - 1) - z
-        if fp == 0:
-            break
-        step = _fixed_point_residual(p, z, r) / fp
+        try:
+            fp = p * z ** (p - 2) * r ** (p - 1) - z
+            if fp == 0:
+                break
+            step = _fixed_point_residual(p, z, r) / fp
+        except OverflowError:
+            return complex(math.nan, math.nan)
         if not abs(step) < last:
             break
         r -= step
@@ -130,19 +134,23 @@ def stieltjes(p: int, z: complex) -> complex:
 
 def _nearest_root(p: int, z: complex, zeta: complex, r: complex) -> bool:
     """Certificate that zeta is the root of P at z nearest to r (module
-    docstring): finite, residual below tolerance, and |zeta - r| < 1/(4 gamma)."""
+    docstring): finite, residual below tolerance, and |zeta - r| < 1/(4 gamma).
+    An overflow refuses."""
     if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
         return False
-    if abs(_fixed_point_residual(p, z, zeta)) >= _RESIDUAL_TOL:
+    try:
+        if abs(_fixed_point_residual(p, z, zeta)) >= _RESIDUAL_TOL:
+            return False
+        dp = abs(p * z ** (p - 2) * zeta ** (p - 1) - z)
+        if dp == 0:
+            return False
+        lead = abs(z) ** (p - 2) / dp
+        gamma = max(
+            (math.comb(p, k) * lead * abs(zeta) ** (p - k)) ** (1.0 / (k - 1))
+            for k in range(2, p + 1)
+        )
+    except OverflowError:
         return False
-    dp = abs(p * z ** (p - 2) * zeta ** (p - 1) - z)
-    if dp == 0:
-        return False
-    lead = abs(z) ** (p - 2) / dp
-    gamma = max(
-        (math.comb(p, k) * lead * abs(zeta) ** (p - k)) ** (1.0 / (k - 1))
-        for k in range(2, p + 1)
-    )
     return 4.0 * gamma * abs(zeta - r) < 1.0
 
 

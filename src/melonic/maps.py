@@ -278,29 +278,15 @@ def merge_edges(b: CombinatorialMap, pi: EdgePartition) -> Hypermap:
 def is_connected(b: Hypermap) -> bool:
     """True iff the group generated by sigma and tau acts transitively on the
     halfedges."""
-    nq = b.size
-    if nq == 0:
-        return True
-    seen = [False] * nq
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        h = stack.pop()
-        for g in (b.sigma(h), b.tau(h)):
-            if not seen[g]:
-                seen[g] = True
-                count += 1
-                stack.append(g)
-    return count == nq
+    return b.size == 0 or min(_bfs_labels(b, 0)) >= 0
 
 
-def _bfs_labels(b: Hypermap) -> list[int]:
+def _bfs_labels(b: Hypermap, start: int) -> list[int]:
     """Discovery index of every halfedge under the deterministic traversal
-    from the root (advance along sigma, then cross tau).  -1 if unreached."""
+    from ``start`` (advance along sigma, then cross tau).  -1 if unreached."""
     label = [-1] * b.size
-    label[b.root] = 0
-    queue = [b.root]
+    label[start] = 0
+    queue = [start]
     head = 0
     nxt = 1
     while head < len(queue):
@@ -323,7 +309,7 @@ def canonical_code(b: CombinatorialMap) -> tuple[int, ...]:
     """
     if b.root is None:
         raise ContractViolation("canonical_code requires a rooted map")
-    label = _bfs_labels(b)
+    label = _bfs_labels(b, b.root)
     if min(label) < 0:
         raise ContractViolation("canonical_code requires a connected map")
     nq = b.size
@@ -372,57 +358,37 @@ def enumerate_rooted_connected(p: int, n: int) -> list[CombinatorialMap]:
     sigma = _canonical_sigma(p, n)
     sig = sigma.image
     tau = [-1] * nq
-    labeled = [False] * nq
-    order: list[int] = []
     found: list[tuple[int, ...]] = []
 
-    def mark(h: int) -> None:
-        labeled[h] = True
-        order.append(h)
-
-    def unmark() -> None:
-        labeled[order.pop()] = False
-
-    def search(pos: int, disc: int) -> None:
-        fresh_marks = 0
-        while pos < len(order):
-            h = order[pos]
-            s = sig[h]
-            if not labeled[s]:
-                mark(s)
-                fresh_marks += 1
-            t = tau[h]
-            if t == -1:
-                cands = [g for g in range(disc * p) if tau[g] == -1 and g != h]
-                if disc < n:
-                    cands.append(disc * p)
-                for g in cands:
-                    new_vertex = g == disc * p
-                    tau[h] = g
-                    tau[g] = h
-                    sub = not labeled[g]
-                    if sub:
-                        mark(g)
-                    search(pos + 1, disc + 1 if new_vertex else disc)
-                    if sub:
-                        unmark()
-                    tau[h] = -1
-                    tau[g] = -1
-                for _ in range(fresh_marks):
-                    unmark()
-                return
-            if not labeled[t]:
-                mark(t)
-                fresh_marks += 1
+    def search(queue: tuple[int, ...], seen: int, pos: int, disc: int) -> None:
+        # queue: the halfedges in discovery order, seen: the same set as a
+        # bitmask, pos: the next halfedge to advance from, disc: the number
+        # of vertices discovered.  The walk is the one of _bfs_labels; it
+        # stops at the first halfedge whose partner is not chosen yet.
+        while pos < len(queue):
+            h = queue[pos]
+            for g in (sig[h], tau[h]):
+                if g == -1:  # h has no partner yet: branch over the candidates
+                    first = disc * p  # the first halfedge of the next vertex
+                    cands = [k for k in range(first) if tau[k] == -1 and k != h]
+                    if disc < n:
+                        cands.append(first)
+                    for k in cands:
+                        tau[h], tau[k] = k, h
+                        if seen >> k & 1:
+                            search(queue, seen, pos + 1, disc)
+                        else:
+                            search(queue + (k,), seen | 1 << k, pos + 1, disc + (k == first))
+                        tau[h] = tau[k] = -1
+                    return
+                if not seen >> g & 1:
+                    queue += (g,)
+                    seen |= 1 << g
             pos += 1
-        if disc == n and len(order) == nq:
+        if len(queue) == nq:  # a walk closed short of nq is disconnected
             found.append(tuple(tau))
-        for _ in range(fresh_marks):
-            unmark()
 
-    mark(0)
-    search(0, 1)
-    unmark()
+    search((0,), 1, 0, 1)
     maps = [CombinatorialMap(p, sigma, Permutation(t), root=0) for t in found]
     maps.sort(key=canonical_code)
     return maps

@@ -589,9 +589,9 @@ def resolvent_series(T: SymTensor, z: complex, K: int) -> complex:
     """Truncated moment expansion sum_{n<=K} I_n(T) / (N z^{n+1})."""
     if K < 0:
         raise ContractViolation("K must be nonnegative")
-    if z == 0:
-        raise ContractViolation("z must be nonzero")
     z = complex(z)
+    if z == 0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ContractViolation(f"z must be finite and nonzero, got {z}")
     total = 0j
     for n in range(K + 1):
         total += balanced_invariant(n, T) / (T.N * z ** (n + 1))

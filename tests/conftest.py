@@ -7,7 +7,9 @@ dense-position ranks by sorting multi-indices, the alternative
 Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
 ``np.roots`` homotopy, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
-relabelling, and small combinatorial helpers."""
+relabelling, the map enumerator that undoes its traversal through a log,
+the cycle and connectivity tests of the incidence multigraph as two
+union-find passes, and small combinatorial helpers."""
 
 import itertools
 import math
@@ -20,11 +22,14 @@ import pytest
 from scipy.integrate import quad
 
 from melonic.errors import ContractViolation, NumericalError, ResourceLimitError
+from melonic.hypergraph import DisjointSets, Hypergraph
 from melonic.limitlaw import _refuse_support, density, support_radius
 from melonic.maps import (
     CombinatorialMap,
     EdgePartition,
     Permutation,
+    _canonical_sigma,
+    _check_map_budget,
     canonical_code,
     edge_list,
     enumerate_rooted_connected,
@@ -87,6 +92,103 @@ def brute_force_codes(p: int, n: int) -> set:
         if is_connected(m):
             codes.add(canonical_code(m))
     return codes
+
+
+def enumerate_rooted_connected_with_undo_log(p: int, n: int) -> list[CombinatorialMap]:
+    """``maps.enumerate_rooted_connected`` as it was before its search carried
+    the traversal down the recursion: the discovered halfedges live in one
+    list and one flag array, and each branch undoes its marks."""
+    _check_map_budget(p, n)
+    nq = n * p
+    if nq % 2:
+        return []
+    sigma = _canonical_sigma(p, n)
+    sig = sigma.image
+    tau = [-1] * nq
+    labeled = [False] * nq
+    order: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def mark(h: int) -> None:
+        labeled[h] = True
+        order.append(h)
+
+    def unmark() -> None:
+        labeled[order.pop()] = False
+
+    def search(pos: int, disc: int) -> None:
+        fresh_marks = 0
+        while pos < len(order):
+            h = order[pos]
+            s = sig[h]
+            if not labeled[s]:
+                mark(s)
+                fresh_marks += 1
+            t = tau[h]
+            if t == -1:
+                cands = [g for g in range(disc * p) if tau[g] == -1 and g != h]
+                if disc < n:
+                    cands.append(disc * p)
+                for g in cands:
+                    new_vertex = g == disc * p
+                    tau[h] = g
+                    tau[g] = h
+                    sub = not labeled[g]
+                    if sub:
+                        mark(g)
+                    search(pos + 1, disc + 1 if new_vertex else disc)
+                    if sub:
+                        unmark()
+                    tau[h] = -1
+                    tau[g] = -1
+                for _ in range(fresh_marks):
+                    unmark()
+                return
+            if not labeled[t]:
+                mark(t)
+                fresh_marks += 1
+            pos += 1
+        if disc == n and len(order) == nq:
+            found.append(tuple(tau))
+        for _ in range(fresh_marks):
+            unmark()
+
+    mark(0)
+    search(0, 1)
+    unmark()
+    maps = [CombinatorialMap(p, sigma, Permutation(t), root=0) for t in found]
+    maps.sort(key=canonical_code)
+    return maps
+
+
+def has_cycle_by_failed_union(h: Hypergraph) -> bool:
+    """Cycle in the incidence bipartite multigraph: an inner multiplicity
+    >= 2, or a union-find merge that finds both ends already joined."""
+    nv = h.num_vertices
+    ds = DisjointSets(nv + len(h.edges))
+    for i, e in enumerate(h.edges):
+        counts = Counter(e)
+        if any(c >= 2 for c in counts.values()):
+            return True
+        for v in counts:
+            if not ds.union(v, nv + i):
+                return True
+    return False
+
+
+def is_connected_incidence(h: Hypergraph) -> bool:
+    """One component in the incidence bipartite multigraph (at most one
+    node counts as connected), by counting union-find merges."""
+    total = h.num_vertices + len(h.edges)
+    if total <= 1:
+        return True
+    ds = DisjointSets(total)
+    comp = total
+    for i, e in enumerate(h.edges):
+        for v in set(e):
+            if ds.union(v, h.num_vertices + i):
+                comp -= 1
+    return comp == 1
 
 
 def naive_trace(b: CombinatorialMap, T) -> float:

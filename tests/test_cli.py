@@ -347,6 +347,7 @@ class TestErrors:
             ("{not json", "cannot read config"),
             ('{"N_grid": 5}', "N_grid must be a list of integers, got 5"),
             ('{"samples": "x"}', "samples must be an integer, got 'x'"),
+            ('{"seed": -1}', "seed must be nonnegative, got -1"),
         ],
     )
     def test_malformed_config(self, tmp_path, capsys, text, message):
@@ -361,6 +362,29 @@ class TestErrors:
             capsys, "mc", "--N", "8", "--samples", "2", "--dist", "symmetrized-pareto:abc"
         )
         assert code == 3 and "tail index 'abc' is not a number" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mc", "--seed", "-1"), "seed must be nonnegative, got -1"),
+            (("var", "--seed", "-1"), "seed must be nonnegative, got -1"),
+            (("mc", "--dist", "symmetrized-pareto:nan"), "needs a finite tail_index > 2"),
+            (("mc", "--dist", "symmetrized-pareto:inf"), "needs a finite tail_index > 2"),
+            (("heavytail", "--tail", "nan"), "needs a finite tail_index > 2"),
+            (("heavytail", "--tail", "inf"), "needs a finite tail_index > 2"),
+            (("resolvent-check", "--z", "nan"), "z must be finite and nonzero"),
+            (("resolvent-check", "--z", "inf"), "z must be finite and nonzero"),
+        ],
+    )
+    def test_negative_seed_and_non_finite_numbers(self, capsys, argv, message):
+        code, err = self.fail(capsys, *argv)
+        assert code == 3 and "ContractViolation" in err and message in err
+
+    def test_law_at_large_p_is_a_numerical_error(self, capsys):
+        # the homotopy overflows complex powers at p = 80; each overflow is
+        # a refused step, so the point ends as a stalled homotopy
+        code, err = self.fail(capsys, "law", "--p", "80", "--grid", "11")
+        assert code == 6 and "NumericalError" in err
 
     def test_config_key_k_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import pytest
 from melonic.errors import ContractViolation
 from melonic.hypergraph import (
     Hypergraph,
+    _incidence,
     euler_deficiency,
     has_cycle,
     hypergraph_of,
@@ -22,7 +23,7 @@ from melonic.maps import (
     merge_edges,
 )
 
-from conftest import canonical_sigma
+from conftest import canonical_sigma, has_cycle_by_failed_union, is_connected_incidence
 
 
 def melon_map():
@@ -138,6 +139,54 @@ class TestEulerDeficiency:
                 d = euler_deficiency(h, p)
                 assert d >= 0
                 assert (d == 0) == is_hypertree(h)
+
+
+def two_copies(h):
+    """The disjoint union of h with a shifted copy of itself."""
+    nv = h.num_vertices
+    shifted = [tuple(v + nv for v in e) for e in h.edges]
+    return Hypergraph(2 * nv, list(h.edges) + shifted, h.mult * 2)
+
+
+def folded_duals(p, n):
+    """H(dual(b_pi)) for every map b of B_n^(p) and every edge partition pi."""
+    for b in enumerate_rooted_connected(p, n):
+        for pi in enumerate_edge_partitions(len(edge_list(b))):
+            yield hypergraph_of(dual(merge_edges(b, pi)))
+
+
+class TestOnePassMatchesReferences:
+    def check(self, g):
+        """Cycles, hypertree and deficiency of g against the references;
+        connectivity shows in whether euler_deficiency refuses."""
+        cyclic = has_cycle_by_failed_union(g)
+        assert has_cycle(g) == cyclic
+        if not g.is_simple():
+            with pytest.raises(ContractViolation):
+                is_hypertree(g)
+            g = g.reduced()  # the same incidence multigraph
+        connected = is_connected_incidence(g)
+        assert is_hypertree(g) == (connected and not cyclic)
+        if connected:
+            assert euler_deficiency(g, 3) == 1 - g.num_vertices + 2 * len(g.edges)
+        else:
+            with pytest.raises(ContractViolation):
+                euler_deficiency(g, 3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_folded_duals_reduced_or_not(self, n):
+        for h in folded_duals(3, n):
+            self.check(h)
+
+    def test_two_folded_duals_side_by_side(self):
+        for h in folded_duals(3, 2):
+            self.check(two_copies(h.reduced()))
+
+    def test_at_most_one_node_is_connected(self):
+        for g in (Hypergraph(0, []), Hypergraph(1, [])):
+            assert is_connected_incidence(g) and _incidence(g)[1] <= 1
+            assert is_hypertree(g) and not has_cycle(g)
+        assert not is_hypertree(Hypergraph(2, []))
 
 
 class TestFoldedFourVertexMap:

@@ -18,7 +18,12 @@ from melonic.maps import (
     relabel,
 )
 
-from conftest import brute_force_codes, canonical_sigma, random_permutation
+from conftest import (
+    brute_force_codes,
+    canonical_sigma,
+    enumerate_rooted_connected_with_undo_log,
+    random_permutation,
+)
 
 SIGMA_32 = Permutation([1, 2, 0, 4, 5, 3])  # (0,1,2)(3,4,5)
 # the reference matchings on two 3-valent vertices, 0-based halfedges
@@ -170,11 +175,18 @@ class TestEnumeration:
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
 
-    @pytest.mark.parametrize("p,n", [(3, 2), (4, 1), (4, 2), (2, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize(
+        "p,n", [(3, 2), (4, 1), (4, 2), (2, 3), (2, 4), (3, 4), (2, 6), (4, 3), (5, 2), (6, 2)]
+    )
     def test_matches_bruteforce_matching_enumeration(self, p, n):
         expected = brute_force_codes(p, n)
         got = {canonical_code(b) for b in enumerate_rooted_connected(p, n)}
         assert got == expected
+
+    @pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (4, 4), (5, 2), (6, 2)])
+    def test_same_list_as_undo_log_reference(self, p, n):
+        # same maps in the same order, not only the same classes
+        assert enumerate_rooted_connected(p, n) == enumerate_rooted_connected_with_undo_log(p, n)
 
     def test_preconditions(self):
         with pytest.raises(ContractViolation):

@@ -185,6 +185,9 @@ class TestEnsembles:
             EntryDistribution("symmetrized-pareto")
         with pytest.raises(ContractViolation):
             EntryDistribution("symmetrized-pareto", 1.5)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                EntryDistribution("symmetrized-pareto", alpha)
         with pytest.raises(ContractViolation):
             EntryDistribution("rademacher", 3.0)
 
