@@ -29,7 +29,7 @@ from .maps import (
 )
 from .exact import (
     GAUSSIAN_GOTE, RADEMACHER, EntryDistribution, ExperimentConfig, balanced_invariant_variance,
-    expected_balanced_invariant, expected_trace_partitions, melonic_limit_table,
+    expected_balanced_invariant, melonic_limit_table,
 )
 from .limitlaw import (
     ContractedLaw, LimitLaw, contracted_law, density, inversion_density, moment, stieltjes,

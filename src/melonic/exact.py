@@ -1,13 +1,14 @@
-"""The numpy-free layer: entry laws, trace classes and exact expectations.
+"""The numpy-free layer: entry laws and exact expectations.
 
 Everything here is plain ``int`` and ``fractions.Fraction`` arithmetic, so
 the subcommands that count, classify, enumerate and tabulate exact moments
-run without loading numpy.  Maps are grouped into trace classes by
-multigraph isomorphism.  Exact expectations of trace invariants are rational
-polynomials in N.  Under Gaussian entries they come from Isserlis' theorem,
-one dynamic programme over vertex pairings per class; under the other exact
-laws from one pass over the edge partitions, which stays the reference the
-tests compare both against, with exhaustive index sums behind it.
+run without loading numpy.  Exact expectations of trace invariants are rational
+polynomials in N, in the powers N^k, for every exact law from one dynamic
+programme per class: the moment-cumulant formula splits the vertices into
+groups that read one entry, weighted by the law's cumulants, and each group
+becomes a table of index identifications.  Under Gaussian entries only pairs
+occur and the programme is Isserlis' theorem.  One guard prices the
+programme's terms before any map is built.
 """
 
 from __future__ import annotations
@@ -20,23 +21,17 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitError
 from .hypergraph import is_melonic_graph
-from .maps import CombinatorialMap, _check_map_budget, canonical_code, cycles, edge_list
-from .maps import multigraph, rooted_connected
+from .maps import CombinatorialMap, _check_map_budget, _class_keys, _trace_classes
+from .maps import _vertex_edge_ids, canonical_code, rooted_connected
 
 if TYPE_CHECKING:
     import numpy as np
 
-
-_PARTITION_EDGE_GUARD = 9
-# the pairing oracle sums (n-1)!! (p!)^{n/2} terms per class of n vertices, at
-# 1-2 us a term on a 2-core x86-64 host: (3, 6) has 3240, (8, 2) 40,320, and
-# the variance at (3, 4) 136,080 per class pair of 8 vertices
-_PAIRING_TERM_GUARD = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -131,275 +126,265 @@ GAUSSIAN_GOTE = EntryDistribution("gaussian-gote")
 RADEMACHER = EntryDistribution("rademacher")
 
 
-def entry_sigma2(dist: EntryDistribution, p: int, multiplicities: Sequence[int]) -> Fraction:
-    """Exact variance of an unscaled entry whose index has the given
-    multiplicity pattern (counts summing to p)."""
-    if dist.flat_profile:
-        return Fraction(1, math.factorial(p - 1))
-    num = math.prod(math.factorial(c) for c in multiplicities)
-    return Fraction(num, math.factorial(p - 1))
-
-
-# ---------------------------------------------------------------------------
-# trace classes
-# ---------------------------------------------------------------------------
-
-
-def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
-    """For each vertex, the edge index of every halfedge in cycle order."""
-    edge_of = {}
-    for i, (h, k) in enumerate(edge_list(b)):
-        edge_of[h] = i
-        edge_of[k] = i
-    return [tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma)]
-
-
-def _refine(colour: list[int], adj, loops) -> list[int]:
-    """Split colour cells by (own colour, multiset of (neighbour colour, edge
-    multiplicity), loops) until no cell splits.  Each new colour is the rank of
-    its signature in sorted order, so colours never depend on vertex labels."""
-    cells = len(set(colour))
-    while True:
-        sigs = [
-            (colour[v], tuple(sorted((colour[w], m) for w, m in adj[v])), loops[v])
-            for v in range(len(colour))
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colour = [rank[s] for s in sigs]
-        if len(rank) == cells:
-            return colour
-        cells = len(rank)
-
-
-def _multigraph_key(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
-    """Canonical form under vertex relabelling of the multigraph on vertices
-    0..n-1 with one vertex pair (u, v), u <= v, per edge, by
-    individualisation and refinement (McKay & Piperno, J. Symbolic Comput.
-    60, 2014).
-
-    After refinement, each vertex of the first cell of several vertices is
-    individualised in turn and the search recurses; every leaf colouring is a
-    relabelling, and the key is the smallest relabelled sorted edge tuple over
-    the leaves.  Equal keys mean isomorphic multigraphs, for every n.
-    """
-    mult = [Counter() for _ in range(n)]
-    loops = [0] * n
-    for u, v in edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            mult[u][v] += 1
-            mult[v][u] += 1
-    adj = [tuple(m.items()) for m in mult]
-
-    def search(colour):
-        colour = _refine(colour, adj, loops)
-        split = min((c for c, k in Counter(colour).items() if k > 1), default=None)
-        if split is None:
-            return tuple(sorted(tuple(sorted((colour[u], colour[v]))) for u, v in edges))
-        return min(
-            search([2 * c + (c == split and w != v) for w, c in enumerate(colour)])
-            for v in range(n)
-            if colour[v] == split
-        )
-
-    return search([0] * n)
-
-
-def _class_keys(p: int, n: int) -> tuple:
-    """Multigraph class key of each map of B_n^(p), in enumeration order.
-
-    A key is computed once per distinct labelled multigraph.  When all maps
-    share one labelled multigraph (always at p = 2, where each n has a single
-    map) that multigraph is the key and no canonical form is computed, so
-    keys compare only within one (p, n).
-    """
-    labelled = [tuple(sorted(multigraph(b))) for b in rooted_connected(p, n)]
-    if len(set(labelled)) == 1:
-        return tuple(labelled)
-    memo: dict = {}
-    for g in labelled:
-        if g not in memo:
-            memo[g] = _multigraph_key(n, g)
-    return tuple(memo[g] for g in labelled)
-
-
-@lru_cache(maxsize=None)
-def _trace_classes(p: int, n: int) -> tuple[tuple[CombinatorialMap, int], ...]:
-    """Group the maps of B_n^(p) by multigraph isomorphism, for every n; Tr_b
-    of a symmetric tensor and its expectation only depend on that class.
-    Returns (representative, class size) in first-seen order, with the first
-    map of each class in enumeration order as its representative."""
-    groups: dict = {}
-    for b, key in zip(rooted_connected(p, n), _class_keys(p, n)):
-        groups.setdefault(key, []).append(b)
-    return tuple((members[0], len(members)) for members in groups.values())
-
-
 # ---------------------------------------------------------------------------
 # exact expectations
 # ---------------------------------------------------------------------------
+#
+# The moment-cumulant formula writes E[prod_v T_{I_v}] as a sum over the
+# partitions of the vertices into groups.  Distinct entries are independent,
+# so a group of r has a nonzero joint cumulant only when its vertices read
+# one entry, and it is then kappa_r of the unit law times ((p-1)!)^{-r/2} and
+# prod_x c_x!^{r/2} (invariant profile) or 1 (flat) over the entry's index
+# multiplicities c_x.  Each member after the lowest vertex v reads v's
+# multiset by sum_{s in S_p} prod_a delta(i_a, j_{s(a)}) / prod_x c_x!, and
+# Mobius inversion on the partitions of v's slots (Rota,
+# Z. Wahrscheinlichkeitstheorie 2 (1964)) turns the leftover prod_x phi(c_x)
+# into sum_pi prod_B h(|B|) [v's indices constant on pi's blocks].  So each
+# term is a product of index identifications and counts N^(its edge classes).
+
+# a term applies one set of edge identifications to one DP state, 1-2 us on
+# a 2-core x86-64 host; ``_price`` puts (3, 6) at 3810 terms per class under
+# gaussian-gote and 52,034 under rademacher, (7, 2) at 19,302 under
+# gaussian-offdiag-only, and the variance at (3, 4) at 160,062 per class pair
+_ORACLE_TERM_GUARD = 250_000
 
 
-def _scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
-    if total == 0:
-        return Fraction(0)
-    assert n % 2 == 0  # nonzero expectations need an even number of factors
-    return total / Fraction(N ** ((n // 2) * (p - 1)))
+def _cumulants(moments: Sequence[Fraction]) -> list[Fraction]:
+    """Cumulants k_1..k_m (k_0 = 0) of the moments 1, m_1..m_m."""
+    k = [Fraction(0)] * len(moments)
+    for j in range(1, len(moments)):
+        k[j] = moments[j] - sum(
+            math.comb(j - 1, i - 1) * k[i] * moments[j - i] for i in range(1, j)
+        )
+    return k
 
 
-def _pairing_terms(p: int, n: int) -> int:
-    """Terms of the Isserlis sum over n vertices of valence p: (n-1)!!
-    vertex pairings times p! slot bijections per pair; none for odd n."""
+def _exponential(g: Sequence) -> list:
+    """a_k = sum over the set partitions of k < len(g) points of prod_B g_|B|:
+    Bell numbers from g = 1, 1, ..., and from g = Bell the steps of a Mobius
+    inversion over the whole partition lattice."""
+    a = [1]
+    for k in range(1, len(g)):
+        a.append(sum(math.comb(k - 1, j - 1) * g[j] * a[k - j] for j in range(1, k + 1)))
+    return a
+
+
+@lru_cache(maxsize=None)
+def _set_partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every set partition of range(k) in restricted-growth form."""
+    parts: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        parts = [rgs + (b,) for rgs in parts for b in range(max(rgs, default=-1) + 2)]
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def _law(dist: EntryDistribution, p: int, n: int) -> dict[int, tuple[Fraction, list]]:
+    """(kappa_r, h) for each group size 2 <= r <= n with kappa_r != 0; h are
+    the cumulants of phi(c) = (c!)^{1-r/2}, or (c!)^{1-r} under the flat
+    profile, for c = 0..p."""
+    kappa = _cumulants([dist.moment(j, Fraction(1)) for j in range(n + 1)])
+    power = {r: 1 - r if dist.flat_profile else 1 - r // 2 for r in range(2, n + 1) if kappa[r]}
+    return {
+        r: (kappa[r], _cumulants([Fraction(math.factorial(c)) ** e for c in range(p + 1)]))
+        for r, e in power.items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _table_terms(dist: EntryDistribution, p: int, r: int, k: int) -> tuple[int, int]:
+    """Terms per DP state of a group of r with k own edges by the slot route
+    (each pi with prod_B h(|B|) != 0, then each member over p!/prod|B|!
+    assignments) and by the lattice route (Bell_2(k)) of ``_group_table``."""
+    h = _law(dist, p, r)[r][1]
+    slot = 0
+    for t in range(1, r):
+        blocks = [0, *(Fraction(h[c] != 0, math.factorial(c) ** t) for c in range(1, p + 1))]
+        slot += math.factorial(p) ** t * _exponential(blocks)[p]
+    return int(slot), _exponential(_exponential([1] * (k + 1)))[k]
+
+
+def _price(p: int, n: int, dist: EntryDistribution) -> int:
+    """Bound on the terms of ``_group_counts`` per class of n vertices,
+    refused over the guard before any map is built: from j unassigned
+    vertices a group of r applies at most T(r) terms per state (the cheaper
+    route at min(rp, pn/2) own edges), each leading to one state of j - r.
+    An odd n has no term: the odd cumulants of a symmetric law are 0."""
     if n % 2:
         return 0
-    return math.prod(range(n - 1, 0, -2)) * math.factorial(p) ** (n // 2)
+    m = p * n // 2
+    cost = {r: min(_table_terms(dist, p, r, min(r * p, m))) for r in _law(dist, p, n)}
+    total = [0] * (n + 1)
+    for j in range(2, n + 1):
+        total[j] = sum(
+            math.comb(j - 1, r - 1) * t * (1 + total[j - r]) for r, t in cost.items() if r <= j
+        )
+    if total[n] > _ORACLE_TERM_GUARD:
+        raise ResourceLimitError(
+            f"{total[n]} oracle terms per class of {n} vertices exceed the "
+            f"oracle guard ({_ORACLE_TERM_GUARD})"
+        )
+    return total[n]
 
 
-def _check_oracle_work(p: int, n: int, pairing: bool) -> None:
-    """Refuse an exact expectation over classes of n vertices of valence p
-    before any work when its route's count exceeds the route's guard: the
-    pairing terms of ``_pairing_terms`` against ``_PAIRING_TERM_GUARD``, or
-    the Bell(pn/2) edge partitions against ``_PARTITION_EDGE_GUARD`` edges."""
-    if pairing:
-        terms = _pairing_terms(p, n)
-        if terms > _PAIRING_TERM_GUARD:
-            raise ResourceLimitError(
-                f"{terms} pairing terms per class of {n} vertices exceed the "
-                f"pairing guard ({_PAIRING_TERM_GUARD})"
-            )
-    elif p * n % 2 == 0 and p * n // 2 > _PARTITION_EDGE_GUARD:
-        raise ResourceLimitError(f"Bell({p * n // 2}) partitions exceed the partition guard")
+@lru_cache(maxsize=None)
+def _slot_partitions(dist: EntryDistribution, p: int, r: int) -> tuple:
+    """(pi, weight, words) for each partition pi of v's slots with a nonzero
+    weight kappa_r prod_B h(|B|) (|B|!)^{r-1}: the words assign a member's
+    slots to pi's blocks, one per coset of pi's Young subgroup."""
+    kappa, h = _law(dist, p, r)[r]
+    out = []
+    for pi in _set_partitions(p):
+        w = kappa * math.prod(h[c] * math.factorial(c) ** (r - 1) for c in Counter(pi).values())
+        if w:
+            out.append((pi, w, sorted(set(itertools.permutations(pi)))))
+    return tuple(out)
 
 
-def _pairing_counts(verts: Sequence[tuple[int, ...]], p: int) -> list[int]:
-    """counts[k]: the terms of the Isserlis sum for Gaussian entries whose
-    edges fall into k classes, for the vertices ``verts`` (each the edge ids
-    of its p slots, every edge at two slots).
+def _merged(choices: Iterable[tuple[list, Fraction]]) -> tuple:
+    """(edge identifications, weight) choices, equal identification sets
+    merged, zero weights dropped and whole ones made ``int``."""
+    merged: Counter = Counter()
+    for pairs, w in choices:
+        merged[tuple(sorted({(e, f) for e, f in pairs if e != f}))] += w
+    return tuple(
+        (pairs, w.numerator if w.denominator == 1 else w) for pairs, w in merged.items() if w
+    )
 
-    A term pairs the vertices and gives each pair (v, w) a bijection s of the
-    slots; it identifies the edge at slot a of v with the edge at slot s(a) of
-    w, and each class of identified edges runs over N values.  A dynamic
-    programme over the pairs keeps, per (mask of unpaired vertices, edge
-    partition in restricted-growth form), the number of partial terms that
-    reach it; each step pairs the lowest unpaired vertex with every partner
-    and every s.  Odd vertex counts have no pairing.
+
+@lru_cache(maxsize=None)
+def _group_table(members: tuple[tuple[int, ...], ...], dist: EntryDistribution) -> tuple:
+    """Branches of the group whose vertices read the edges ``members``,
+    lowest first: lists of steps, each state taking every choice of each
+    step in turn.  The route of fewer terms (``_table_terms``) builds them;
+    both give the same identification sets and weights.
+
+    Slot route: a branch per partition pi of ``_slot_partitions`` and a step
+    per other member, over its words; the first step also identifies v's
+    edges within each block of pi and carries pi's weight.  Lattice route: one
+    step, kappa_r W(pi) over the partitions pi of the own edges, W the Mobius
+    inversion of F(sigma) = [every member reads one multiset of sigma's
+    blocks] times prod_x c_x!^{r/2} of v's (invariant profile).
+    """
+    r, p = len(members), len(members[0])
+    own = list(dict.fromkeys(e for edges in members for e in edges))
+    slot, lattice = _table_terms(dist, p, r, len(own))
+    if lattice < slot:
+        kappa = _law(dist, p, r)[r][0]
+        table: Counter = Counter()
+        for sigma in _set_partitions(len(own)):
+            block = dict(zip(own, sigma))
+            reads = [sorted(block[e] for e in edges) for edges in members]
+            if any(read != reads[0] for read in reads):
+                continue
+            f = 1
+            if not dist.flat_profile:
+                f = math.prod(map(math.factorial, Counter(reads[0]).values())) ** (r // 2)
+            for rho in _set_partitions(max(sigma) + 1):
+                sizes = Counter(rho).values()
+                mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in sizes)
+                table[tuple(rho[x] for x in sigma)] += mu * f
+        return ([_merged(
+            ([(own[pi.index(b)], own[e]) for e, b in enumerate(pi)], kappa * w)
+            for pi, w in table.items()
+        )],)
+    branches = []
+    v = members[0]
+    for pi, w, words in _slot_partitions(dist, p, r):
+        rep = [v[pi.index(b)] for b in range(max(pi) + 1)]
+        base = [(rep[b], e) for e, b in zip(v, pi)]
+        steps = []
+        for i, member in enumerate(members[1:]):
+            first = i == 0  # identifies v's edges within pi's blocks, at pi's weight
+            steps.append(_merged(
+                ([*(base if first else ()), *((rep[b], e) for e, b in zip(member, word))],
+                 w if first else 1)
+                for word in words
+            ))
+        branches.append(steps)
+    return tuple(branches)
+
+
+def _group_counts(
+    verts: Sequence[tuple[int, ...]], p: int, dist: EntryDistribution
+) -> tuple[list, int]:
+    """(counts, terms) for the vertices ``verts``, each the edge ids of its
+    p slots: counts[k] is the coefficient of N^k in ((p-1)!)^{n/2} times the
+    sum over the edge indices of E[prod_v T_{I_v}], and terms counts the
+    identification sets applied to a state.
+
+    A dynamic programme keeps the weight of the partial terms per (mask of
+    unassigned vertices, edge partition in restricted-growth form) and
+    expands the masks in decreasing order, each through the groups of its
+    lowest vertex with r - 1 later ones, for each r of ``_law``.  Under
+    gaussian-gote only pairs occur, each table is the p! slot bijections at
+    weight 1 (equal identification sets merged), and this is Isserlis'
+    theorem.
     """
     n = len(verts)
     m = n * p // 2
-    counts = [0] * (m + 1)
     if n % 2:
-        return counts
-    perms = list(itertools.permutations(range(p)))
-    identified: dict = {}
-    layer = Counter({((1 << n) - 1, tuple(range(m))): 1})
-    for _ in range(n // 2):
-        nxt: Counter = Counter()
-        for (mask, part), c in layer.items():
-            v = (mask & -mask).bit_length() - 1
-            for w in range(v + 1, n):
-                if not mask >> w & 1:
-                    continue
-                if (v, w) not in identified:
-                    identified[v, w] = [
-                        [(verts[v][a], verts[w][s[a]]) for a in range(p)] for s in perms
-                    ]
-                rest = mask & ~(1 << v | 1 << w)
-                for pairs in identified[v, w]:
-                    labels = part
-                    for e, f in pairs:
-                        x, y = labels[e], labels[f]
-                        if x != y:
-                            x, y = min(x, y), max(x, y)
-                            labels = tuple(x if z == y else z - (z > y) for z in labels)
-                    nxt[rest, labels] += c
-        layer = nxt
-    for (_, part), c in layer.items():
-        counts[max(part) + 1] += c
-    return counts
+        return [0] * (m + 1), 0
+    pending = {(1 << n) - 1: Counter({tuple(range(m)): 1})}
+    terms = 0
+    for mask in range((1 << n) - 1, 0, -1):
+        parts = pending.pop(mask, None)
+        if not parts:
+            continue
+        v = (mask & -mask).bit_length() - 1
+        later = [u for u in range(v + 1, n) if mask >> u & 1]
+        for r in _law(dist, p, n):
+            for others in itertools.combinations(later, r - 1):
+                group = (v, *others)
+                out = pending.setdefault(mask & ~sum(1 << u for u in group), Counter())
+                for steps in _group_table(tuple(verts[u] for u in group), dist):
+                    cur = parts
+                    for i, step in enumerate(steps, 1 - len(steps)):
+                        terms += len(cur) * len(step)
+                        nxt = out if i == 0 else Counter()  # the last step adds into out
+                        for part, c in cur.items():
+                            for pairs, w in step:
+                                labels = part
+                                for e, f in pairs:
+                                    x, y = labels[e], labels[f]
+                                    if x != y:
+                                        x, y = min(x, y), max(x, y)
+                                        labels = tuple(
+                                            x if z == y else z - (z > y) for z in labels
+                                        )
+                                nxt[labels] += c * w
+                        cur = nxt
+    counts = [0] * (m + 1)
+    for part, c in pending.get(0, Counter()).items():
+        counts[max(part, default=-1) + 1] += c
+    return counts, terms
 
 
-def _pairing_polynomial(b: CombinatorialMap) -> list[Fraction]:
-    """Coefficients of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the powers N^k under
-    gaussian-gote, by Isserlis' theorem.
-
-    E[T_I T_J] = sum_{s in S_p} prod_a delta(i_a, j_{s(a)}) / ((p-1)! N^{p-1}),
-    the sum over s giving the variance profile prod_a c_a!, so the
-    coefficients are ``_pairing_counts`` over ((p-1)!)^{n/2}.
-    """
-    norm = math.factorial(b.p - 1) ** (b.n // 2)
-    return [Fraction(c, norm) for c in _pairing_counts(_vertex_edge_ids(b), b.p)]
+@lru_cache(maxsize=None)
+def _polynomial(b: CombinatorialMap, dist: EntryDistribution) -> tuple[Fraction, ...]:
+    """Coefficients of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the powers N^k, kept
+    for every N of a later call."""
+    counts, _ = _group_counts(_vertex_edge_ids(b), b.p, dist)
+    return tuple(Fraction(c) / math.factorial(b.p - 1) ** (b.n // 2) for c in counts)
 
 
-def _trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fraction]:
-    """Coefficients c_0..c_m of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling
-    factorials N^(k).
-
-    Under an edge partition pi, each vertex reads the entry indexed by the
-    blocks of its edges; vertices with the same sorted block tuple read the
-    same entry, which contributes one moment of that multiplicity.  Every
-    injective assignment of indices to the blocks gives the same product, so
-    c_k is the sum of the products over the partitions with k blocks.
-    """
-    _check_oracle_work(b.p, b.n, pairing=False)
-    from .maps import enumerate_edge_partitions
-
-    m = len(edge_list(b))
-    verts = _vertex_edge_ids(b)
-    coeffs = [Fraction(0)] * (m + 1)
-    for pi in enumerate_edge_partitions(m):
-        block_of = {e: i for i, block in enumerate(pi.blocks) for e in block}
-        entries = Counter(tuple(sorted(block_of[e] for e in vert)) for vert in verts)
-        factor = Fraction(1)
-        for entry, mult in entries.items():
-            pattern = tuple(sorted(Counter(entry).values()))
-            factor *= dist.moment(mult, entry_sigma2(dist, b.p, pattern))
-            if not factor:
-                break
-        coeffs[len(pi)] += factor
-    return coeffs
-
-
-def _exact_route(
-    p: int, n: int, dist: EntryDistribution
-) -> tuple[Callable[[CombinatorialMap], list], Callable[[int, int], int]]:
-    """(polynomial of a map, basis of its coefficients) of the exact oracle
-    for dist at (p, n), refused by ``_check_oracle_work``, then by the map
-    budget, before any map is enumerated: the pairing route in the powers N^k
-    for gaussian-gote, the partition route in the falling factorials N^(k)."""
-    pairing = dist.kind == "gaussian-gote"
-    _check_oracle_work(p, n, pairing)
-    _check_map_budget(p, n)
-    if pairing:
-        return _pairing_polynomial, pow
-    return partial(_trace_polynomial, dist=dist), math.perm
-
-
-def _at(
-    coeffs: Sequence[Fraction], basis: Callable[[int, int], int], b: CombinatorialMap, N: int
-) -> Fraction:
-    """E[Tr_b(W_N)] from the coefficients of either route and their basis."""
-    return _scale_exact(sum(basis(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
-
-
-def expected_trace_partitions(
-    b: CombinatorialMap, N: int, dist: EntryDistribution
-) -> Fraction:
-    """E[Tr_b(W_N)] = sum_k N^(k) c_k / N^{(n/2)(p-1)}, exact and rational,
-    with the falling factorials N^(k) and the c_k of ``_trace_polynomial``."""
-    return _at(_trace_polynomial(b, dist), math.perm, b, N)
+def _at(coeffs: Sequence[Fraction], b: CombinatorialMap, N: int) -> Fraction:
+    """E[Tr_b(W_N)] from the coefficients of ``_polynomial``."""
+    return sum(c * N**k for k, c in enumerate(coeffs)) / Fraction(N) ** ((b.n // 2) * (b.p - 1))
 
 
 def expected_balanced_invariant(
     p: int, n: int, N: int, dist: EntryDistribution
 ) -> Fraction:
-    """Exact E[I_n(W_N)]: the law's exact route (``_exact_route``) once per
-    multigraph class, weighted by the class size."""
+    """Exact E[I_n(W_N)]: the group DP once per multigraph class, weighted
+    by the class size; refused by ``_price``, then by the map budget, before
+    any map is enumerated."""
     if n == 0:
         return Fraction(N)
-    polynomial, basis = _exact_route(p, n, dist)
+    _price(p, n, dist)
+    _check_map_budget(p, n)
     return sum(
-        (count * _at(polynomial(rep), basis, rep, N) for rep, count in _trace_classes(p, n)),
+        (count * _at(_polynomial(rep, dist), rep, N) for rep, count in _trace_classes(p, n)),
         Fraction(0),
     )
 
@@ -410,21 +395,21 @@ def _variance_counts(p: int, n: int) -> list[int]:
 
     Var[I_n] sums w_b w_b' (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) over ordered
     class pairs, where b u b' is the disjoint union (the edges of b' offset
-    past those of b), whose pairing counts share the normalisation of the
+    past those of b), whose group counts share the normalisation of the
     product of the two single-class counts.  Unordered pairs are summed once,
     twice off the diagonal.
     """
-    _check_oracle_work(p, 2 * n, pairing=True)  # the disjoint union of two classes
+    _price(p, 2 * n, GAUSSIAN_GOTE)  # the disjoint union of two classes
     classes = [(_vertex_edge_ids(b), w) for b, w in _trace_classes(p, n)]
     m = p * n // 2
-    single = [_pairing_counts(verts, p) for verts, _ in classes]
+    single = [_group_counts(verts, p, GAUSSIAN_GOTE)[0] for verts, _ in classes]
     total = [0] * (2 * m + 1)
     for i, (vi, wi) in enumerate(classes):
         for j in range(i, len(classes)):
             vj, wj = classes[j]
-            joint = _pairing_counts(vi + [tuple(e + m for e in vert) for vert in vj], p)
+            union = vi + [tuple(e + m for e in vert) for vert in vj]
             weight = wi * wj * (1 if i == j else 2)
-            for k, c in enumerate(joint):
+            for k, c in enumerate(_group_counts(union, p, GAUSSIAN_GOTE)[0]):
                 total[k] += weight * c
             for k1, c1 in enumerate(single[i]):
                 for k2, c2 in enumerate(single[j]):
@@ -436,7 +421,7 @@ def balanced_invariant_variance(
     p: int, n: int, N: int, dist: EntryDistribution
 ) -> Fraction:
     """Exact population Var[I_n(W_N)] under gaussian-gote entries, from the
-    pairing oracle on disjoint unions of classes (``_variance_counts``)."""
+    group DP on disjoint unions of classes (``_variance_counts``)."""
     if dist.kind != "gaussian-gote":
         raise ContractViolation("the exact variance of I_n needs gaussian-gote entries")
     if n == 0:
@@ -534,9 +519,9 @@ def melonic_limit_table(
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
     The exact values and the melonic flag depend on the map's multigraph
-    only, so each class is peeled once, and the polynomial in N of the law's
-    exact route (``_exact_route``: Wick pairings for gaussian-gote, edge
-    partitions otherwise) is formed once per class and evaluated on the grid.
+    only, so each class is peeled once, and its polynomial in N, from the
+    group DP of every exact law (``_polynomial``), is formed once per class
+    and evaluated on the grid.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -549,7 +534,8 @@ def melonic_limit_table(
     if p < 3:
         raise ContractViolation("the per-map limit table needs p >= 3")
     _require_maps(p, n)
-    polynomial, basis = _exact_route(p, n, dist)
+    _price(p, n, dist)
+    _check_map_budget(p, n)
     maps = rooted_connected(p, n)
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     logN = [math.log(N) for N in N_grid]
@@ -560,8 +546,8 @@ def melonic_limit_table(
         if key not in per_class:
             melonic = is_melonic_graph(b)  # peeling reads the multigraph only
             alpha = alpha_melonic if melonic else Fraction(0)
-            coeffs = polynomial(b)
-            values = [_at(coeffs, basis, b, N) / N for N in N_grid]
+            coeffs = _polynomial(b, dist)
+            values = [_at(coeffs, b, N) / N for N in N_grid]
             devs = [abs(v - alpha) for v in values]
             slope = None
             if len(set(N_grid)) > 1 and all(d > 0 for d in devs):

@@ -22,10 +22,9 @@ from .exact import (
     EntryDistribution,
     ExperimentConfig,
     _require_maps,
-    _trace_classes,
 )
 from .limitlaw import contracted_law, moment
-from .maps import _check_map_budget
+from .maps import _check_map_budget, _trace_classes
 from .tensor import (
     SymTensor,
     _check_storage,

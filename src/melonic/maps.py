@@ -9,12 +9,15 @@ root-preserving relabelling.
 
 Edge indexing convention used throughout the package: the edges of a map are
 its tau-cycles sorted by minimal halfedge, and an ``EdgePartition`` refers to
-these indices.
+these indices.  Maps with isomorphic multigraphs form one trace class: the
+trace invariant of a symmetric tensor and its expectation depend on the
+class only.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -398,6 +401,102 @@ def enumerate_rooted_connected(p: int, n: int) -> list[CombinatorialMap]:
 def rooted_connected(p: int, n: int) -> tuple[CombinatorialMap, ...]:
     """Cached tuple version of :func:`enumerate_rooted_connected`."""
     return tuple(enumerate_rooted_connected(p, n))
+
+
+# ---------------------------------------------------------------------------
+# trace classes: maps grouped by multigraph isomorphism
+# ---------------------------------------------------------------------------
+
+
+def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
+    """For each vertex, the edge index of every halfedge in cycle order."""
+    edge_of = {}
+    for i, (h, k) in enumerate(edge_list(b)):
+        edge_of[h] = i
+        edge_of[k] = i
+    return [tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma)]
+
+
+def _refine(colour: list[int], adj, loops) -> list[int]:
+    """Split colour cells by (own colour, multiset of (neighbour colour, edge
+    multiplicity), loops) until no cell splits.  Each new colour is the rank of
+    its signature in sorted order, so colours never depend on vertex labels."""
+    cells = len(set(colour))
+    while True:
+        sigs = [
+            (colour[v], tuple(sorted((colour[w], m) for w, m in adj[v])), loops[v])
+            for v in range(len(colour))
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colour = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
+
+
+def _multigraph_key(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
+    """Canonical form under vertex relabelling of the multigraph on vertices
+    0..n-1 with one vertex pair (u, v), u <= v, per edge, by
+    individualisation and refinement (McKay & Piperno, J. Symbolic Comput.
+    60, 2014).
+
+    After refinement, each vertex of the first cell of several vertices is
+    individualised in turn and the search recurses; every leaf colouring is a
+    relabelling, and the key is the smallest relabelled sorted edge tuple over
+    the leaves.  Equal keys mean isomorphic multigraphs, for every n.
+    """
+    mult = [Counter() for _ in range(n)]
+    loops = [0] * n
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] += 1
+            mult[v][u] += 1
+    adj = [tuple(m.items()) for m in mult]
+
+    def search(colour):
+        colour = _refine(colour, adj, loops)
+        split = min((c for c, k in Counter(colour).items() if k > 1), default=None)
+        if split is None:
+            return tuple(sorted(tuple(sorted((colour[u], colour[v]))) for u, v in edges))
+        return min(
+            search([2 * c + (c == split and w != v) for w, c in enumerate(colour)])
+            for v in range(n)
+            if colour[v] == split
+        )
+
+    return search([0] * n)
+
+
+def _class_keys(p: int, n: int) -> tuple:
+    """Multigraph class key of each map of B_n^(p), in enumeration order.
+
+    A key is computed once per distinct labelled multigraph.  When all maps
+    share one labelled multigraph (always at p = 2, where each n has a single
+    map) that multigraph is the key and no canonical form is computed, so
+    keys compare only within one (p, n).
+    """
+    labelled = [tuple(sorted(multigraph(b))) for b in rooted_connected(p, n)]
+    if len(set(labelled)) == 1:
+        return tuple(labelled)
+    memo: dict = {}
+    for g in labelled:
+        if g not in memo:
+            memo[g] = _multigraph_key(n, g)
+    return tuple(memo[g] for g in labelled)
+
+
+@lru_cache(maxsize=None)
+def _trace_classes(p: int, n: int) -> tuple[tuple[CombinatorialMap, int], ...]:
+    """Group the maps of B_n^(p) by multigraph isomorphism, for every n; Tr_b
+    of a symmetric tensor and its expectation only depend on that class.
+    Returns (representative, class size) in first-seen order, with the first
+    map of each class in enumeration order as its representative."""
+    groups: dict = {}
+    for b, key in zip(rooted_connected(p, n), _class_keys(p, n)):
+        groups.setdefault(key, []).append(b)
+    return tuple((members[0], len(members)) for members in groups.values())
 
 
 def enumerate_edge_partitions(m: int) -> Iterator[EdgePartition]:

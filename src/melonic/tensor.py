@@ -14,17 +14,16 @@ re-parsing its path on every call.  The tetrahedron K4 at p = 3 has its
 own kernel of one matrix product per index value.  A contraction whose
 predicted FLOP or memory exceeds a fixed limit is refused before it starts,
 and so is a tensor whose index table and dense expansion would exceed the
-memory limit, before its table is built.  The entry laws, the trace
-classes and the exact expectations live in the numpy-free ``exact`` module.
+memory limit, before its table is built.  The entry laws and the exact
+expectations live in the numpy-free ``exact`` module, the trace classes in
+``maps``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import string
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -33,9 +32,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ResourceLimitError
-from .exact import GAUSSIAN_GOTE, EntryDistribution, _trace_classes, _vertex_edge_ids
+from .exact import GAUSSIAN_GOTE, EntryDistribution
 from .exact import expected_balanced_invariant  # noqa: F401  (read as tensor.* by perfbench)
-from .maps import CombinatorialMap, multigraph
+from .maps import CombinatorialMap, _trace_classes, _vertex_edge_ids, multigraph
 
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
@@ -596,39 +595,3 @@ def resolvent_series(T: SymTensor, z: complex, K: int) -> complex:
     for n in range(K + 1):
         total += balanced_invariant(n, T) / (T.N * z ** (n + 1))
     return total
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def save_tensor(T: SymTensor, path) -> None:
-    """Binary little-endian: uint32 p, uint32 N, then the packed float64
-    payload in colex multi-index order."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", T.p, T.N))
-        fh.write(T.values.astype("<f8").tobytes())
-
-
-def load_tensor(path) -> SymTensor:
-    with open(path, "rb") as fh:
-        header, payload = fh.read(8), fh.read()
-    if len(header) < 8:
-        raise ContractViolation(f"{path}: truncated header ({len(header)} of 8 bytes)")
-    if len(payload) % 8:
-        raise ContractViolation(
-            f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values"
-        )
-    p, N = struct.unpack("<II", header)
-    return SymTensor(p, N, np.frombuffer(payload, dtype="<f8"))
-
-
-def tensor_to_json(T: SymTensor) -> dict:
-    return {"p": T.p, "N": T.N, "values": T.values.tolist()}
-
-
-def tensor_from_json(obj: dict | str) -> SymTensor:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return SymTensor(obj["p"], obj["N"], np.asarray(obj["values"]))

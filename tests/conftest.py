@@ -1,6 +1,8 @@
 """Shared test oracles, deliberately independent of the library code paths
 they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
-the injective-trace and exhaustive-sum references for the partition oracle,
+the exact expectation by one pass over the edge partitions (the reference of
+the group DP, in falling factorials of N), the injective-trace and
+exhaustive-sum references for that partition route,
 the sliced GEMM order for the tetrahedral trace invariant, numpy's own
 ``np.einsum`` along a contraction plan's path, the index table and the
 dense-position ranks by sorting multi-indices, the alternative
@@ -16,6 +18,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,24 +33,22 @@ from melonic.maps import (
     Permutation,
     _canonical_sigma,
     _check_map_budget,
+    _trace_classes,
+    _vertex_edge_ids,
     canonical_code,
     edge_list,
+    enumerate_edge_partitions,
     enumerate_rooted_connected,
     is_connected,
     multigraph,
     rooted_connected,
 )
-from melonic.exact import (
-    EntryDistribution,
-    _scale_exact,
-    _vertex_edge_ids,
-    entry_sigma2,
-    expected_trace_partitions,
-)
+from melonic.exact import EntryDistribution, _group_counts
 from melonic.tensor import _EINSUM_LETTERS, SymTensor, _table
 
 _EXHAUSTIVE_TERM_GUARD = 10**8
 _INJECTIVE_TERM_GUARD = 2 * 10**6
+_PARTITION_EDGE_GUARD = 9
 
 
 def canonical_sigma(p: int, n: int) -> Permutation:
@@ -318,6 +319,89 @@ def injective_trace(b: CombinatorialMap, pi: EdgePartition, T: SymTensor) -> flo
     return math.fsum(total)
 
 
+def entry_sigma2(dist: EntryDistribution, p: int, multiplicities) -> Fraction:
+    """Exact variance of an unscaled entry whose index has the given
+    multiplicity pattern (counts summing to p)."""
+    if dist.flat_profile:
+        return Fraction(1, math.factorial(p - 1))
+    num = math.prod(math.factorial(c) for c in multiplicities)
+    return Fraction(num, math.factorial(p - 1))
+
+
+def scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
+    """total / N^{(n/2)(p-1)}; a nonzero total needs an even n."""
+    if total == 0:
+        return Fraction(0)
+    assert n % 2 == 0
+    return total / Fraction(N ** ((n // 2) * (p - 1)))
+
+
+def trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fraction]:
+    """Coefficients c_0..c_m of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling
+    factorials N^(k), by one pass over the Bell(m) edge partitions.
+
+    Under an edge partition pi, each vertex reads the entry indexed by the
+    blocks of its edges; vertices with the same sorted block tuple read the
+    same entry, which contributes one moment of that multiplicity.  Every
+    injective assignment of indices to the blocks gives the same product, so
+    c_k is the sum of the products over the partitions with k blocks.
+    """
+    m = len(edge_list(b))
+    if m > _PARTITION_EDGE_GUARD:
+        raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
+    verts = _vertex_edge_ids(b)
+    coeffs = [Fraction(0)] * (m + 1)
+    for pi in enumerate_edge_partitions(m):
+        block_of = {e: i for i, block in enumerate(pi.blocks) for e in block}
+        entries = Counter(tuple(sorted(block_of[e] for e in vert)) for vert in verts)
+        factor = Fraction(1)
+        for entry, mult in entries.items():
+            pattern = tuple(sorted(Counter(entry).values()))
+            factor *= dist.moment(mult, entry_sigma2(dist, b.p, pattern))
+            if not factor:
+                break
+        coeffs[len(pi)] += factor
+    return coeffs
+
+
+def in_powers(falling: list) -> list:
+    """Coefficients in the powers N^j of sum_k falling[k] N^(k), through the
+    signed Stirling numbers of the first kind."""
+    powers = [Fraction(0)] * len(falling)
+    stirling = [1]  # N^(k) = sum_j stirling[j] N^j
+    for k, c in enumerate(falling):
+        for j, s in enumerate(stirling):
+            powers[j] += c * s
+        stirling = [0] + stirling
+        for j in range(len(stirling) - 1):
+            stirling[j] -= k * stirling[j + 1]
+    return powers
+
+
+@lru_cache(maxsize=None)
+def group_dp_run(p: int, n: int, dist: EntryDistribution) -> tuple[list, int]:
+    """One run of the group DP over the classes of B_n^(p): the coefficients
+    of N^{(n/2)(p-1)} E[I_n] in the powers N^k, and the most terms a class
+    took."""
+    total = [Fraction(0)] * (p * n // 2 + 1)
+    most = 0
+    for rep, count in _trace_classes(p, n):
+        counts, terms = _group_counts(_vertex_edge_ids(rep), p, dist)
+        for k, c in enumerate(counts):
+            total[k] += Fraction(count * c, math.factorial(p - 1) ** (n // 2))
+        most = max(most, terms)
+    return total, most
+
+
+def expected_trace_partitions(
+    b: CombinatorialMap, N: int, dist: EntryDistribution
+) -> Fraction:
+    """E[Tr_b(W_N)] = sum_k N^(k) c_k / N^{(n/2)(p-1)}, exact and rational,
+    with the falling factorials N^(k) and the c_k of ``trace_polynomial``."""
+    coeffs = trace_polynomial(b, dist)
+    return scale_exact(sum(math.perm(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
+
+
 def expected_trace_exhaustive(
     b: CombinatorialMap, N: int, dist: EntryDistribution
 ) -> Fraction:
@@ -349,7 +433,7 @@ def expected_trace_exhaustive(
                 break
             term *= mom
         total += term
-    return _scale_exact(total, b.n, p, N)
+    return scale_exact(total, b.n, p, N)
 
 
 def _polish_to_residual(p: int, z: complex, r: complex) -> complex:

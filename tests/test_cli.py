@@ -126,17 +126,14 @@ class TestMomentsExact:
 
     @pytest.mark.parametrize("p", ["3", "4"])
     def test_pairing_route_output_is_byte_identical(self, tmp_path, monkeypatch, p):
-        # gaussian-gote takes the pairing route; forcing the partition route
-        # must print the same bytes
-        import math
-        from functools import partial
+        # the group DP, Isserlis' pairings under gaussian-gote; forcing the
+        # partition route of the tests must print the same bytes
+        from conftest import in_powers, trace_polynomial
 
         args = ("moments", "--p", p, "--n", "4", "--N", "3,8,16", "--dist", "gaussian-gote")
         pairing = run(tmp_path, *args)
         monkeypatch.setattr(
-            exact,
-            "_exact_route",
-            lambda p, n, dist: (partial(exact._trace_polynomial, dist=dist), math.perm),
+            exact, "_polynomial", lambda b, dist: in_powers(trace_polynomial(b, dist))
         )
         assert run(tmp_path, *args).encode() == pairing.encode()
 
@@ -468,11 +465,21 @@ class TestErrors:
     @pytest.mark.parametrize("n", ["9", "0"])
     def test_moments_refuses_a_degree_without_maps(self, monkeypatch, capsys, n):
         def no_route(*args):
-            raise AssertionError("oracle route chosen before the degree check")
+            raise AssertionError("oracle priced before the degree check")
 
-        monkeypatch.setattr(exact, "_exact_route", no_route)
+        monkeypatch.setattr(exact, "_price", no_route)
         code, err = self.fail(capsys, "moments", "--p", "3", "--n", n, "--N", "8")
         assert code == 3 and f"no map has p=3 and n={n}" in err
+
+    def test_moments_over_the_oracle_guard_exits_before_any_map(self, monkeypatch, capsys):
+        def no_enumeration(*args):
+            raise AssertionError("maps enumerated before the oracle guard")
+
+        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(maps, "_canonical_sigma", no_enumeration)
+        code, err = self.fail(capsys, "moments", "--p", "5", "--n", "4", "--dist", "rademacher")
+        assert code == 5
+        assert "4497708 oracle terms per class of 4 vertices exceed the oracle guard" in err
 
     @pytest.mark.parametrize("n", ["3", "0"])
     def test_heavytail_refuses_a_degree_without_maps(self, monkeypatch, capsys, n):
@@ -534,7 +541,8 @@ def run_child(code):
     return done.stdout
 
 
-# every name ``melonic`` exported before its numpy modules were loaded lazily
+# every name ``melonic`` exported before its numpy modules were loaded lazily,
+# but expected_trace_partitions, now the tests' partition-route reference
 EXPORTED = {
     "CombinatorialMap", "ContractViolation", "ContractedLaw", "DomainError", "DyckPath",
     "EdgePartition", "EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE",
@@ -545,7 +553,7 @@ EXPORTED = {
     "contraction_moments", "count_dyck", "count_melonic_maps", "count_noncrossing_div",
     "count_rooted_maps", "cycles", "density", "dual", "dyck_from_hypertree", "edge_list",
     "enumerate_edge_partitions", "enumerate_rooted_connected", "euler_deficiency",
-    "expected_balanced_invariant", "expected_trace_partitions", "fuss_catalan",
+    "expected_balanced_invariant", "fuss_catalan",
     "generating_series_check", "has_cycle", "heavy_tail_moments", "hypergraph_of",
     "hypertree_from_dyck", "inversion_density", "is_connected", "is_double_hypertree",
     "is_hypertree", "is_melonic_graph", "mc_moments", "melonic_limit_table",

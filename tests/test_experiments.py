@@ -13,7 +13,6 @@ from melonic.exact import (
     GAUSSIAN_GOTE,
     EntryDistribution,
     ExperimentConfig,
-    expected_trace_partitions,
     melonic_limit_table,
 )
 from melonic.experiments import (
@@ -26,7 +25,7 @@ from melonic.experiments import (
 )
 from melonic.tensor import SymTensor, balanced_invariant, contract, sample_wigner
 
-from conftest import exact_i2_variance
+from conftest import exact_i2_variance, expected_trace_partitions
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 
@@ -196,23 +195,22 @@ class TestMelonicLimitTable:
         assert [r.melonic for r in rows] == [is_melonic_graph(b) for b in rooted_connected(p, n)]
 
     def test_one_partition_pass_per_class(self, monkeypatch):
-        # the polynomial in N serves the whole grid: 5 classes x Bell(6) on
-        # the partition route, and none on the Gaussian pairing route
-        from melonic import maps
+        # the polynomial in N serves the whole grid and later calls: one group
+        # DP over the edge partitions per class of the 5, under every law
+        passes = []
+        group_counts = exact._group_counts
 
-        visited = []
-        enumerate_edge_partitions = maps.enumerate_edge_partitions
+        def counting(verts, p, dist):
+            passes.append(dist.kind)
+            return group_counts(verts, p, dist)
 
-        def counting(m):
-            for pi in enumerate_edge_partitions(m):
-                visited.append(pi)
-                yield pi
-
-        monkeypatch.setattr(maps, "enumerate_edge_partitions", counting)
-        melonic_limit_table(3, 4, (8, 16, 32), EntryDistribution("rademacher"))
-        assert len(visited) == 5 * 203
-        melonic_limit_table(3, 4, (8, 16, 32), GAUSSIAN_GOTE)
-        assert len(visited) == 5 * 203
+        monkeypatch.setattr(exact, "_group_counts", counting)
+        exact._polynomial.cache_clear()
+        for dist in (EntryDistribution("rademacher"), GAUSSIAN_GOTE):
+            melonic_limit_table(3, 4, (8, 16, 32), dist)
+            melonic_limit_table(3, 4, (8,), dist)
+            exact.expected_balanced_invariant(3, 4, 64, dist)
+        assert passes == ["rademacher"] * 5 + ["gaussian-gote"] * 5
 
     def test_universality_limit_column(self):
         gauss = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)
@@ -246,13 +244,16 @@ class TestMelonicLimitTable:
             raise AssertionError("maps enumerated before the partition guard")
 
         monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
-        # the pairing route admits (4, 5), with no pairing term, and (5, 4),
-        # with 43,200, but their 100,278 and 869,400 maps exceed the map budget
-        for p, n in [(4, 5), (5, 4)]:
+        # the edge-partition guard is gone: the oracle guard admits (4, 5) and
+        # (5, 4) under gaussian-gote and (4, 5) under rademacher, whose
+        # 100,278 and 869,400 maps exceed the map budget, and it refuses
+        # (5, 4) under rademacher itself, as the partition guard did
+        rademacher = EntryDistribution("rademacher")
+        for p, n, dist in [(4, 5, GAUSSIAN_GOTE), (5, 4, GAUSSIAN_GOTE), (4, 5, rademacher)]:
             with pytest.raises(ResourceLimitError, match=rf"^{count_rooted_maps(p, n)} maps"):
-                melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
-            with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
-                melonic_limit_table(p, n, (8,), EntryDistribution("rademacher"))
+                melonic_limit_table(p, n, (8,), dist)
+        with pytest.raises(ResourceLimitError, match=r"^4497708 oracle terms"):
+            melonic_limit_table(5, 4, (8,), rademacher)
 
     def test_pairing_guard_refuses_before_enumerating(self, monkeypatch):
         def no_enumeration(p, n):
@@ -260,7 +261,7 @@ class TestMelonicLimitTable:
 
         monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
         # one pair of two 10-valent vertices: 10! slot bijections
-        with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms"):
+        with pytest.raises(ResourceLimitError, match=r"^3628800 oracle terms"):
             melonic_limit_table(10, 2, (8,), GAUSSIAN_GOTE)
 
 

@@ -16,6 +16,8 @@ from melonic.maps import (
     EdgePartition,
     Hypermap,
     Permutation,
+    _multigraph_key,
+    _trace_classes,
     edge_list,
     enumerate_edge_partitions,
     enumerate_rooted_connected,
@@ -27,23 +29,16 @@ from melonic.exact import (
     GAUSSIAN_GOTE,
     RADEMACHER,
     EntryDistribution,
-    _multigraph_key,
-    _trace_classes,
     balanced_invariant_variance,
     expected_balanced_invariant,
-    expected_trace_partitions,
 )
 from melonic.tensor import (
     SymTensor,
     balanced_invariant,
     contract,
-    load_tensor,
     resolvent_series,
     sample_gote,
     sample_wigner,
-    save_tensor,
-    tensor_from_json,
-    tensor_to_json,
     trace_invariant,
 )
 
@@ -53,6 +48,8 @@ from conftest import (
     einsum_contract,
     exact_i2_variance,
     expected_trace_exhaustive,
+    expected_trace_partitions,
+    in_powers,
     index_table_by_sorting,
     injective_trace,
     k4_trace_sliced_gemm,
@@ -60,6 +57,7 @@ from conftest import (
     naive_trace,
     random_permutation,
     trace_classes_by_permutations,
+    trace_polynomial,
 )
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
@@ -727,7 +725,7 @@ class TestExactExpectations:
             (3, 2, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
             (3, 4, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
             (4, 2, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
-            (4, 4, (GAUSSIAN_GOTE,)),
+            (4, 4, (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)),
         ],
     )
     def test_degree_bound_reached_only_by_melonic_maps(self, p, n, dists):
@@ -739,7 +737,7 @@ class TestExactExpectations:
         bound = (n // 2) * (p - 1) + 1
         for dist in dists:
             for rep, _ in _trace_classes(p, n):
-                coeffs = exact._trace_polynomial(rep, dist)
+                coeffs = exact._polynomial(rep, dist)
                 degree = max(k for k, c in enumerate(coeffs) if c)
                 assert degree <= bound
                 assert (degree == bound) == is_melonic_graph(rep)
@@ -807,19 +805,73 @@ def _inverse_powers(counts, p, n, extra):
 class TestPairingOracle:
     @pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (3, 4), (4, 2), (4, 4)])
     def test_matches_partition_route(self, p, n):
-        for rep, _ in _trace_classes(p, n):
-            pairing = exact._pairing_polynomial(rep)
-            partitions = exact._trace_polynomial(rep, GAUSSIAN_GOTE)
-            for N in (1, 2, 3, 7):
-                assert exact._at(pairing, pow, rep, N) == exact._at(
-                    partitions, math.perm, rep, N
-                )
+        # under every exact law, the group DP gives the partition route's
+        # polynomial in the powers N^k
+        for dist in (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM):
+            for rep, _ in _trace_classes(p, n):
+                assert list(exact._polynomial(rep, dist)) == in_powers(trace_polynomial(rep, dist))
 
     def test_route_is_chosen_by_the_law(self):
-        assert exact._exact_route(3, 4, GAUSSIAN_GOTE) == (exact._pairing_polynomial, pow)
-        for dist in (FLAT, RADEMACHER, UNIFORM):
-            polynomial, basis = exact._exact_route(3, 4, dist)
-            assert polynomial.func is exact._trace_polynomial and basis is math.perm
+        # every law takes the group DP; its tables follow the law: the p!
+        # slot bijections at weight 1 for a Gaussian pair, and for the 7-edge
+        # melon under the flat profile the lattice route, one unmerged term
+        pair = ((0, 1, 2), (3, 4, 5))
+        for dist in (GAUSSIAN_GOTE, RADEMACHER, UNIFORM):
+            (steps,) = exact._group_table(pair, dist)
+            assert len(steps) == 1 and sorted(w for _, w in steps[0]) == [1] * 6
+            assert all(type(w) is int for _, w in steps[0])
+        assert exact._table_terms(FLAT, 7, 2, 7) == (426_833, 19_302)
+        melon = (tuple(range(7)), tuple(range(7)))
+        ((step,),) = exact._group_table(melon, FLAT)
+        assert step == (((), 1),)
+        # the laws differ through groups of four and more, absent from Gaussians
+        assert list(exact._law(GAUSSIAN_GOTE, 3, 6)) == [2]
+        assert list(exact._law(RADEMACHER, 3, 6)) == [2, 4, 6]
+
+    @pytest.mark.parametrize(
+        "members, dist",
+        [
+            (members, dist)
+            for members in [
+                ((0, 1, 2), (3, 4, 5)),
+                ((0, 0, 1), (1, 2, 2)),
+                ((0, 1, 2), (0, 1, 3)),
+                ((0, 1, 2, 3), (4, 5, 6, 6)),
+            ]
+            for dist in (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
+        ]
+        + [
+            (members, dist)
+            for members in [
+                ((0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 3, 5)),
+                ((0, 0, 1), (1, 2, 3), (2, 3, 4), (4, 5, 5)),
+            ]
+            for dist in (RADEMACHER, UNIFORM)
+        ],
+    )
+    def test_slot_and_lattice_routes_agree(self, monkeypatch, members, dist):
+        # both enumerations give the same identification sets and weights
+        def flat_table(route):
+            monkeypatch.setattr(exact, "_table_terms", lambda *args: route)
+            table = Counter()
+            for steps in exact._group_table.__wrapped__(members, dist):
+                states = Counter({tuple(range(m)): 1})
+                for step in steps:
+                    nxt = Counter()
+                    for part, c in states.items():
+                        for pairs, w in step:
+                            labels = list(part)
+                            for e, f in pairs:
+                                x, y = labels[e], labels[f]
+                                labels = [x if z == y else z for z in labels]
+                            rgs: dict = {}
+                            nxt[tuple(rgs.setdefault(x, len(rgs)) for x in labels)] += c * w
+                    states = nxt
+                table.update(states)
+            return {part: w for part, w in table.items() if w}
+
+        m = 1 + max(map(max, members))
+        assert flat_table((1, 0)) == flat_table((0, 1))
 
     @pytest.mark.parametrize("p, n, top", [(3, 6, 12), (4, 4, 4)])
     def test_degree_bound_and_fuss_catalan_top(self, p, n, top):
@@ -828,33 +880,34 @@ class TestPairingOracle:
         bound = (n // 2) * (p - 1) + 1
         weighted = 0
         for rep, count in _trace_classes(p, n):
-            counts = exact._pairing_counts(exact._vertex_edge_ids(rep), p)
+            counts, _ = exact._group_counts(exact._vertex_edge_ids(rep), p, GAUSSIAN_GOTE)
             assert not any(counts[bound + 1 :])
             weighted += count * counts[bound]
         assert bound == 7 and top == fuss_catalan(p, n // 2)
         assert Fraction(weighted, math.factorial(p - 1) ** (n // 2)) == top
 
     def test_odd_vertex_count_has_no_pairing(self):
-        assert exact._pairing_counts([(0, 0)], 2) == [0, 0]
+        assert exact._group_counts([(0, 0)], 2, GAUSSIAN_GOTE)[0] == [0, 0]
+        assert exact._group_counts([(0, 0)], 2, RADEMACHER)[0] == [0, 0]
 
     def test_work_guard_per_route(self, monkeypatch):
-        assert exact._pairing_terms(3, 6) == 15 * 6**3
-        for pairing in (True, False):
-            exact._check_oracle_work(3, 6, pairing)
-        # both refusals come before any map is enumerated
+        # each table is priced by the cheaper of its two routes
+        assert exact._price(3, 6, GAUSSIAN_GOTE) == 3810
+        assert exact._price(3, 6, RADEMACHER) == 52_034
+        assert exact._price(7, 2, FLAT) == 19_302 < exact._table_terms(FLAT, 7, 2, 7)[0]
+        # refusals come before any map is enumerated
         monkeypatch.setattr(exact, "_trace_classes", _no_contraction)
-        with pytest.raises(ResourceLimitError, match=r"^3628800 pairing terms per class"):
+        with pytest.raises(ResourceLimitError, match=r"^3628800 oracle terms per class of 2"):
             expected_balanced_invariant(10, 2, 4, GAUSSIAN_GOTE)
-        with pytest.raises(ResourceLimitError, match=r"Bell\(10\)"):
-            expected_balanced_invariant(2, 10, 4, RADEMACHER)
-        # the map budget refuses what the pairing route admits: (4, 5) has no
-        # pairing term, (5, 4) only 43,200
-        assert exact._pairing_terms(4, 5) == 0 and exact._pairing_terms(5, 4) == 43_200
-        for p, n in [(4, 5), (5, 4)]:
+        with pytest.raises(ResourceLimitError, match=r"^4497708 oracle terms per class of 4"):
+            expected_balanced_invariant(5, 4, 4, RADEMACHER)
+        # the map budget refuses what the guard admits
+        for p, n, dist in [(4, 5, GAUSSIAN_GOTE), (4, 5, RADEMACHER), (5, 4, GAUSSIAN_GOTE)]:
+            assert exact._price(p, n, dist) <= exact._ORACLE_TERM_GUARD
             with pytest.raises(ResourceLimitError, match=rf"^{count_rooted_maps(p, n)} maps"):
-                expected_balanced_invariant(p, n, 4, GAUSSIAN_GOTE)
+                expected_balanced_invariant(p, n, 4, dist)
         # the variance prices the disjoint union of two classes
-        with pytest.raises(ResourceLimitError, match=r"^484989120 pairing terms"):
+        with pytest.raises(ResourceLimitError, match=r"^570464598 oracle terms"):
             balanced_invariant_variance(3, 6, 4, GAUSSIAN_GOTE)
 
     @pytest.mark.parametrize(
@@ -902,25 +955,6 @@ class TestResolventSeries:
             resolvent_series(T, 0, 4)
 
 
-class TestSerialization:
-    def test_binary_roundtrip(self, tmp_path):
-        T = sample_gote(3, 6, seed=0)
-        path = tmp_path / "t.bin"
-        save_tensor(T, path)
-        raw = path.read_bytes()
-        assert raw[:8] == (3).to_bytes(4, "little") + (6).to_bytes(4, "little")
-        assert len(raw) == 8 + 8 * len(T.values)
-        back = load_tensor(path)
-        assert back.p == 3 and back.N == 6
-        assert np.array_equal(back.values, T.values)
-
-    def test_json_roundtrip(self):
-        T = sample_gote(2, 3, seed=1)
-        back = tensor_from_json(tensor_to_json(T))
-        assert back.p == 2 and back.N == 3
-        assert np.array_equal(back.values, T.values)
-
-
 class TestMultilinearTransform:
     def test_identity(self):
         T = sample_gote(3, 4, seed=0)
@@ -934,18 +968,3 @@ class TestMultilinearTransform:
         a = multilinear_transform(multilinear_transform(T, V), U)
         b = multilinear_transform(T, U @ V)
         assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
-
-
-class TestTruncatedTensorFile:
-    def test_short_header(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes((3).to_bytes(4, "little") + b"\x06\x00")
-        with pytest.raises(ContractViolation, match="header"):
-            load_tensor(path)
-
-    def test_partial_value(self, tmp_path):
-        path = tmp_path / "t.bin"
-        save_tensor(sample_gote(3, 4, seed=0), path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ContractViolation, match="float64"):
-            load_tensor(path)
