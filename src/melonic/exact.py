@@ -241,23 +241,41 @@ def _slot_partitions(dist: EntryDistribution, p: int, r: int) -> tuple:
     return tuple(out)
 
 
-def _merged(choices: Iterable[tuple[list, Fraction]]) -> tuple:
+@lru_cache(maxsize=None)
+def _denominator(dist: EntryDistribution, p: int, n: int) -> int:
+    """A common denominator D of every weight of the groups of ``_law``: a
+    lattice-route weight is kappa_r times an integer, a slot-route weight
+    kappa_r times at most p factors h(c) (c!)^{r-1}.  Under ``uniform``
+    (kappa_4 = -6/5, kappa_6 = 48/7) D = 35 at p = 3; D = 1 for the other
+    exact laws."""
+    D = 1
+    for r, (kappa, h) in _law(dist, p, n).items():
+        slot = math.lcm(*(Fraction(h[c] * math.factorial(c) ** (r - 1)).denominator
+                          for c in range(1, p + 1)))
+        D = math.lcm(D, kappa.denominator * slot**p)
+    return D
+
+
+def _merged(choices: Iterable[tuple[list, Fraction]], scale: int = 1) -> tuple:
     """(edge identifications, weight) choices, equal identification sets
-    merged, zero weights dropped and whole ones made ``int``."""
+    merged, zero weights dropped, every weight times ``scale``, and whole
+    ones made ``int``."""
     merged: Counter = Counter()
     for pairs, w in choices:
         merged[tuple(sorted({(e, f) for e, f in pairs if e != f}))] += w
-    return tuple(
-        (pairs, w.numerator if w.denominator == 1 else w) for pairs, w in merged.items() if w
-    )
+    scaled = ((pairs, w * scale) for pairs, w in merged.items() if w)
+    return tuple((pairs, w.numerator if w.denominator == 1 else w) for pairs, w in scaled)
 
 
 @lru_cache(maxsize=None)
-def _group_table(members: tuple[tuple[int, ...], ...], dist: EntryDistribution) -> tuple:
+def _group_table(
+    members: tuple[tuple[int, ...], ...], dist: EntryDistribution, scale: int = 1
+) -> tuple:
     """Branches of the group whose vertices read the edges ``members``,
     lowest first: lists of steps, each state taking every choice of each
     step in turn.  The route of fewer terms (``_table_terms``) builds them;
-    both give the same identification sets and weights.
+    both give the same identification sets and weights, each branch's
+    weight times ``scale``.
 
     Slot route: a branch per partition pi of ``_slot_partitions`` and a step
     per other member, over its words; the first step also identifies v's
@@ -285,8 +303,9 @@ def _group_table(members: tuple[tuple[int, ...], ...], dist: EntryDistribution) 
                 mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in sizes)
                 table[tuple(rho[x] for x in sigma)] += mu * f
         return ([_merged(
-            ([(own[pi.index(b)], own[e]) for e, b in enumerate(pi)], kappa * w)
-            for pi, w in table.items()
+            (([(own[pi.index(b)], own[e]) for e, b in enumerate(pi)], kappa * w)
+             for pi, w in table.items()),
+            scale,
         )],)
     branches = []
     v = members[0]
@@ -297,9 +316,10 @@ def _group_table(members: tuple[tuple[int, ...], ...], dist: EntryDistribution) 
         for i, member in enumerate(members[1:]):
             first = i == 0  # identifies v's edges within pi's blocks, at pi's weight
             steps.append(_merged(
-                ([*(base if first else ()), *((rep[b], e) for e, b in zip(member, word))],
-                 w if first else 1)
-                for word in words
+                (([*(base if first else ()), *((rep[b], e) for e, b in zip(member, word))],
+                  w if first else 1)
+                 for word in words),
+                scale if first else 1,
             ))
         branches.append(steps)
     return tuple(branches)
@@ -319,12 +339,15 @@ def _group_counts(
     lowest vertex with r - 1 later ones, for each r of ``_law``.  Under
     gaussian-gote only pairs occur, each table is the p! slot bijections at
     weight 1 (equal identification sets merged), and this is Isserlis'
-    theorem.
+    theorem.  A group of r takes its weights times D^{r/2}, with D of
+    ``_denominator``, which makes them ``int``; every term then carries
+    D^{n/2}, divided out once at the end.
     """
     n = len(verts)
     m = n * p // 2
     if n % 2:
         return [0] * (m + 1), 0
+    D = _denominator(dist, p, n)
     pending = {(1 << n) - 1: Counter({tuple(range(m)): 1})}
     terms = 0
     for mask in range((1 << n) - 1, 0, -1):
@@ -337,7 +360,7 @@ def _group_counts(
             for others in itertools.combinations(later, r - 1):
                 group = (v, *others)
                 out = pending.setdefault(mask & ~sum(1 << u for u in group), Counter())
-                for steps in _group_table(tuple(verts[u] for u in group), dist):
+                for steps in _group_table(tuple(verts[u] for u in group), dist, D ** (r // 2)):
                     cur = parts
                     for i, step in enumerate(steps, 1 - len(steps)):
                         terms += len(cur) * len(step)
@@ -357,6 +380,8 @@ def _group_counts(
     counts = [0] * (m + 1)
     for part, c in pending.get(0, Counter()).items():
         counts[max(part, default=-1) + 1] += c
+    if D > 1:
+        counts = [Fraction(c, D ** (n // 2)) for c in counts]
     return counts, terms
 
 

@@ -3,9 +3,11 @@ finite-N tables and the run configuration live in the numpy-free ``exact``
 module.
 
 Reproducibility contract: every sample draws from its own RNG substream
-derived from (seed, N, stream tag, sample index), and samples are drawn,
-evaluated and aggregated in index order, so results are bit-identical for a
-given (config, seed).
+derived from (seed, N, stream tag, sample index), and samples are drawn and
+aggregated in index order, so results are bit-identical for a given
+(config, seed).  Samples are evaluated in batches, but the draws of each
+substream are those of a sample drawn alone, and a batch gives every sample
+the bits it would get by itself: the batch size changes no output.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .exact import (
     _require_maps,
 )
 from .limitlaw import contracted_law, moment
-from .maps import _check_map_budget, _trace_classes
+from .maps import _check_map_budget
 from .tensor import (
+    _SLICE_ELEMS,
     SymTensor,
     _check_storage,
+    _dense_stack,
     _route,
-    balanced_invariant,
+    balanced_invariants,
     contract,
     resolvent_series,
     sample_gote,
@@ -47,15 +51,14 @@ def _check_enumeration_feasible(
     """Refuse a Monte Carlo run before its first sample: by the map count of
     every n in ns, the storage of the sampled order-``order`` tensor at every
     N, and the route of every class of every n in ns at every N, largest n
-    first."""
+    first, with the triangle tensor wherever the route builds it."""
     for n in ns:
         _check_map_budget(p, n)
     for N in N_grid:
         _check_storage(order, N)
     for n in sorted((n for n in ns if n > 0), reverse=True):  # I_0 = N contracts nothing
-        for rep, _ in _trace_classes(p, n):
-            for N in N_grid:
-                _route(rep, N)
+        for N in N_grid:
+            _route(p, n, N)
 
 
 @dataclass
@@ -112,20 +115,26 @@ def sample_invariants(
     """I_n/N for every n in ``ns`` on ``samples`` Wigner tensors of order p
     and dimension N, as an array of shape (samples, len(ns)).
 
-    Samples are drawn and evaluated one after another in index order:
-    sample ``idx`` draws from the substream (seed, N, 0, idx) and row ``idx``
-    holds its invariants.  With k = len(vectors) > 0 each tensor is first
-    contracted by the vectors and rescaled by N^{k/2}, so the invariants are
-    those of the order-(p-k) tensor.
+    Sample ``idx`` draws from the substream (seed, N, 0, idx) and row ``idx``
+    holds its invariants.  Up to ``_SLICE_ELEMS // N**p`` samples (at least
+    one) are drawn in index order and evaluated together, which gives each
+    the bits it would get alone.  With k = len(vectors) > 0 each tensor is
+    first contracted by the vectors and rescaled by N^{k/2}, so the
+    invariants are those of the order-(p-k) tensor.
     """
     scale = float(N) ** (len(vectors) / 2.0)
-    results = []
-    for idx in range(samples):
-        W = sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
+    batch = max(1, _SLICE_ELEMS // N**p)
+    rows: list = []
+    for start in range(0, samples, batch):
+        tensors = [
+            sample_wigner(p, N, dist, (seed, N, _SAMPLE_STREAM, idx))
+            for idx in range(start, min(start + batch, samples))
+        ]
         if vectors:
-            W = contract(W, vectors).scaled(scale)
-        results.append([balanced_invariant(n, W) / N for n in ns])
-    return np.asarray(results, dtype=np.float64)
+            tensors = [contract(W, vectors).scaled(scale) for W in tensors]
+        dense = _dense_stack(tensors)
+        rows.extend(zip(*(balanced_invariants(n, dense) / N for n in ns)))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _estimate_rows(

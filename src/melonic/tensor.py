@@ -9,12 +9,15 @@ greedy path; a contraction whose largest intermediate would be too big, or
 that has no pairwise order within the path budget, is sliced over the index
 of one edge and summed over its values.  Each plan is compiled once per
 (equation, N) into a step program of numpy's own pairwise batched-GEMM
-steps, so a contraction gives ``np.einsum``'s value bit for bit without
-re-parsing its path on every call.  The tetrahedron K4 at p = 3 has its
-own kernel of one matrix product per index value.  A contraction whose
-predicted FLOP or memory exceeds a fixed limit is refused before it starts,
-and so is a tensor whose index table and dense expansion would exceed the
-memory limit, before its table is built.  The entry laws and the exact
+steps behind a batch axis, so a stack of samples contracts together and
+each gets ``np.einsum``'s value bit for bit without re-parsing its path on
+every call.  The tetrahedron K4 at p = 3 has its own kernel of one matrix
+product per index value.  At p = 3 a balanced invariant may replace each
+triangle of a class by one vertex carrying the triangle tensor, built once
+per sample for all its classes.  A contraction whose predicted FLOP or
+memory exceeds a fixed limit is refused before it starts, and so is a
+tensor whose index table and dense expansion would exceed the memory
+limit, before its table is built.  The entry laws and the exact
 expectations live in the numpy-free ``exact`` module, the trace classes in
 ``maps``.
 """
@@ -276,20 +279,23 @@ def contract(T: SymTensor, vectors: Sequence[np.ndarray]) -> SymTensor:
 @dataclass(frozen=True)
 class _Step:
     """One step of a compiled contraction: the operands at positions ``take``,
-    popped in that order, become one operand appended last.
+    popped in that order, become one operand appended last.  Every operand
+    carries a leading batch axis, one entry per sample, that no step mixes.
 
     A step of two operands is numpy's batched-GEMM form of their einsum: each
-    operand takes its single-operand subscript in ``prep`` (diagonals, sums,
-    transposes) and its reshape in ``shapes`` where these are not None, then
-    ``join`` combines the two (``np.matmul``, or ``np.multiply`` when no index
-    is summed between them), and the result takes the reshape ``out_shape``
-    and the axis order ``perm`` where these are not None.  A step of one or
-    of more than two operands is the single einsum ``eq``.
+    operand takes its prep in ``prep`` and its reshape in ``shapes`` where
+    these are not None, then ``join`` combines the two (``np.matmul`` over
+    the batch, or ``np.multiply`` when no index is summed between them), and
+    the result takes the reshape ``out_shape`` and the axis order ``perm``
+    where these are not None.  Every shape leads with -1 for the batch axis.
+    A prep is an axis order for ``transpose`` when it only permutes axes,
+    else a ``...``-prefixed single-operand einsum (diagonals, sums).  A step
+    of one or of more than two operands is the single einsum ``eq``.
     """
 
     take: tuple[int, ...]
     eq: Optional[str] = None
-    prep: tuple[Optional[str], Optional[str]] = (None, None)
+    prep: tuple = (None, None)
     shapes: tuple[Optional[tuple[int, ...]], Optional[tuple[int, ...]]] = (None, None)
     join: Optional[Callable] = None
     out_shape: Optional[tuple[int, ...]] = None
@@ -298,16 +304,9 @@ class _Step:
     def __call__(self, *ops):
         if self.eq is not None:
             return np.einsum(self.eq, *ops)
-        a, b = ops
-        (prep_a, prep_b), (shape_a, shape_b) = self.prep, self.shapes
-        if prep_a is not None:
-            a = np.einsum(prep_a, a)
-        if shape_a is not None:
-            a = a.reshape(shape_a)
-        if prep_b is not None:
-            b = np.einsum(prep_b, b)
-        if shape_b is not None:
-            b = b.reshape(shape_b)
+        a, b = (
+            _prepared(x, prep, shape) for x, prep, shape in zip(ops, self.prep, self.shapes)
+        )
         ab = self.join(a, b)
         if self.out_shape is not None:
             ab = ab.reshape(self.out_shape)
@@ -316,18 +315,32 @@ class _Step:
         return ab
 
 
+def _prepared(x: np.ndarray, prep, shape: Optional[tuple[int, ...]]) -> np.ndarray:
+    """One operand of a two-operand step, in its prep and reshape."""
+    if isinstance(prep, tuple):
+        x = x.transpose(prep)
+    elif prep is not None:
+        x = np.einsum(prep, x)
+    return x if shape is None else x.reshape(shape)
+
+
 def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
     """The step a,b->out with every index of size N, grouped as numpy's
     ``bmm_einsum`` groups it (the einsum_bmm scheme of Gray & Kourtis,
-    Quantum 5, 410 (2021)).  Every letter of a trace equation sits on two
-    slots, so a letter of both operands is needed by no other operand: it is
-    contracted, and numpy's batch group stays empty.  Letters of one operand
-    that out keeps are kept, each group in operand order, and every other
-    letter is summed by its operand's own subscript.  numpy drops axes of
-    size 1, so at N = 1 nothing is contracted and the step is a product."""
+    Quantum 5, 410 (2021)), behind a batch axis.  Every letter of a trace
+    equation sits on two slots, so a letter of both operands is needed by no
+    other operand: it is contracted, and numpy's batch group stays empty.
+    Letters of one operand that out keeps are kept, each group in operand
+    order, and every other letter is summed by its operand's own subscript.
+    numpy drops axes of size 1, so at N = 1 nothing is contracted and the
+    step is a product."""
 
-    def prep(term: str, desired: str) -> Optional[str]:
-        return None if term == desired else f"{term}->{desired}"
+    def prep(term: str, desired: str):
+        if term == desired:
+            return None
+        if sorted(term) == sorted(desired) and len(set(term)) == len(term):
+            return (0, *(1 + term.index(x) for x in desired))
+        return f"...{term}->...{desired}"
 
     left, right = dict.fromkeys(a), dict.fromkeys(b)
     summed = [x for x in left if x in right] if N > 1 else []
@@ -337,7 +350,7 @@ def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
         return _Step(
             take,
             prep=tuple(prep(t, "".join(x for x in out if x in t)) for t in (a, b)),
-            shapes=tuple(tuple(N if x in t else 1 for x in out) for t in (a, b)),
+            shapes=tuple((-1, *(N if x in t else 1 for x in out)) for t in (a, b)),
             join=np.multiply,
         )
     keep_a = [x for x in left if x not in right and x in out]
@@ -346,7 +359,7 @@ def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
     def fused(*groups: list) -> Optional[tuple[int, ...]]:
         if all(len(g) == 1 for g in groups):
             return None
-        return tuple(N ** len(g) for g in groups)
+        return (-1, *(N ** len(g) for g in groups))
 
     produced = "".join(keep_a + keep_b)
     return _Step(
@@ -354,8 +367,8 @@ def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
         prep=(prep(a, "".join(keep_a + summed)), prep(b, "".join(summed + keep_b))),
         shapes=(fused(keep_a, summed), fused(summed, keep_b)),
         join=np.matmul,
-        out_shape=None if fused(keep_a, keep_b) is None else (N,) * len(produced),
-        perm=None if produced == out else tuple(produced.index(x) for x in out),
+        out_shape=None if fused(keep_a, keep_b) is None else (-1, *(N,) * len(produced)),
+        perm=None if produced == out else (0, *(1 + produced.index(x) for x in out)),
     )
 
 
@@ -369,20 +382,21 @@ def _run_steps(steps: Sequence[_Step], operands: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How ``trace_invariant`` contracts one einsum equation at one N.
+    """How a trace invariant contracts one einsum equation at one N.
 
     The indices of the edges whose letters are in ``sliced`` are fixed: for
     every tuple ``idx`` of their values, ``eq`` (the equation without those
-    letters) is contracted along ``path`` with ``dense[idx[j] for j in h]``
-    as the operand of a vertex whose entry of ``holders`` is ``h``, and the
-    results are summed.  An unsliced plan contracts once.  ``steps`` is
-    ``path`` compiled once into the operations numpy's
-    ``np.einsum(eq, ..., optimize=path)`` performs, so running it gives the
-    same value bit for bit without numpy's per-call parsing.  ``flop``
-    (numpy's count, all slices together) and ``max_elems`` (the largest
-    intermediate of one slice, in elements) are predicted from the path's
-    index sets; ``widest`` is the most operands of one step, above 2 only
-    when numpy's search fell back to its naive loop.
+    letters) is contracted along ``path`` with ``X[idx[j] for j in h]`` as
+    the operand of a vertex whose tensor is X and whose entry of ``holders``
+    is ``h``, and the results are summed.  An unsliced plan contracts once.
+    ``steps`` is ``path`` compiled once into the operations numpy's
+    ``np.einsum(eq, ..., optimize=path)`` performs, behind a batch axis, so
+    running it gives that value bit for bit for every sample without numpy's
+    per-call parsing.  ``flop`` (numpy's count, all slices together) and
+    ``max_elems`` (the largest intermediate of one slice, in elements) are
+    predicted per sample from the path's index sets; ``widest`` is the most
+    operands of one step, above 2 only when numpy's search fell back to its
+    naive loop.
     """
 
     sliced: str
@@ -433,7 +447,7 @@ def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
         if len(take) == 2:
             steps.append(_pairwise(take, *picked, out, N))
         else:
-            steps.append(_Step(take, eq=",".join(picked) + "->" + out))
+            steps.append(_Step(take, eq=",".join("..." + t for t in picked) + "->..." + out))
         flop += N ** len(union) * (max(1, len(step) - 1) + (kept != union))
         max_elems = max(max_elems, N ** len(kept))
         widest = max(widest, len(step))
@@ -483,16 +497,26 @@ def _plan(eq: str, N: int) -> _Plan:
     return plan
 
 
-def _contract(plan: _Plan, dense: np.ndarray) -> float:
-    """Run plan.steps once per value tuple of the sliced edge indices, and
-    sum the slices with ``math.fsum``.  An unsliced plan is the sum over zero
-    edges, one term, with every operand the same ``dense`` object."""
-    return math.fsum(
+def _contract(plan: _Plan, operands: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr per sample of plan's network, shape (B,): operands[v] is the stack
+    of vertex v's tensors, one per sample on the leading axis.  plan.steps run
+    once per value tuple of the sliced edge indices, and each sample's slices
+    are summed with ``math.fsum``.  The batch runs together while B times
+    the plan's largest intermediate stays within ``_SLICE_ELEMS``, else one
+    sample at a time; either way a sample gets the same bits."""
+    B = len(operands[0])
+    if B > 1 and B * plan.max_elems > _SLICE_ELEMS:
+        return np.concatenate([_contract(plan, [op[i : i + 1] for op in operands])
+                               for i in range(B)])
+    N = operands[0].shape[1]
+    slices = [
         _run_steps(
-            plan.steps, [dense[tuple(idx[j] for j in h)] if h else dense for h in plan.holders]
+            plan.steps,
+            [op[(slice(None), *(idx[j] for j in h))] for op, h in zip(operands, plan.holders)],
         )
-        for idx in itertools.product(range(len(dense)), repeat=len(plan.sliced))
-    )
+        for idx in itertools.product(range(N), repeat=len(plan.sliced))
+    ]
+    return np.array([math.fsum(parts) for parts in zip(*slices)])
 
 
 @lru_cache(maxsize=None)
@@ -524,31 +548,125 @@ def _k4_trace(dense: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _route(b: CombinatorialMap, N: int):
-    """(evaluate, FLOP, largest intermediate in elements) of Tr_b at
-    dimension N: the K4 kernel for the tetrahedron, else the einsum plan,
-    refused with ``ResourceLimitError`` before any contraction when b has
-    more edges than einsum letters or the route is predicted to exceed
-    ``_MAX_FLOP`` or ``_MAX_INTERMEDIATE_BYTES``.  ``evaluate`` takes the
-    dense tensor.  The kernel's slice a multiplies N x N by N x N(N - a) in
-    2 N^3 (N - a) FLOP and takes 2 N^2 (N - a) for its trace sums,
-    N^3 (N + 1)^2 over all a; its largest intermediate is Q at a = 0."""
+def _triangle_tensor(dense: np.ndarray) -> np.ndarray:
+    """Delta[c, e, f] = sum_{a,b,d} T_abc T_ade T_bdf for each order-3
+    tensor T of the stack: the triangle with its three outer legs, itself
+    symmetric.  Per value of c, by symmetry of T, two matrix products:
+    M_c[b, (d, e)] = (T[c] T_(1))[b, (d, e)] = sum_a T_abc T_ade, then
+    Delta[c] = M_c^T T_(2) over the rows (b, d), with T_(1) and T_(2) the
+    N x N^2 and N^2 x N unfoldings; 4 N^5 FLOP.  The values of c run as one
+    stacked product while the N^4 intermediate fits in ``_SLICE_ELEMS``,
+    else one at a time, with the same bits; samples never share one."""
+    N = dense.shape[1]
+    out = np.empty_like(dense)
+    chunk = N if N**4 <= _SLICE_ELEMS else 1
+    for T, delta in zip(dense, out):
+        rows, cols = T.reshape(N, N * N), T.reshape(N * N, N)
+        for c in range(0, N, chunk):
+            M = (T[c : c + chunk] @ rows).reshape(-1, N * N, N)
+            delta[c : c + chunk] = M.transpose(0, 2, 1) @ cols
+    return out
+
+
+@lru_cache(maxsize=None)
+def _triangle_eq(b: CombinatorialMap) -> Optional[tuple[str, int]]:
+    """(equation, k) of b's network with k disjoint triangles each replaced
+    by one vertex carrying ``_triangle_tensor``, those k operands first; None
+    when b has no triangle.  At p = 3 only: a triangle is three vertices, each
+    pair joined by a single edge, so their third edges are three distinct
+    edges leaving it.  Triangles are taken greedily in vertex order, and
+    only among vertices no taken triangle holds: the prism
+    abc,ade,bdf,cgh,egi,fhi becomes cef,cef."""
+    if b.p != 3:
+        return None
+    verts = _vertex_edge_ids(b)
+    taken: set[int] = set()
+    deltas = []
+    for tri in itertools.combinations(range(len(verts)), 3):
+        if not taken.isdisjoint(tri):
+            continue
+        sides = [[e for e in verts[u] if e in verts[v]] for u, v in itertools.combinations(tri, 2)]
+        if all(len(side) == 1 for side in sides):
+            inner = {side[0] for side in sides}
+            deltas.append(tuple(e for u in tri for e in verts[u] if e not in inner))
+            taken.update(tri)
+    if not deltas:
+        return None
+    rest = [vert for u, vert in enumerate(verts) if u not in taken]
+    terms = ("".join(_EINSUM_LETTERS[e] for e in vert) for vert in deltas + rest)
+    return ",".join(terms) + "->", len(deltas)
+
+
+def _refuse_over_limits(what: str, flop: int, max_elems: int) -> None:
+    if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
+        raise ResourceLimitError(
+            f"{what} is predicted to take {flop:.3g} FLOP with a largest intermediate "
+            f"of {8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
+            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
+        )
+
+
+def _class_route(b: CombinatorialMap, N: int):
+    """(evaluate, FLOP, largest intermediate in elements) of Tr_b on its own
+    at dimension N: the K4 kernel for the tetrahedron, else the einsum plan;
+    ``evaluate`` takes the stack of dense tensors and gives Tr_b per sample.
+    b is refused when it has more edges than einsum letters.  The kernel's
+    slice a multiplies N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes
+    2 N^2 (N - a) for its trace sums, N^3 (N + 1)^2 over all a; its largest
+    intermediate is Q at a = 0."""
     m = b.size // 2
     if m > _MAX_EDGES:
         raise ResourceLimitError(f"{m} edges exceeds the contraction guard ({_MAX_EDGES})")
     if _is_k4(b):
-        evaluate, flop, max_elems = _k4_trace, N**3 * (N + 1) ** 2, N**3
-    else:
-        plan = _plan(_einsum_eq(b), N)
-        evaluate, flop, max_elems = partial(_contract, plan), plan.flop, plan.max_elems
-    if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
-        raise ResourceLimitError(
-            f"the trace invariant of a {b.n}-vertex map at N={N} is predicted to "
-            f"take {flop:.3g} FLOP with a largest intermediate of "
-            f"{8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
-            f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
-        )
-    return evaluate, flop, max_elems
+        return _k4_batch, N**3 * (N + 1) ** 2, N**3
+    plan = _plan(_einsum_eq(b), N)
+    return partial(_contract_plain, plan), plan.flop, plan.max_elems
+
+
+def _k4_batch(dense: np.ndarray) -> np.ndarray:
+    return np.array([_k4_trace(T) for T in dense])
+
+
+def _contract_plain(plan: _Plan, dense: np.ndarray) -> np.ndarray:
+    return _contract(plan, [dense] * len(plan.holders))
+
+
+def _contract_reduced(plan: _Plan, k: int, dense: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    return _contract(plan, [delta] * k + [dense] * (len(plan.holders) - k))
+
+
+def _route(p: int, n: int, N: int) -> tuple[tuple[int, Callable, bool], ...]:
+    """How ``balanced_invariants`` evaluates I_n at dimension N: (class size,
+    evaluate, reduced) per class, chosen from predicted FLOP and refused with
+    ``ResourceLimitError`` before any contraction when a part of it is
+    predicted to exceed ``_MAX_FLOP`` or ``_MAX_INTERMEDIATE_BYTES``.
+
+    Each class takes ``_class_route``, except that a class with a triangle
+    (``_triangle_eq``) is reduced, its evaluate taking the stacks of dense
+    and of triangle tensors, when its smaller network costs fewer FLOP and
+    the triangle tensor is built.  That tensor is built once per sample for
+    all reduced classes, so it is charged once, and only when the FLOP it
+    saves exceed its own.  The route depends on (p, n, N) alone."""
+    classes = _trace_classes(p, n)
+    plain = [_class_route(rep, N) for rep, _ in classes]
+    eqs = [_triangle_eq(rep) for rep, _ in classes]
+    small = [None if eq is None else (_plan(eq[0], N), eq[1]) for eq in eqs]
+    saved = sum(max(0, route[1] - s[0].flop) for route, s in zip(plain, small) if s)
+    # _triangle_tensor per sample: 4 N^5 FLOP, its M of N^4 or, sliced, N^3
+    delta_flop, delta_elems = 4 * N**5, N**4 if N**4 <= _SLICE_ELEMS else N**3
+    build = saved > delta_flop
+    if build:
+        _refuse_over_limits(f"the triangle tensor at N={N}", delta_flop, delta_elems)
+    terms = []
+    for (_, count), route, s in zip(classes, plain, small):
+        reduced = build and s is not None and s[0].flop < route[1]
+        if reduced:
+            plan, k = s
+            route = partial(_contract_reduced, plan, k), plan.flop, plan.max_elems
+        evaluate, flop, max_elems = route
+        _refuse_over_limits(f"the trace invariant of a {n}-vertex map at N={N}", flop, max_elems)
+        terms.append((count, evaluate, reduced))
+    return tuple(terms)
 
 
 def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
@@ -562,26 +680,53 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
     the index of one edge (more only while no pairwise order exists): each of
     the N slices puts ``T[i]`` at the edge's two vertices, which by symmetry
     is the slice on any axis, and the slices are summed with ``math.fsum``.
-    ``_route`` refuses a route over the limits before any contraction starts.
+    The route is refused before any contraction when it is over the limits.
     """
     if b.p != T.p:
         raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    evaluate, _, _ = _route(b, T.N)
-    return evaluate(T._dense())
+    evaluate, flop, max_elems = _class_route(b, T.N)
+    _refuse_over_limits(f"the trace invariant of a {b.n}-vertex map at N={T.N}", flop, max_elems)
+    return float(evaluate(T._dense()[None])[0])
+
+
+def _dense_stack(tensors: Sequence[SymTensor]) -> np.ndarray:
+    """The dense expansions of tensors of one shape on a leading axis."""
+    p, N = tensors[0].p, tensors[0].N
+    values = np.stack([T.values for T in tensors])
+    dense = np.take(values, _table(p, N).dense_map(), axis=1)
+    return dense.reshape((len(tensors),) + (N,) * p)
+
+
+def balanced_invariants(n: int, dense: np.ndarray) -> np.ndarray:
+    """I_n of every tensor in a stack of dense symmetric tensors (shape
+    (B, N, ..., N)), as an array of B values: each class of ``_route`` once
+    for the whole stack, its Tr per sample times the class size summed over
+    the classes with ``math.fsum``, in class order.  A sample's value does
+    not depend on the rest of the stack."""
+    if n < 0:
+        raise ContractViolation("n must be nonnegative")
+    B, p = len(dense), dense.ndim - 1
+    if p < 2:
+        raise ContractViolation("balanced invariants need tensor order >= 2")
+    N = dense.shape[1]
+    if n == 0:
+        return np.full(B, float(N))
+    terms = _route(p, n, N)
+    parts = {j: c * f(dense) for j, (c, f, r) in enumerate(terms) if not r}
+    if len(parts) < len(terms):  # built after the other classes, so never on top of them
+        delta = _triangle_tensor(dense)
+        parts.update({j: c * f(dense, delta) for j, (c, f, r) in enumerate(terms) if r})
+    cols = zip(*(parts[j] for j in range(len(terms))))
+    return np.array([math.fsum(col) for col in cols] if terms else np.zeros(B))
 
 
 def balanced_invariant(n: int, T: SymTensor) -> float:
     """I_n(T) = sum of Tr_b(T) over the rooted connected p-regular maps with
-    n vertices; N by convention at n = 0."""
-    if n < 0:
-        raise ContractViolation("n must be nonnegative")
+    n vertices; N by convention at n = 0.  The batch of one of
+    ``balanced_invariants``."""
     if n == 0:
         return float(T.N)
-    if T.p < 2:
-        raise ContractViolation("balanced invariants need tensor order >= 2")
-    return math.fsum(
-        count * trace_invariant(rep, T) for rep, count in _trace_classes(T.p, n)
-    )
+    return float(balanced_invariants(n, T._dense()[None])[0])
 
 
 def resolvent_series(T: SymTensor, z: complex, K: int) -> complex:

@@ -336,9 +336,10 @@ def scale_exact(total: Fraction, n: int, p: int, N: int) -> Fraction:
     return total / Fraction(N ** ((n // 2) * (p - 1)))
 
 
-def trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fraction]:
-    """Coefficients c_0..c_m of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling
-    factorials N^(k), by one pass over the Bell(m) edge partitions.
+def trace_polynomial(b: CombinatorialMap, dists) -> list[list[Fraction]]:
+    """For each law in dists, the coefficients c_0..c_m of
+    N^{(n/2)(p-1)} E[Tr_b(W_N)] in the falling factorials N^(k), by one
+    pass over the Bell(m) edge partitions for all the laws together.
 
     Under an edge partition pi, each vertex reads the entry indexed by the
     blocks of its edges; vertices with the same sorted block tuple read the
@@ -350,17 +351,22 @@ def trace_polynomial(b: CombinatorialMap, dist: EntryDistribution) -> list[Fract
     if m > _PARTITION_EDGE_GUARD:
         raise ResourceLimitError(f"Bell({m}) partitions exceed the partition guard")
     verts = _vertex_edge_ids(b)
-    coeffs = [Fraction(0)] * (m + 1)
+    coeffs = [[Fraction(0)] * (m + 1) for _ in dists]
+    moments = [{} for _ in dists]  # (multiplicity, pattern) -> moment, per law
     for pi in enumerate_edge_partitions(m):
         block_of = {e: i for i, block in enumerate(pi.blocks) for e in block}
         entries = Counter(tuple(sorted(block_of[e] for e in vert)) for vert in verts)
-        factor = Fraction(1)
-        for entry, mult in entries.items():
-            pattern = tuple(sorted(Counter(entry).values()))
-            factor *= dist.moment(mult, entry_sigma2(dist, b.p, pattern))
-            if not factor:
-                break
-        coeffs[len(pi)] += factor
+        reads = [(mult, tuple(sorted(Counter(entry).values()))) for entry, mult in entries.items()]
+        for dist, cache, out in zip(dists, moments, coeffs):
+            factor = Fraction(1)
+            for read in reads:
+                if read not in cache:
+                    mult, pattern = read
+                    cache[read] = dist.moment(mult, entry_sigma2(dist, b.p, pattern))
+                factor *= cache[read]
+                if not factor:
+                    break
+            out[len(pi)] += factor
     return coeffs
 
 
@@ -398,7 +404,7 @@ def expected_trace_partitions(
 ) -> Fraction:
     """E[Tr_b(W_N)] = sum_k N^(k) c_k / N^{(n/2)(p-1)}, exact and rational,
     with the falling factorials N^(k) and the c_k of ``trace_polynomial``."""
-    coeffs = trace_polynomial(b, dist)
+    (coeffs,) = trace_polynomial(b, [dist])
     return scale_exact(sum(math.perm(N, k) * c for k, c in enumerate(coeffs)), b.n, b.p, N)
 
 

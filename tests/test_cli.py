@@ -133,7 +133,7 @@ class TestMomentsExact:
         args = ("moments", "--p", p, "--n", "4", "--N", "3,8,16", "--dist", "gaussian-gote")
         pairing = run(tmp_path, *args)
         monkeypatch.setattr(
-            exact, "_polynomial", lambda b, dist: in_powers(trace_polynomial(b, dist))
+            exact, "_polynomial", lambda b, dist: in_powers(trace_polynomial(b, [dist])[0])
         )
         assert run(tmp_path, *args).encode() == pairing.encode()
 

@@ -347,6 +347,13 @@ class TestUpFrontPricing:
         with pytest.raises(ResourceLimitError, match=message):
             mc_moments(ExperimentConfig(p=6, n_max=2, N_grid=(32,), samples=2))
 
+    def test_triangle_tensor_refused_before_sampling(self, monkeypatch, no_sampling):
+        # the triangle tensor's 4 N^5 FLOP at N = 16, priced before any sample
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 4 * 16**5 - 1)
+        message = r"triangle tensor at N=16 .* 4\.19e\+06 FLOP"
+        with pytest.raises(ResourceLimitError, match=message):
+            mc_moments(ExperimentConfig(p=3, n_max=6, N_grid=(8, 16), samples=2))
+
     def test_contract_prices_classes_at_the_contracted_order(self, monkeypatch, no_sampling):
         # order 4 contracted once: the order-3 tetrahedron's 1.18e6 FLOP at N = 16
         monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
@@ -464,6 +471,16 @@ class TestSampleInvariants:
         for idx in range(3):
             W = sample_wigner(3, 6, GAUSSIAN_GOTE, (9, 6, 0, idx))
             assert data[idx].tolist() == [balanced_invariant(n, W) / 6 for n in (2, 4)]
+
+    @pytest.mark.parametrize("p,N,ns", [(3, 5, [2, 4, 6]), (4, 3, [2, 3]), (2, 7, [1, 2, 8])])
+    def test_batch_size_changes_no_bit(self, monkeypatch, p, N, ns):
+        # batches of 1, 3 and every sample (5) give the same array
+        outs = []
+        for batch in (1, 3, 5):
+            monkeypatch.setattr(experiments, "_SLICE_ELEMS", batch * N**p)
+            outs.append(sample_invariants(p, N, ns, 5, 3, GAUSSIAN_GOTE))
+        assert all(np.array_equal(out, outs[0]) for out in outs)
+        assert outs[0].shape == (5, len(ns))
 
     def test_vectors_contract_and_rescale(self):
         u = np.full(5, 1 / math.sqrt(5))

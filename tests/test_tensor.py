@@ -483,10 +483,15 @@ def _k4():
     return rep
 
 
+def _contract_one(plan, dense):
+    """plan's step program on one dense tensor, a batch of one."""
+    return tensor._contract(plan, [dense[None]] * len(plan.holders))[0]
+
+
 def _einsum_route(b, T):
     """Tr_b(T) by the compiled step program of the current plan, whatever
     route trace_invariant would take."""
-    return tensor._contract(tensor._plan(tensor._einsum_eq(b), T.N), T._dense())
+    return _contract_one(tensor._plan(tensor._einsum_eq(b), T.N), T._dense())
 
 
 def _joining_edges(eq):
@@ -566,7 +571,7 @@ class TestStepProgram:
             eq = tensor._einsum_eq(b)
             for sliced in ["", *_joining_edges(eq)]:
                 plan = tensor._greedy_plan(eq, N, sliced)
-                assert tensor._contract(plan, dense) == einsum_contract(plan, dense)
+                assert _contract_one(plan, dense) == einsum_contract(plan, dense)
 
     def test_no_contraction_reparses_a_path(self, monkeypatch):
         einsum, options = np.einsum, []
@@ -580,6 +585,110 @@ class TestStepProgram:
         monkeypatch.setattr(tensor.np, "einsum", spy)
         assert balanced_invariant(6, T) == want
         assert options and not any("optimize" in kw for kw in options)
+
+
+def _stack(p, N, seed, B=16):
+    """B GOTE tensors of order p and dimension N, and their dense stack."""
+    tensors = [sample_gote(p, N, seed=(seed, N, i)) for i in range(B)]
+    return tensors, tensor._dense_stack(tensors)
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "p,n", [(2, 2), (2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4),
+                (5, 2)]
+    )
+    def test_batch_equals_each_sample_bit_for_bit(self, p, n):
+        # every class on its own route, against the batch of one of trace_invariant
+        for N in (1, 3, 6):
+            tensors, dense = _stack(p, N, seed=10 * p + n)
+            for rep in _class_reps(p, n):
+                evaluate, _, _ = tensor._class_route(rep, N)
+                alone = [trace_invariant(rep, T) for T in tensors]
+                for B in (1, 3, 16):
+                    assert evaluate(dense[:B]).tolist() == alone[:B]
+
+    def test_batch_over_the_slice_limit_runs_per_sample(self, monkeypatch):
+        # sliced plans, and batches that run one sample at a time, keep the bits
+        monkeypatch.setattr(tensor, "_SLICE_ELEMS", 300)
+        monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+        tensors, dense = _stack(3, 6, seed=1)
+        plans = [tensor._plan(tensor._einsum_eq(rep), 6) for rep in _class_reps(3, 4)]
+        assert any(plan.sliced for plan in plans)
+        assert any(3 * plan.max_elems <= 300 < 16 * plan.max_elems for plan in plans)
+        for plan in plans:
+            alone = [_contract_one(plan, T._dense()) for T in tensors]
+            for B in (1, 3, 16):
+                assert tensor._contract(plan, [dense[:B]] * 4).tolist() == alone[:B]
+
+    def test_balanced_invariants_of_a_stack(self):
+        tensors, dense = _stack(3, 5, seed=2, B=3)
+        for n in (0, 2, 4, 6):
+            got = tensor.balanced_invariants(n, dense).tolist()
+            assert got == [balanced_invariant(n, T) for T in tensors]
+
+
+def _triangle_classes():
+    """(rep, equation, k) of every class at (3, 4) and (3, 6) with a triangle."""
+    return [
+        (rep, *tensor._triangle_eq(rep))
+        for n in (4, 6)
+        for rep in _class_reps(3, n)
+        if tensor._triangle_eq(rep) is not None
+    ]
+
+
+def _triangle_route(rep, eq, k, dense):
+    """Tr of rep per sample by its network with k triangle tensors."""
+    plan = tensor._plan(eq, dense.shape[1])
+    return tensor._contract_reduced(plan, k, dense, tensor._triangle_tensor(dense))
+
+
+class TestTriangleRoute:
+    def test_triangles_found(self):
+        # K4 and six classes at n = 6; the prism keeps no plain vertex
+        found = {tensor._einsum_eq(rep): (eq, k) for rep, eq, k in _triangle_classes()}
+        assert len(found) == 7 and sorted(k for _, k in found.values()) == [1] * 6 + [2]
+        assert found["abc,ade,bdf,cgh,egi,fhi->"] == ("cef,cef->", 2)
+        assert all(tensor._triangle_eq(rep) is None for rep in _class_reps(3, 2))
+        assert all(tensor._triangle_eq(rep) is None for rep in _class_reps(4, 4))
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
+    def test_matches_the_plain_plan(self, N):
+        tensors, dense = _stack(3, N, seed=3, B=3)
+        for rep, eq, k in _triangle_classes():
+            plain = tensor._contract_plain(tensor._plan(tensor._einsum_eq(rep), N), dense)
+            assert _triangle_route(rep, eq, k, dense) == pytest.approx(plain, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_naive_trace(self, N):
+        # all classes at N <= 2; at N = 3 the prism only, two triangles
+        tensors, dense = _stack(3, N, seed=4, B=1)
+        for rep, eq, k in _triangle_classes():
+            if N < 3 or k == 2:
+                want = naive_trace(rep, tensors[0])
+                got = _triangle_route(rep, eq, k, dense)[0]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_sliced_triangle_tensor_keeps_the_bits(self, monkeypatch):
+        _, dense = _stack(3, 7, seed=5, B=3)
+        whole = tensor._triangle_tensor(dense)
+        monkeypatch.setattr(tensor, "_SLICE_ELEMS", 7**4 - 1)
+        assert np.array_equal(tensor._triangle_tensor(dense), whole)
+
+    def test_route_builds_the_triangle_tensor_when_it_saves_flop(self):
+        # n = 4 keeps the K4 kernel at every N; n = 6 builds it at the Monte
+        # Carlo sizes, and the value stays within 1e-12 of the plain route
+        for N in (1, 2, 8, 16, 32, 64, 128, 200):
+            assert not any(reduced for _, _, reduced in tensor._route(3, 4, N))
+        for N in (8, 16, 64):
+            assert sum(reduced for _, _, reduced in tensor._route(3, 6, N)) == 6
+        tensors, dense = _stack(3, 8, seed=6, B=2)
+        plain = [
+            math.fsum(count * trace_invariant(rep, T) for rep, count in _trace_classes(3, 6))
+            for T in tensors
+        ]
+        assert tensor.balanced_invariants(6, dense) == pytest.approx(plain, rel=1e-12)
 
 
 class TestK4Kernel:
@@ -598,7 +707,7 @@ class TestK4Kernel:
         eq = tensor._einsum_eq(_k4())
         for sliced in ["", *sorted(set(eq) - set(",->"))]:
             plan = tensor._greedy_plan(eq, N, sliced)
-            assert tensor._contract(plan, dense) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
+            assert _contract_one(plan, dense) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
 
     def test_matches_sliced_gemm_reference(self):
         T = sample_gote(3, 96, seed=7)
@@ -626,11 +735,20 @@ class TestContractionGuard:
     def _nothing_contracts(self, monkeypatch):
         monkeypatch.setattr(tensor, "_k4_trace", _no_contraction)
         monkeypatch.setattr(tensor, "_run_steps", _no_contraction)
+        monkeypatch.setattr(tensor, "_triangle_tensor", _no_contraction)
         monkeypatch.setattr(tensor.np, "einsum", _no_contraction)
+
+    def test_triangle_tensor_refused_before_contracting(self, monkeypatch):
+        # its 4 N^5 FLOP at N = 16, priced before any class of I_6
+        T = sample_gote(3, 16, seed=0)
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 4 * 16**5 - 1)
+        message = r"^the triangle tensor at N=16 .* 4\.19e\+06 FLOP"
+        with pytest.raises(ResourceLimitError, match=message):
+            balanced_invariant(6, T)
 
     def test_step_program_refused_before_contracting(self, monkeypatch):
         b = next(rep for rep in _class_reps(3, 4) if rep != _k4())
-        _, flop, _ = tensor._route(b, 16)
+        _, flop, _ = tensor._class_route(b, 16)
         monkeypatch.setattr(tensor, "_MAX_FLOP", flop - 1)
         with pytest.raises(ResourceLimitError, match="FLOP"):
             trace_invariant(b, sample_gote(3, 16, seed=0))
@@ -653,7 +771,7 @@ class TestContractionGuard:
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         for N in (96, 128, 200):
             for b in _class_reps(3, 4):
-                _, flop, max_elems = tensor._route(b, N)
+                _, flop, max_elems = tensor._class_route(b, N)
                 assert flop <= tensor._MAX_FLOP
                 assert 8 * max_elems <= tensor._MAX_INTERMEDIATE_BYTES
 
@@ -807,9 +925,10 @@ class TestPairingOracle:
     def test_matches_partition_route(self, p, n):
         # under every exact law, the group DP gives the partition route's
         # polynomial in the powers N^k
-        for dist in (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM):
-            for rep, _ in _trace_classes(p, n):
-                assert list(exact._polynomial(rep, dist)) == in_powers(trace_polynomial(rep, dist))
+        dists = (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
+        for rep, _ in _trace_classes(p, n):
+            for dist, falling in zip(dists, trace_polynomial(rep, dists)):
+                assert list(exact._polynomial(rep, dist)) == in_powers(falling)
 
     def test_route_is_chosen_by_the_law(self):
         # every law takes the group DP; its tables follow the law: the p!
