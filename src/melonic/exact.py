@@ -7,8 +7,9 @@ polynomials in N, in the powers N^k, for every exact law from one dynamic
 programme per class: the moment-cumulant formula splits the vertices into
 groups that read one entry, weighted by the law's cumulants, and each group
 becomes a table of index identifications.  Under Gaussian entries only pairs
-occur and the programme is Isserlis' theorem.  One guard prices the
-programme's terms before any map is built.
+occur and the programme is Isserlis' theorem.  The variance of I_n runs the
+same programme on disjoint unions of two classes, under the same laws.  One
+guard prices the programme's terms before any map is built.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ RADEMACHER = EntryDistribution("rademacher")
 # a 2-core x86-64 host; ``_price`` puts (3, 6) at 3810 terms per class under
 # gaussian-gote and 52,034 under rademacher, (7, 2) at 19,302 under
 # gaussian-offdiag-only, and the variance at (3, 4) at 160,062 per class pair
+# under gaussian-gote
 _ORACLE_TERM_GUARD = 250_000
 
 
@@ -385,17 +387,22 @@ def _group_counts(
     return counts, terms
 
 
+def _coefficients(verts: Sequence[tuple[int, ...]], p: int, dist: EntryDistribution) -> tuple:
+    """Coefficients of N^{(n/2)(p-1)} times the sum over the edge indices of
+    E[prod_v T_{I_v}] for the n vertices ``verts``, in the powers N^k."""
+    counts, _ = _group_counts(verts, p, dist)
+    return tuple(Fraction(c) / math.factorial(p - 1) ** (len(verts) // 2) for c in counts)
+
+
 @lru_cache(maxsize=None)
 def _polynomial(b: CombinatorialMap, dist: EntryDistribution) -> tuple[Fraction, ...]:
-    """Coefficients of N^{(n/2)(p-1)} E[Tr_b(W_N)] in the powers N^k, kept
-    for every N of a later call."""
-    counts, _ = _group_counts(_vertex_edge_ids(b), b.p, dist)
-    return tuple(Fraction(c) / math.factorial(b.p - 1) ** (b.n // 2) for c in counts)
+    """``_coefficients`` of E[Tr_b(W_N)], kept for every N of a later call."""
+    return _coefficients(_vertex_edge_ids(b), b.p, dist)
 
 
-def _at(coeffs: Sequence[Fraction], b: CombinatorialMap, N: int) -> Fraction:
-    """E[Tr_b(W_N)] from the coefficients of ``_polynomial``."""
-    return sum(c * N**k for k, c in enumerate(coeffs)) / Fraction(N) ** ((b.n // 2) * (b.p - 1))
+def _at(coeffs: Sequence[Fraction], p: int, n: int, N: int) -> Fraction:
+    """The value at N of ``_coefficients`` over n vertices."""
+    return sum(c * N**k for k, c in enumerate(coeffs)) / Fraction(N) ** ((n // 2) * (p - 1))
 
 
 def expected_balanced_invariant(
@@ -409,50 +416,42 @@ def expected_balanced_invariant(
     _price(p, n, dist)
     _check_map_budget(p, n)
     return sum(
-        (count * _at(_polynomial(rep, dist), rep, N) for rep, count in _trace_classes(p, n)),
+        (count * _at(_polynomial(rep, dist), p, n, N) for rep, count in _trace_classes(p, n)),
         Fraction(0),
     )
 
 
-def _variance_counts(p: int, n: int) -> list[int]:
-    """Integer coefficients of ((p-1)!)^n N^{n(p-1)} Var[I_n(W_N)] in the
-    powers N^k under gaussian-gote.
-
-    Var[I_n] sums w_b w_b' (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) over ordered
-    class pairs, where b u b' is the disjoint union (the edges of b' offset
-    past those of b), whose group counts share the normalisation of the
-    product of the two single-class counts.  Unordered pairs are summed once,
-    twice off the diagonal.
-    """
-    _price(p, 2 * n, GAUSSIAN_GOTE)  # the disjoint union of two classes
-    classes = [(_vertex_edge_ids(b), w) for b, w in _trace_classes(p, n)]
+def _variance_polynomial(p: int, n: int, dist: EntryDistribution) -> tuple[Fraction, ...]:
+    """``_coefficients`` of Var[I_n(W_N)] over 2n vertices: w_b w_b'
+    (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) summed over the unordered class pairs,
+    twice off the diagonal, b u b' the disjoint union (the edges of b' offset
+    past those of b)."""
+    classes = [(_vertex_edge_ids(b), w, _polynomial(b, dist)) for b, w in _trace_classes(p, n)]
     m = p * n // 2
-    single = [_group_counts(verts, p, GAUSSIAN_GOTE)[0] for verts, _ in classes]
-    total = [0] * (2 * m + 1)
-    for i, (vi, wi) in enumerate(classes):
-        for j in range(i, len(classes)):
-            vj, wj = classes[j]
-            union = vi + [tuple(e + m for e in vert) for vert in vj]
+    total = [Fraction(0)] * (2 * m + 1)
+    for i, (vi, wi, ci) in enumerate(classes):
+        for j, (vj, wj, cj) in enumerate(classes[i:], i):
             weight = wi * wj * (1 if i == j else 2)
-            for k, c in enumerate(_group_counts(union, p, GAUSSIAN_GOTE)[0]):
+            union = vi + [tuple(e + m for e in vert) for vert in vj]
+            for k, c in enumerate(_coefficients(union, p, dist)):
                 total[k] += weight * c
-            for k1, c1 in enumerate(single[i]):
-                for k2, c2 in enumerate(single[j]):
+            for k1, c1 in enumerate(ci):
+                for k2, c2 in enumerate(cj):
                     total[k1 + k2] -= weight * c1 * c2
-    return total
+    return tuple(total)
 
 
 def balanced_invariant_variance(
     p: int, n: int, N: int, dist: EntryDistribution
 ) -> Fraction:
-    """Exact population Var[I_n(W_N)] under gaussian-gote entries, from the
-    group DP on disjoint unions of classes (``_variance_counts``)."""
-    if dist.kind != "gaussian-gote":
-        raise ContractViolation("the exact variance of I_n needs gaussian-gote entries")
+    """Exact population Var[I_n(W_N)] under every exact law, from the group
+    DP on disjoint unions of classes (``_variance_polynomial``).  ``_price``
+    of such a union refuses, before any map is enumerated, every size over
+    the map budget and ``symmetrized-pareto``, which has no exact moments."""
     if n == 0:
         return Fraction(0)
-    total = sum(c * N**k for k, c in enumerate(_variance_counts(p, n)))
-    return Fraction(total, math.factorial(p - 1) ** n * N ** (n * (p - 1)))
+    _price(p, 2 * n, dist)
+    return _at(_variance_polynomial(p, n, dist), p, 2 * n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +571,7 @@ def melonic_limit_table(
             melonic = is_melonic_graph(b)  # peeling reads the multigraph only
             alpha = alpha_melonic if melonic else Fraction(0)
             coeffs = _polynomial(b, dist)
-            values = [_at(coeffs, b, N) / N for N in N_grid]
+            values = [_at(coeffs, p, n, N) / N for N in N_grid]
             devs = [abs(v - alpha) for v in values]
             slope = None
             if len(set(N_grid)) > 1 and all(d > 0 for d in devs):

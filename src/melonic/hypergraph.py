@@ -119,23 +119,14 @@ class Hypergraph:
         """Forget the outer multiplicities."""
         return Hypergraph(self.num_vertices, self.edges, [1] * len(self.edges))
 
-    def to_json(self) -> dict:
-        return {
-            "num_vertices": self.num_vertices,
-            "hyperedges": [
-                {"vertices": sorted(Counter(e).items()), "m": m}
-                for e, m in zip(self.edges, self.mult)
-            ],
-        }
-
 
 def hypergraph_of(b: Hypermap) -> Hypergraph:
     """The hypergraph of a hypermap: vertices are the sigma-cycles, and each
     tau-cycle contributes the multiset of sigma-cycles its halfedges sit in.
     Equal multisets collapse into one hyperedge with higher multiplicity."""
-    vid = vertex_of_halfedge(b)
+    vid = vertex_of_halfedge(b)  # numbers the sigma-cycles 0, 1, ...
     edges = [tuple(sorted(vid[h] for h in cyc)) for cyc in cycles(b.tau)]
-    return Hypergraph(len(cycles(b.sigma)), edges)
+    return Hypergraph(max(vid, default=-1) + 1, edges)
 
 
 def _incidence(h: Hypergraph) -> tuple[bool, int]:

@@ -526,15 +526,25 @@ def _disjoint_union(b: CombinatorialMap, d: CombinatorialMap) -> CombinatorialMa
     return CombinatorialMap(p, sigma, Permutation(img), root=0)
 
 
+@lru_cache(maxsize=None)
+def _i2_falling(dist: EntryDistribution) -> tuple[list, list]:
+    """``trace_polynomial`` summed over the maps of B_2^(3), and over the
+    disjoint unions of every ordered pair of them: E[I_2] and E[I_2^2] at
+    every N."""
+    maps = enumerate_rooted_connected(3, 2)
+    unions = [_disjoint_union(b, d) for b in maps for d in maps]
+    return tuple(
+        [sum(c) for c in zip(*(trace_polynomial(g, [dist])[0] for g in graphs))]
+        for graphs in (maps, unions)
+    )
+
+
 def exact_i2_variance(N: int, dist: EntryDistribution) -> Fraction:
     """Population Var[I_2/N] at p=3, exactly: E[Tr_b Tr_d] is the expected
     trace of the disjoint union of the two maps."""
-    maps = enumerate_rooted_connected(3, 2)
-    mean = sum(expected_trace_partitions(b, N, dist) for b in maps)
-    second = sum(
-        expected_trace_partitions(_disjoint_union(b, d), N, dist)
-        for b in maps
-        for d in maps
+    mean, second = (
+        scale_exact(sum(math.perm(N, k) * c for k, c in enumerate(coeffs)), n, 3, N)
+        for coeffs, n in zip(_i2_falling(dist), (2, 4))
     )
     return (second - mean * mean) / (N * N)
 

@@ -147,7 +147,7 @@ def test_c04_oracle_equivalence():
             for N in (4, 6, 8):
                 for dist in (GAUSSIAN_GOTE, RADEMACHER):
                     a = expected_trace_exhaustive(b, N, dist)
-                    c = exact._at(exact._polynomial(b, dist), b, N)
+                    c = exact._at(exact._polynomial(b, dist), b.p, b.n, N)
                     rel = abs(float(a - c)) / max(1e-300, abs(float(c)))
                     worst = max(worst, rel)
                     assert a == c  # the two exact routes agree identically

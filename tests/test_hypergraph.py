@@ -263,9 +263,3 @@ class TestMelonicDetectors:
                 is_melonic_graph(b) for b in enumerate_rooted_connected(p, n)
             )
         assert counts == {(3, 2): 2, (3, 4): 12, (4, 2): 6}
-
-
-def test_hypergraph_json():
-    h = hypergraph_of(dual(melon_map()))
-    obj = h.to_json()
-    assert obj == {"num_vertices": 3, "hyperedges": [{"vertices": [(0, 1), (1, 1), (2, 1)], "m": 2}]}

@@ -43,6 +43,7 @@ from melonic.tensor import (
 )
 
 from conftest import (
+    _disjoint_union,
     automorphism_count,
     dense_map_by_sorting,
     einsum_contract,
@@ -914,10 +915,9 @@ class TestExactExpectations:
         assert val / 32 == 1 + Fraction(6, 32) + Fraction(8, 32**2)
 
 
-def _inverse_powers(counts, p, n, extra):
-    """{j: coefficient of N^-j} of counts(N) / (((p-1)!)^n N^{n(p-1)+extra})."""
-    norm = math.factorial(p - 1) ** n
-    return {n * (p - 1) + extra - k: Fraction(c, norm) for k, c in enumerate(counts) if c}
+def _inverse_powers(coeffs, p, n, extra):
+    """{j: coefficient of N^-j} of coeffs(N) / N^{n(p-1)+extra}."""
+    return {n * (p - 1) + extra - k: c for k, c in enumerate(coeffs) if c}
 
 
 class TestPairingOracle:
@@ -1040,19 +1040,61 @@ class TestPairingOracle:
     )
     def test_variance_polynomial(self, p, n, inverse_powers):
         # Var[I_n/N] as {j: coefficient of N^-j}
-        assert _inverse_powers(exact._variance_counts(p, n), p, n, 2) == inverse_powers
+        coeffs = exact._variance_polynomial(p, n, GAUSSIAN_GOTE)
+        assert _inverse_powers(coeffs, p, n, 2) == inverse_powers
 
     def test_variance_i2_matches_disjoint_union_reference(self):
-        for N in (2, 3, 16):
-            assert balanced_invariant_variance(3, 2, N, GAUSSIAN_GOTE) / N**2 == (
-                exact_i2_variance(N, GAUSSIAN_GOTE)
-            )
-
-    def test_variance_needs_gaussian_entries(self):
-        for dist in (FLAT, RADEMACHER, UNIFORM):
-            with pytest.raises(ContractViolation):
-                balanced_invariant_variance(3, 2, 8, dist)
+        for dist in (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM):
+            for N in (2, 3, 16):
+                assert balanced_invariant_variance(3, 2, N, dist) / N**2 == (
+                    exact_i2_variance(N, dist)
+                )
         assert balanced_invariant_variance(3, 0, 8, GAUSSIAN_GOTE) == 0
+
+    def test_variance_refused_before_any_map(self, monkeypatch):
+        monkeypatch.setattr(exact, "_trace_classes", _no_contraction)
+        for p, n, dist, terms in [
+            (3, 4, RADEMACHER, 10_744_714),
+            (3, 4, UNIFORM, 10_744_714),
+            (3, 4, FLAT, 7_320_432),
+            (5, 2, RADEMACHER, 4_497_708),
+        ]:
+            with pytest.raises(ResourceLimitError, match=rf"^{terms} oracle terms"):
+                balanced_invariant_variance(p, n, 8, dist)
+        with pytest.raises(ContractViolation, match="no exact moment"):
+            balanced_invariant_variance(3, 2, 8, EntryDistribution("symmetrized-pareto", 3.0))
+
+    def test_variance_runs_the_dp_on_unions_only(self, monkeypatch):
+        # after the mean, one DP per (class, law) is cached and the variance
+        # adds one per unordered class pair, on its disjoint union, whose
+        # polynomial is the partition route's
+        p, n = 4, 2
+        dists = (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
+        runs = []
+        group_counts = exact._group_counts
+
+        def recording(verts, p, dist):
+            counts, terms = group_counts(verts, p, dist)
+            runs.append((len(verts), dist, counts))
+            return counts, terms
+
+        monkeypatch.setattr(exact, "_group_counts", recording)
+        exact._polynomial.cache_clear()
+        classes = [rep for rep, _ in _trace_classes(p, n)]
+        pairs = [(b, d) for i, b in enumerate(classes) for d in classes[i:]]
+        unions = []
+        for dist in dists:
+            expected_balanced_invariant(p, n, 8, dist)
+            assert [run[:2] for run in runs] == [(n, dist)] * len(classes)
+            runs.clear()
+            balanced_invariant_variance(p, n, 8, dist)
+            assert [run[:2] for run in runs] == [(2 * n, dist)] * len(pairs)
+            unions.append([counts for _, _, counts in runs])
+            runs.clear()
+        norm = math.factorial(p - 1) ** n
+        for i, (b, d) in enumerate(pairs):
+            for per_law, falling in zip(unions, trace_polynomial(_disjoint_union(b, d), dists)):
+                assert [Fraction(c, norm) for c in per_law[i]] == in_powers(falling)
 
 
 class TestResolventSeries:
