@@ -32,8 +32,7 @@ from .exact import (
     expected_balanced_invariant, melonic_limit_table,
 )
 from .limitlaw import (
-    ContractedLaw, LimitLaw, contracted_law, density, inversion_density, moment, stieltjes,
-    support_radius,
+    LimitLaw, density, inversion_density, moment, stieltjes, support_radius,
 )
 
 # The modules that load numpy are imported when one of their names is first
@@ -44,8 +43,8 @@ _LAZY = {
         "sample_wigner", "trace_invariant",
     ),
     "experiments": (
-        "HeavyTailEstimate", "MomentEstimate", "contraction_moments", "heavy_tail_moments",
-        "mc_moments", "resolvent_crosscheck", "variance_scaling",
+        "HeavyTailEstimate", "MomentEstimate", "heavy_tail_moments", "mc_moments",
+        "resolvent_crosscheck", "variance_scaling",
     ),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: enumerate | classify | count | moments | mc | var | law |
-contract | heavytail | resolvent-check.  Tabular output is CSV (default) or
-JSON via --format; floats are serialised with 17 significant digits so runs
-are bit-reproducible at a fixed BLAS thread count (the matrix products of
-the contractions may round differently with another OPENBLAS_NUM_THREADS,
-which shows at N >= 32).  Settings come from one ExperimentConfig: its
+contract | heavytail | resolvent-check.  contract is mc of the k-fold
+contracted tensor (--k 0 is mc), and law tabulates LimitLaw(p, k).
+Tabular output is CSV (default) or JSON via --format; floats are
+serialised with 17 significant digits so runs are bit-reproducible at a
+fixed BLAS thread count (the matrix products of the contractions may round
+differently with another OPENBLAS_NUM_THREADS, which shows at N >= 32).  Settings come from one ExperimentConfig: its
 defaults, then a JSON config file (--config), then explicit flags.  Each
 subcommand accepts only the flags it reads.  The package's own errors end
 the run with a one-line message and the exit codes listed in _EXIT_CODES.
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subcommand(
         "moments", "exact finite-N expectations per map", (*_TABLE, "--N", "--dist")
     )
-    subcommand("mc", "Monte Carlo moments of I_n/N", _MC)
+    subcommand("mc", "Monte Carlo moments of I_n/N", _MC).set_defaults(k=0, random_unit=False)
     subcommand("var", "variance scaling of I_n/N", _MC)
 
     sp = subcommand("law", "limit-law density grid and moments", ("--p", "--out", "--format"))
@@ -212,8 +213,9 @@ def _cmd_moments(args, cfg):
 
 
 def _cmd_mc(args, cfg):
+    """mc, and contract: mc of the tensor contracted --k times."""
     from . import experiments
-    header, data = _estimate_table(experiments.mc_moments(cfg))
+    header, data = _estimate_table(experiments.mc_moments(cfg, args.k, args.random_unit))
     _emit_table(header, data, cfg.out, cfg.fmt)
 
 
@@ -239,10 +241,14 @@ def _cmd_law(args, cfg):
     p, k = cfg.p, args.k
     if args.grid < 1:
         raise ContractViolation(f"--grid must be at least 1, got {args.grid}")
-    law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
+    law = limitlaw.LimitLaw(p, k)
     ys = _grid(*law.support(), args.grid)
-    # the k = 0 route inverts at the support endpoints too; law.density
-    # gives 0 there
+    # At k = 0 and p >= 4 the grid is inverted at the support endpoints too,
+    # where law.density gives 0: `law --p 4 --grid 5` prints 1.88e-4 at
+    # +-omega_c, while the order-4 law of `law --p 6 --k 2` prints 0 there.
+    # perfbench/refs.json pins the `law --p 4` bytes, so the fork stays until
+    # those references are re-recorded with the limit-law rework (ROADMAP
+    # item 1).
     if k == 0 and p >= 4:
         dens = limitlaw.inversion_density(p, ys)
     else:
@@ -252,22 +258,6 @@ def _cmd_law(args, cfg):
     # the density grid)
     mom_rows = [(n, float(law.moment(n))) for n in range(0, 9)]
     _emit_table(["n", "moment"], mom_rows, None, cfg.fmt)
-
-
-def _cmd_contract(args, cfg):
-    from . import experiments
-    rows = experiments.contraction_moments(
-        p=cfg.p,
-        k=args.k,
-        N_grid=cfg.N_grid,
-        n_max=cfg.n_max,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        random_unit=args.random_unit,
-        dist=cfg.dist,
-    )
-    header, data = _estimate_table(rows)
-    _emit_table(header, data, cfg.out, cfg.fmt)
 
 
 def _cmd_heavytail(args, cfg):
@@ -304,7 +294,7 @@ _COMMANDS = {
     "mc": _cmd_mc,
     "var": _cmd_var,
     "law": _cmd_law,
-    "contract": _cmd_contract,
+    "contract": _cmd_mc,
     "heavytail": _cmd_heavytail,
     "resolvent-check": _cmd_resolvent,
 }

@@ -511,10 +511,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         """Build a config from a parsed JSON object whose keys are the field
-        names (``format`` is accepted for ``fmt``); unknown keys are refused."""
+        names (``format`` is accepted for ``fmt``, but not next to it);
+        unknown keys are refused."""
         if not isinstance(obj, dict):
             raise ContractViolation("a config must be a JSON object")
         kw = dict(obj)
+        if "format" in kw and "fmt" in kw:
+            raise ContractViolation("config sets both fmt and format; keep one")
         if "format" in kw:
             kw["fmt"] = kw.pop("format")
         unknown = sorted(set(kw) - {f.name for f in fields(cls)})

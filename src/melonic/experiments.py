@@ -1,6 +1,8 @@
 """Monte Carlo engine for the desk-scale verification runs; the exact
 finite-N tables and the run configuration live in the numpy-free ``exact``
-module.
+module.  One function, ``mc_moments``, estimates the moments of I_n/N of
+the tensor contracted k times (k = 0: the tensor itself) against the
+limit law ``LimitLaw(p, k)``.
 
 Reproducibility contract: every sample draws from its own RNG substream
 derived from (seed, N, stream tag, sample index), and samples are drawn and
@@ -19,13 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .exact import (
-    GAUSSIAN_GOTE,
-    EntryDistribution,
-    ExperimentConfig,
-    _require_maps,
-)
-from .limitlaw import contracted_law, moment
+from .exact import EntryDistribution, ExperimentConfig, _require_maps
+from .limitlaw import LimitLaw, moment
 from .maps import _check_map_budget
 from .tensor import (
     _SLICE_ELEMS,
@@ -160,15 +157,39 @@ def _estimate_rows(
     return rows
 
 
-def mc_moments(cfg: ExperimentConfig) -> list[MomentEstimate]:
-    """Sample Wigner tensors and estimate E[I_n/N] for every n <= n_max on
-    the N grid, against the limiting moments."""
+def mc_moments(
+    cfg: ExperimentConfig, k: int = 0, random_unit: bool = False
+) -> list[MomentEstimate]:
+    """Sample Wigner tensors, contract each k times and rescale it by
+    N^{k/2}, and estimate E[I_n/N] for every n <= n_max on the N grid,
+    against the moments of ``LimitLaw(p, k)``.
+
+    At k = 0 the tensor is used as drawn, under any entry law.  For k >= 1
+    the limit is proved for Gaussian entries only, and the off-diagonal-only
+    profile for k <= 1 only.  The contraction vector is e^(1) (orthogonal
+    invariance makes this free for the invariant ensemble); ``random_unit``
+    draws one deterministic unit vector per dimension instead.
+    """
+    if k:
+        if cfg.dist.kind not in ("gaussian-gote", "gaussian-offdiag-only"):
+            raise ContractViolation("contraction experiments take Gaussian entries only")
+        if cfg.dist.flat_profile and k >= 2:
+            # with k indices pinned, diagonal-type variances enter the limit at
+            # depth >= 2, so the flat profile would drift from the target law
+            raise ContractViolation("the off-diagonal-only profile is valid for k <= 1 only")
+    law = LimitLaw(cfg.p, k)  # validates p >= 2 and 0 <= k <= p-2
     ns = list(range(1, cfg.n_max + 1))
-    _check_enumeration_feasible(cfg.p, ns, cfg.N_grid, cfg.p)
-    targets = [float(moment(cfg.p, n)) for n in ns]
+    _check_enumeration_feasible(law.p, ns, cfg.N_grid, cfg.p)
+    targets = [float(law.moment(n)) for n in ns]
     rows: list[MomentEstimate] = []
     for N in cfg.N_grid:
-        data = sample_invariants(cfg.p, N, ns, cfg.samples, cfg.seed, cfg.dist)
+        vectors = ()
+        if k and random_unit:
+            u = np.random.default_rng((cfg.seed, N, _VECTOR_STREAM)).standard_normal(N)
+            vectors = [u / np.linalg.norm(u)] * k
+        elif k:
+            vectors = [np.eye(1, N)[0]] * k  # e^(1)
+        data = sample_invariants(cfg.p, N, ns, cfg.samples, cfg.seed, cfg.dist, vectors)
         rows.extend(_estimate_rows(N, ns, data, targets))
     return rows
 
@@ -195,47 +216,6 @@ def variance_scaling(cfg: ExperimentConfig) -> VarianceScaling:
         np.polyfit(np.log(np.asarray(cfg.N_grid, float)), np.log(variances), 1)[0]
     )
     return VarianceScaling(rows=tuple(zip(cfg.N_grid, variances)), slope=slope)
-
-
-def contraction_moments(
-    p: int,
-    k: int,
-    N_grid: Sequence[int],
-    n_max: int,
-    samples: int,
-    seed: int,
-    random_unit: bool = False,
-    dist: EntryDistribution = GAUSSIAN_GOTE,
-) -> list[MomentEstimate]:
-    """Moments of the k-fold contracted, N^{k/2}-rescaled Gaussian tensor
-    against the dilated limit law of order p-k.
-
-    Gaussian entries only (the contraction limit is proved in that case).
-    The contraction vector is e^(1) (orthogonal invariance makes this free
-    for the invariant ensemble); ``random_unit`` draws one deterministic unit
-    vector per dimension instead.
-    """
-    if dist.kind not in ("gaussian-gote", "gaussian-offdiag-only"):
-        raise ContractViolation("contraction experiments take Gaussian entries only")
-    if dist.flat_profile and k >= 2:
-        # with k indices pinned, diagonal-type variances enter the limit at
-        # depth >= 2, so the flat profile would drift from the target law
-        raise ContractViolation("the off-diagonal-only profile is valid for k <= 1 only")
-    law = contracted_law(p, k)  # validates 0 <= k <= p-2
-    ns = list(range(1, n_max + 1))
-    _check_enumeration_feasible(p - k, ns, N_grid, p)
-    targets = [float(law.moment(n)) for n in ns]
-    rows: list[MomentEstimate] = []
-    for N in N_grid:
-        if random_unit:
-            u = np.random.default_rng((seed, N, _VECTOR_STREAM)).standard_normal(N)
-            u /= np.linalg.norm(u)
-        else:
-            u = np.zeros(N)
-            u[0] = 1.0
-        data = sample_invariants(p, N, ns, samples, seed, dist, [u] * k)
-        rows.extend(_estimate_rows(N, ns, data, targets))
-    return rows
 
 
 def heavy_tail_moments(

@@ -1,5 +1,7 @@
 """The compactly supported limit law with Fuss-Catalan even moments, its
-Stieltjes transform, densities, and the dilated law of contracted tensors.
+Stieltjes transform and densities; ``LimitLaw(p, k)`` is the law of the
+k-times contracted order-p tensor, the order-(p-k) law dilated by
+sqrt(C(p-1, k)).
 
 The Stieltjes transform R(z) is the solution of
 ``P(R) = z^{p-2} R^p - z R + 1 = 0`` on the branch behaving like 1/z at
@@ -244,24 +246,31 @@ def _inversion(p: int, ys: list[float]) -> list[float]:
 
 
 class LimitLaw:
-    """The symmetric law with even moments F_p(k), supported on
-    [-omega_c, omega_c]."""
+    """The limit law of the k-times contracted order-p tensor (k = 0: the
+    tensor itself): the symmetric law of order p - k with even moments
+    F_{p-k}(m) / C(p-1, k)^m, that is the order-(p-k) law dilated by
+    sqrt(C(p-1, k)), supported on [-omega_c, omega_c].  ``p`` is the law's
+    order p - k, ``source_p`` the tensor's."""
 
-    __slots__ = ("p", "dilation")
+    __slots__ = ("source_p", "k", "p", "scale_sq", "dilation")
 
-    def __init__(self, p: int, dilation: float = 1.0):
+    def __init__(self, p: int, k: int = 0):
         if p < 2:
             raise ContractViolation("p must be at least 2")
-        if dilation <= 0:
-            raise ContractViolation("dilation must be positive")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dilation", float(dilation))
+        if not 0 <= k <= p - 2:
+            raise ContractViolation(f"contraction depth k={k} outside [0, {p - 2}]")
+        scale_sq = math.comb(p - 1, k)
+        object.__setattr__(self, "source_p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "p", p - k)
+        object.__setattr__(self, "scale_sq", scale_sq)
+        object.__setattr__(self, "dilation", math.sqrt(scale_sq))
 
     def __setattr__(self, name, value):
         raise AttributeError("LimitLaw is immutable")
 
     def __repr__(self) -> str:
-        return f"LimitLaw(p={self.p}, dilation={self.dilation})"
+        return f"LimitLaw(p={self.source_p}, k={self.k})"
 
     @property
     def omega_c(self) -> float:
@@ -270,8 +279,15 @@ class LimitLaw:
     def support(self) -> tuple[float, float]:
         return (-self.omega_c, self.omega_c)
 
+    def support_sq(self) -> Fraction:
+        """Exact square of the support endpoint:
+        (p-k)^{p-k} / (C(p-1,k) (p-k-1)^{p-k-1})."""
+        q = self.p
+        return Fraction(q**q, self.scale_sq * (q - 1) ** (q - 1))
+
     def moment(self, n: int) -> Fraction:
-        return Fraction(moment(self.p, n)) / Fraction(self.dilation) ** n
+        """Exact: zero for odd n, F_{p-k}(n/2) / C(p-1,k)^{n/2} for even."""
+        return Fraction(moment(self.p, n), self.scale_sq ** (n // 2))
 
     def density(self, y):
         """Density at y, a scalar, a list or an array."""
@@ -280,40 +296,3 @@ class LimitLaw:
 
     def stieltjes(self, z: complex) -> complex:
         return self.dilation * stieltjes(self.p, complex(z) * self.dilation)
-
-
-class ContractedLaw(LimitLaw):
-    """Limit law of the k-fold contracted, rescaled Gaussian tensor: the
-    order-(p-k) law dilated by sqrt(C(p-1, k))."""
-
-    __slots__ = ("source_p", "k", "scale_sq")
-
-    def __init__(self, p: int, k: int):
-        if p < 3:
-            raise ContractViolation("contracted laws need p >= 3")
-        if not 0 <= k <= p - 2:
-            raise ContractViolation(f"contraction depth k={k} outside [0, {p - 2}]")
-        scale_sq = math.comb(p - 1, k)
-        super().__init__(p - k, math.sqrt(scale_sq))
-        object.__setattr__(self, "source_p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "scale_sq", scale_sq)
-
-    def __repr__(self) -> str:
-        return f"ContractedLaw(p={self.source_p}, k={self.k})"
-
-    def moment(self, n: int) -> Fraction:
-        """Exact: zero for odd n, F_{p-k}(n/2) / C(p-1,k)^{n/2} for even."""
-        if n % 2:
-            return Fraction(0)
-        return Fraction(fuss_catalan(self.p, n // 2), self.scale_sq ** (n // 2))
-
-    def support_sq(self) -> Fraction:
-        """Exact square of the support endpoint:
-        (p-k)^{p-k} / (C(p-1,k) (p-k-1)^{p-k-1})."""
-        q = self.p
-        return Fraction(q**q, self.scale_sq * (q - 1) ** (q - 1))
-
-
-def contracted_law(p: int, k: int) -> ContractedLaw:
-    return ContractedLaw(p, k)

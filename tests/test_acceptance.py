@@ -27,7 +27,6 @@ from melonic.counting import (
     hypertree_from_dyck,
 )
 from melonic.experiments import (
-    contraction_moments,
     heavy_tail_moments,
     mc_moments,
     resolvent_crosscheck,
@@ -35,7 +34,7 @@ from melonic.experiments import (
 )
 from melonic.hypergraph import is_melonic_graph, melonic_partition
 from melonic.limitlaw import (
-    contracted_law,
+    LimitLaw,
     density,
     inversion_density,
     stieltjes,
@@ -315,14 +314,15 @@ def test_c09_contracted_tensor_law():
     # the n=2 moment is unbiased at finite N, while the invariant profile
     # carries a +3/(2N) finite-size shift that no 200-sample run can absorb).
     with _Timer(600.0) as t:
-        rows = contraction_moments(
-            p=3, k=1, N_grid=(40,), n_max=2, samples=200, seed=1, dist=FLAT
+        rows = mc_moments(
+            ExperimentConfig(p=3, n_max=2, N_grid=(40,), samples=200, seed=1, dist=FLAT),
+            k=1,
         )
         r2 = next(r for r in rows if r.n == 2)
         z = (r2.mean - 0.5) / r2.stderr
-        support_exact = contracted_law(3, 1).support_sq() == Fraction(2)
+        support_exact = LimitLaw(3, 1).support_sq() == Fraction(2)
         renorm_exact = all(
-            contracted_law(p, p - 2).support_sq() / p == Fraction(4, p * (p - 1))
+            LimitLaw(p, p - 2).support_sq() / p == Fraction(4, p * (p - 1))
             for p in (3, 4)
         )
     ok = abs(z) <= 3 and support_exact and renorm_exact and t.elapsed < 600.0

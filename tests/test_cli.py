@@ -207,7 +207,7 @@ class TestLaw:
             for k in (0, 1, 2):
                 if k > p - 2:
                     continue
-                law = limitlaw.contracted_law(p, k) if k else limitlaw.LimitLaw(p)
+                law = limitlaw.LimitLaw(p, k)
                 for points in (1, 2, 3, 9, 11, 33, 101, 201):
                     ys = cli._grid(*law.support(), points)
                     assert ys == np.linspace(*law.support(), points).tolist()
@@ -240,6 +240,23 @@ class TestOtherSubcommands:
         )
         by_n = {r["n"]: r for r in rows}
         assert float(by_n["2"]["target"]) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--p", "2", "--n", "4", "--N", "5,7", "--samples", "4", "--seed", "2"),
+            ("--p", "3", "--n", "2", "--N", "6", "--samples", "5", "--seed", "3"),
+            ("--p", "2", "--n", "2", "--N", "6", "--samples", "4", "--dist", "rademacher"),
+            ("--p", "3", "--n", "2", "--N", "5", "--samples", "3", "--dist", "rademacher",
+             "--format", "json"),
+        ],
+        ids=["p2", "p3", "p2-rademacher", "p3-rademacher-json"],
+    )
+    def test_contract_at_depth_0_is_mc(self, capsys, flags):
+        assert main(["mc", *flags]) == 0
+        mc = capsys.readouterr().out
+        assert main(["contract", "--k", "0", *flags]) == 0
+        assert capsys.readouterr().out == mc and mc.startswith(("N,n,", "["))
 
     def test_heavytail(self, tmp_path):
         header, rows = csv_rows(
@@ -396,6 +413,21 @@ class TestErrors:
         )
         assert code == 3 and "Gaussian" in err
 
+    @pytest.mark.parametrize(
+        "p,k,dist,message",
+        [
+            ("3", "2", "gaussian-gote", r"depth k=2 outside \[0, 1\]"),
+            ("2", "1", "gaussian-gote", r"depth k=1 outside \[0, 0\]"),
+        ],
+        ids=["p3-k2", "p2-k1"],
+    )
+    def test_contract_refusals_at_depth(self, capsys, p, k, dist, message):
+        code, err = self.fail(
+            capsys, "contract", "--p", p, "--k", k, "--N", "8", "--samples", "4",
+            "--dist", dist,
+        )
+        assert code == 3 and re.search(message, err)
+
     def test_config_checks_apply_to_every_subcommand(self, capsys):
         code, err = self.fail(capsys, "heavytail", "--samples", "1")
         assert code == 3 and "2 samples" in err
@@ -542,15 +574,17 @@ def run_child(code):
 
 
 # every name ``melonic`` exported before its numpy modules were loaded lazily,
-# but expected_trace_partitions, now the tests' partition-route reference
+# but expected_trace_partitions, now the tests' partition-route reference, and
+# ContractedLaw, contracted_law and contraction_moments, now LimitLaw(p, k)
+# and mc_moments(cfg, k)
 EXPORTED = {
-    "CombinatorialMap", "ContractViolation", "ContractedLaw", "DomainError", "DyckPath",
+    "CombinatorialMap", "ContractViolation", "DomainError", "DyckPath",
     "EdgePartition", "EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE",
     "HeavyTailEstimate", "Hypergraph", "Hypermap", "InvalidPartitionError",
     "InvalidPathError", "LimitLaw", "MomentEstimate", "NumericalError", "Permutation",
     "PlaneHypertree", "RADEMACHER", "ResourceLimitError", "SymTensor", "balanced_invariant",
-    "balanced_invariant_variance", "canonical_code", "contract", "contracted_law",
-    "contraction_moments", "count_dyck", "count_melonic_maps", "count_noncrossing_div",
+    "balanced_invariant_variance", "canonical_code", "contract", "count_dyck",
+    "count_melonic_maps", "count_noncrossing_div",
     "count_rooted_maps", "cycles", "density", "dual", "dyck_from_hypertree", "edge_list",
     "enumerate_edge_partitions", "enumerate_rooted_connected", "euler_deficiency",
     "expected_balanced_invariant", "fuss_catalan",

@@ -16,7 +16,6 @@ from melonic.exact import (
     melonic_limit_table,
 )
 from melonic.experiments import (
-    contraction_moments,
     heavy_tail_moments,
     mc_moments,
     resolvent_crosscheck,
@@ -358,7 +357,7 @@ class TestUpFrontPricing:
         # order 4 contracted once: the order-3 tetrahedron's 1.18e6 FLOP at N = 16
         monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
         with pytest.raises(ResourceLimitError, match=r"4-vertex map at N=16 .* 1\.18e\+06 FLOP"):
-            contraction_moments(p=4, k=1, N_grid=(16,), n_max=4, samples=2, seed=1)
+            mc_moments(ExperimentConfig(p=4, n_max=4, N_grid=(16,), samples=2), k=1)
 
 
 class TestClosure:
@@ -369,44 +368,28 @@ class TestClosure:
             ) == fuss_catalan(p, m)
 
 
-class TestContraction:
-    def test_k0_matches_mc_pipeline(self):
-        rows_c = contraction_moments(
-            p=3, k=0, N_grid=(8,), n_max=2, samples=12, seed=5
-        )
-        rows_m = mc_moments(
-            ExperimentConfig(p=3, n_max=2, N_grid=(8,), samples=12, seed=5)
-        )
-        assert [(r.N, r.n, r.mean) for r in rows_c] == [
-            (r.N, r.n, r.mean) for r in rows_m
-        ]
+def _contract_cfg(p, N, samples, seed, dist=GAUSSIAN_GOTE):
+    return ExperimentConfig(p=p, n_max=2, N_grid=(N,), samples=samples, seed=seed, dist=dist)
 
+
+class TestContraction:
     def test_depth_validation(self):
         with pytest.raises(ContractViolation):
-            contraction_moments(p=3, k=2, N_grid=(8,), n_max=2, samples=4, seed=1)
+            mc_moments(_contract_cfg(3, 8, 4, 1), k=2)
         with pytest.raises(ContractViolation):
-            contraction_moments(
-                p=3, k=1, N_grid=(8,), n_max=2, samples=4, seed=1,
-                dist=EntryDistribution("rademacher"),
-            )
+            mc_moments(_contract_cfg(3, 8, 4, 1, EntryDistribution("rademacher")), k=1)
         with pytest.raises(ContractViolation):
-            contraction_moments(
-                p=4, k=2, N_grid=(8,), n_max=2, samples=4, seed=1, dist=FLAT
-            )
+            mc_moments(_contract_cfg(4, 8, 4, 1, FLAT), k=2)
 
     def test_targets_are_dilated_moments(self):
-        rows = contraction_moments(p=4, k=2, N_grid=(8,), n_max=2, samples=4, seed=1)
+        rows = mc_moments(_contract_cfg(4, 8, 4, 1), k=2)
         by_n = {r.n: r.target for r in rows}
         assert by_n[2] == pytest.approx(1 / 3)
         assert by_n[1] == 0.0
 
     def test_random_unit_deterministic(self):
-        a = contraction_moments(
-            p=3, k=1, N_grid=(10,), n_max=2, samples=8, seed=2, random_unit=True
-        )
-        b = contraction_moments(
-            p=3, k=1, N_grid=(10,), n_max=2, samples=8, seed=2, random_unit=True
-        )
+        a = mc_moments(_contract_cfg(3, 10, 8, 2), k=1, random_unit=True)
+        b = mc_moments(_contract_cfg(3, 10, 8, 2), k=1, random_unit=True)
         assert a == b
 
 
@@ -462,6 +445,12 @@ class TestConfigFromJson:
     def test_field_names_round_trip(self):
         cfg = ExperimentConfig.from_json({"N_grid": [8], "fmt": "json", "out": None})
         assert cfg == ExperimentConfig(N_grid=(8,), fmt="json")
+
+    @pytest.mark.parametrize("fmt,alias", [("csv", "json"), ("json", "json")])
+    def test_fmt_and_format_together_are_refused(self, fmt, alias):
+        with pytest.raises(ContractViolation, match="both fmt and format"):
+            ExperimentConfig.from_json({"fmt": fmt, "format": alias})
+        assert ExperimentConfig.from_json({"format": alias}).fmt == alias
 
 
 class TestSampleInvariants:

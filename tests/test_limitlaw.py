@@ -7,10 +7,9 @@ from scipy.integrate import quad
 
 from melonic import cli, limitlaw
 from melonic.errors import ContractViolation, DomainError, NumericalError
+from melonic.counting import fuss_catalan
 from melonic.limitlaw import (
-    ContractedLaw,
     LimitLaw,
-    contracted_law,
     critical_z,
     density,
     inversion_density,
@@ -180,7 +179,7 @@ class TestContinuation:
         assert _max_rel_gap(inversion_density(p, ys[::-1])[::-1], ref) <= 1e-12
 
     def test_law_objects_equal_per_point(self):
-        for law in (LimitLaw(4), ContractedLaw(5, 1)):
+        for law in (LimitLaw(4), LimitLaw(5, 1)):
             ys = np.linspace(*law.support(), 21)
             ref = [law.density(float(y)) for y in ys]
             dens = law.density(ys)
@@ -220,7 +219,7 @@ class TestContinuation:
         ys = [-0.7, 0.3, 2.5]
         assert inversion_density(4, ys) == inversion_density(4, np.array(ys)).tolist()
         assert density(3, ys) == density(3, np.array(ys)).tolist()
-        law = ContractedLaw(5, 1)
+        law = LimitLaw(5, 1)
         assert law.density(ys) == law.density(np.array(ys)).tolist()
 
     def test_point_on_support_is_refused(self):
@@ -256,13 +255,13 @@ class TestLawObjects:
         assert abs(4.0 * r**3 - 4.0 * r + 1) < 1e-12
 
     def test_contracted_identity_at_k0(self):
-        law = contracted_law(3, 0)
+        law = LimitLaw(3, 0)
         assert law.scale_sq == 1
         assert law.moment(2) == Fraction(1)
         assert law.support_sq() == Fraction(27, 4)
 
     def test_contracted_semicircle_p3_k1(self):
-        law = contracted_law(3, 1)
+        law = LimitLaw(3, 1)
         assert law.support_sq() == Fraction(2)
         assert law.moment(2) == Fraction(1, 2)
         assert law.moment(4) == Fraction(2, 4)
@@ -272,13 +271,13 @@ class TestLawObjects:
             assert law.density(y) == pytest.approx(s * density(2, y * s), rel=1e-12)
 
     def test_contracted_p4_k2(self):
-        law = contracted_law(4, 2)
+        law = LimitLaw(4, 2)
         assert law.moment(2) == Fraction(1, 3)
         assert law.support_sq() == Fraction(4, 3)
 
     def test_support_endpoint_algebra(self):
         for p, k in [(3, 1), (4, 1), (4, 2)]:
-            law = contracted_law(p, k)
+            law = LimitLaw(p, k)
             q = p - k
             expected = Fraction(q**q, math.comb(p - 1, k) * (q - 1) ** (q - 1))
             assert law.support_sq() == expected
@@ -287,21 +286,52 @@ class TestLawObjects:
         # with the extra factor-p dilation, k = p-2 reproduces the support
         # +-2/sqrt(p(p-1)) of the contracted-matrix literature convention
         for p in (3, 4):
-            law = contracted_law(p, p - 2)
+            law = LimitLaw(p, p - 2)
             assert law.support_sq() / p == Fraction(4, p * (p - 1))
 
     def test_contract_depth_validation(self):
         with pytest.raises(ContractViolation):
-            contracted_law(3, 2)
+            LimitLaw(3, 2)
         with pytest.raises(ContractViolation):
-            contracted_law(2, 0)
-        with pytest.raises(ContractViolation):
-            contracted_law(4, -1)
+            LimitLaw(4, -1)
+        with pytest.raises(ContractViolation, match=r"depth k=1 outside \[0, 0\]"):
+            LimitLaw(2, 1)
+        with pytest.raises(ContractViolation, match="p must be at least 2"):
+            LimitLaw(1)
 
     def test_moment_quadrature_dilated(self):
         # the contracted density is the order-(p-k) density dilated, so its
         # n-th moment is the undilated quadrature moment over dilation^n
-        law = contracted_law(3, 1)
+        law = LimitLaw(3, 1)
         assert moment_by_quadrature(law.p, 2) / law.dilation**2 == pytest.approx(
             0.5, abs=1e-6
         )
+
+
+@pytest.mark.parametrize(
+    "p,k", [(p, k) for p in range(2, 7) for k in range(p - 1)]
+)
+def test_law_of_the_contracted_tensor_is_exact(p, k):
+    # one law type for every depth: the order-(p-k) law dilated by
+    # sqrt(C(p-1, k)), with exact moments and support
+    law = LimitLaw(p, k)
+    scale_sq = math.comb(p - 1, k)
+    assert (law.source_p, law.k, law.p, law.scale_sq) == (p, k, p - k, scale_sq)
+    assert law.dilation == math.sqrt(scale_sq)
+    for n in range(9):
+        expected = Fraction(fuss_catalan(p - k, n // 2), scale_sq ** (n // 2)) if n % 2 == 0 else 0
+        assert law.moment(n) == expected
+    q = p - k
+    assert law.support_sq() == Fraction(q**q, scale_sq * (q - 1) ** (q - 1))
+    assert law.omega_c**2 == pytest.approx(float(law.support_sq()), rel=1e-15)
+
+
+def test_order_two_law_is_the_semicircle():
+    law = LimitLaw(2)
+    assert (law.p, law.k, law.dilation, law.support_sq()) == (2, 0, 1.0, 4)
+    assert [law.moment(n) for n in range(9)] == [1, 0, 1, 0, 2, 0, 5, 0, 14]
+    assert law.support() == (-2.0, 2.0)
+    for y in (0.0, 0.5, 1.9):
+        assert law.density(y) == math.sqrt(4.0 - y * y) / (2.0 * math.pi)
+    r = law.stieltjes(3.0)
+    assert r == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-14)
