@@ -10,6 +10,8 @@ differently with another OPENBLAS_NUM_THREADS, which shows at N >= 32).  Setting
 defaults, then a JSON config file (--config), then explicit flags.  Each
 subcommand accepts only the flags it reads.  The package's own errors end
 the run with a one-line message and the exit codes listed in _EXIT_CODES.
+A reader that closes stdout early (``| head``) ends the run quietly with
+exit code 1, the code of Python's own exit on a broken pipe.
 enumerate, classify, count and moments are exact and law computes on Python
 floats, so these five never load numpy; the other subcommands import it,
 with the modules they run, when they start.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -308,10 +311,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args, _config(args))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except tuple(_EXIT_CODES) as exc:
         message = " ".join(str(exc).split())
         print(f"melonic {args.command}: {type(exc).__name__}: {message}", file=sys.stderr)
         return next(code for err, code in _EXIT_CODES.items() if isinstance(exc, err))
+    except BrokenPipeError:
+        # what is left to flush at exit goes to devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

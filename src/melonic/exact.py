@@ -3,12 +3,12 @@
 Everything here is plain ``int`` and ``fractions.Fraction`` arithmetic, so
 the subcommands that count, classify, enumerate and tabulate exact moments
 run without loading numpy.  Exact expectations of trace invariants are rational
-polynomials in N, in the powers N^k, for every exact law from one dynamic
-programme per class: the moment-cumulant formula splits the vertices into
-groups that read one entry, weighted by the law's cumulants, and each group
-becomes a table of index identifications.  Under Gaussian entries only pairs
-occur and the programme is Isserlis' theorem.  The variance of I_n runs the
-same programme on disjoint unions of two classes, under the same laws.  One
+polynomials in N, in the powers N^k, from one integer dynamic programme per
+class and variance profile: the moment-cumulant formula splits the vertices
+into groups that read one entry, each a table of index identifications, and
+each law weights the terms by the cumulants of their group sizes at the end.
+Under Gaussian entries only pairs occur and the programme is Isserlis'
+theorem.  The variance of I_n runs it on disjoint unions of two classes.  One
 guard prices the programme's terms before any map is built.
 """
 
@@ -142,6 +142,8 @@ RADEMACHER = EntryDistribution("rademacher")
 # Z. Wahrscheinlichkeitstheorie 2 (1964)) turns the leftover prod_x phi(c_x)
 # into sum_pi prod_B h(|B|) [v's indices constant on pi's blocks].  So each
 # term is a product of index identifications and counts N^(its edge classes).
+# The tables take kappa_r = 1; a term keeps lambda, the sizes r > 2 of its
+# groups, and a law weights it by prod_{r in lambda} kappa_r at the end.
 
 # a term applies one set of edge identifications to one DP state, 1-2 us on
 # a 2-core x86-64 host; ``_price`` puts (3, 6) at 3810 terms per class under
@@ -181,24 +183,25 @@ def _set_partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _law(dist: EntryDistribution, p: int, n: int) -> dict[int, tuple[Fraction, list]]:
-    """(kappa_r, h) for each group size 2 <= r <= n with kappa_r != 0; h are
-    the cumulants of phi(c) = (c!)^{1-r/2}, or (c!)^{1-r} under the flat
-    profile, for c = 0..p."""
+def _kappas(dist: EntryDistribution, n: int) -> dict[int, Fraction]:
+    """kappa_r of the unit law at the sizes 2 <= r <= n it admits (kappa_r != 0)."""
     kappa = _cumulants([dist.moment(j, Fraction(1)) for j in range(n + 1)])
-    power = {r: 1 - r if dist.flat_profile else 1 - r // 2 for r in range(2, n + 1) if kappa[r]}
-    return {
-        r: (kappa[r], _cumulants([Fraction(math.factorial(c)) ** e for c in range(p + 1)]))
-        for r, e in power.items()
-    }
+    return {r: kappa[r] for r in range(2, n + 1) if kappa[r]}
 
 
 @lru_cache(maxsize=None)
-def _table_terms(dist: EntryDistribution, p: int, r: int, k: int) -> tuple[int, int]:
+def _h(flat: bool, p: int, r: int) -> list[Fraction]:
+    """Cumulants h of phi(c) = (c!)^{1-r/2}, or (c!)^{1-r} if flat, c = 0..p."""
+    e = 1 - r if flat else 1 - r // 2
+    return _cumulants([Fraction(math.factorial(c)) ** e for c in range(p + 1)])
+
+
+@lru_cache(maxsize=None)
+def _table_terms(flat: bool, p: int, r: int, k: int) -> tuple[int, int]:
     """Terms per DP state of a group of r with k own edges by the slot route
     (each pi with prod_B h(|B|) != 0, then each member over p!/prod|B|!
     assignments) and by the lattice route (Bell_2(k)) of ``_group_table``."""
-    h = _law(dist, p, r)[r][1]
+    h = _h(flat, p, r)
     slot = 0
     for t in range(1, r):
         blocks = [0, *(Fraction(h[c] != 0, math.factorial(c) ** t) for c in range(1, p + 1))]
@@ -215,7 +218,7 @@ def _price(p: int, n: int, dist: EntryDistribution) -> int:
     if n % 2:
         return 0
     m = p * n // 2
-    cost = {r: min(_table_terms(dist, p, r, min(r * p, m))) for r in _law(dist, p, n)}
+    cost = {r: min(_table_terms(dist.flat_profile, p, r, min(r * p, m))) for r in _kappas(dist, n)}
     total = [0] * (n + 1)
     for j in range(2, n + 1):
         total[j] = sum(
@@ -230,67 +233,48 @@ def _price(p: int, n: int, dist: EntryDistribution) -> int:
 
 
 @lru_cache(maxsize=None)
-def _slot_partitions(dist: EntryDistribution, p: int, r: int) -> tuple:
+def _slot_partitions(flat: bool, p: int, r: int) -> tuple:
     """(pi, weight, words) for each partition pi of v's slots with a nonzero
-    weight kappa_r prod_B h(|B|) (|B|!)^{r-1}: the words assign a member's
-    slots to pi's blocks, one per coset of pi's Young subgroup."""
-    kappa, h = _law(dist, p, r)[r]
+    weight prod_B h(|B|) (|B|!)^{r-1}: the words assign a member's slots to
+    pi's blocks, one per coset of pi's Young subgroup.  The weight is an
+    ``int``: h(c) sums +-prod_B' (|B'|!)^{-s} over the partitions of c points,
+    with s <= r - 1 and prod_B' |B'|! dividing c!."""
+    h = _h(flat, p, r)
     out = []
     for pi in _set_partitions(p):
-        w = kappa * math.prod(h[c] * math.factorial(c) ** (r - 1) for c in Counter(pi).values())
+        w = math.prod(h[c] * math.factorial(c) ** (r - 1) for c in Counter(pi).values())
         if w:
-            out.append((pi, w, sorted(set(itertools.permutations(pi)))))
+            out.append((pi, int(w), sorted(set(itertools.permutations(pi)))))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _denominator(dist: EntryDistribution, p: int, n: int) -> int:
-    """A common denominator D of every weight of the groups of ``_law``: a
-    lattice-route weight is kappa_r times an integer, a slot-route weight
-    kappa_r times at most p factors h(c) (c!)^{r-1}.  Under ``uniform``
-    (kappa_4 = -6/5, kappa_6 = 48/7) D = 35 at p = 3; D = 1 for the other
-    exact laws."""
-    D = 1
-    for r, (kappa, h) in _law(dist, p, n).items():
-        slot = math.lcm(*(Fraction(h[c] * math.factorial(c) ** (r - 1)).denominator
-                          for c in range(1, p + 1)))
-        D = math.lcm(D, kappa.denominator * slot**p)
-    return D
-
-
-def _merged(choices: Iterable[tuple[list, Fraction]], scale: int = 1) -> tuple:
+def _merged(choices: Iterable[tuple[list, int]]) -> tuple:
     """(edge identifications, weight) choices, equal identification sets
-    merged, zero weights dropped, every weight times ``scale``, and whole
-    ones made ``int``."""
+    merged and zero weights dropped."""
     merged: Counter = Counter()
     for pairs, w in choices:
         merged[tuple(sorted({(e, f) for e, f in pairs if e != f}))] += w
-    scaled = ((pairs, w * scale) for pairs, w in merged.items() if w)
-    return tuple((pairs, w.numerator if w.denominator == 1 else w) for pairs, w in scaled)
+    return tuple((pairs, w) for pairs, w in merged.items() if w)
 
 
 @lru_cache(maxsize=None)
-def _group_table(
-    members: tuple[tuple[int, ...], ...], dist: EntryDistribution, scale: int = 1
-) -> tuple:
+def _group_table(members: tuple[tuple[int, ...], ...], flat: bool) -> tuple:
     """Branches of the group whose vertices read the edges ``members``,
-    lowest first: lists of steps, each state taking every choice of each
-    step in turn.  The route of fewer terms (``_table_terms``) builds them;
-    both give the same identification sets and weights, each branch's
-    weight times ``scale``.
+    lowest first, at kappa_r = 1: lists of steps, each state taking every
+    choice of each step in turn.  The route of fewer terms (``_table_terms``)
+    builds them; both give the same identification sets and ``int`` weights.
 
     Slot route: a branch per partition pi of ``_slot_partitions`` and a step
     per other member, over its words; the first step also identifies v's
     edges within each block of pi and carries pi's weight.  Lattice route: one
-    step, kappa_r W(pi) over the partitions pi of the own edges, W the Mobius
+    step, W(pi) over the partitions pi of the own edges, W the Mobius
     inversion of F(sigma) = [every member reads one multiset of sigma's
     blocks] times prod_x c_x!^{r/2} of v's (invariant profile).
     """
     r, p = len(members), len(members[0])
     own = list(dict.fromkeys(e for edges in members for e in edges))
-    slot, lattice = _table_terms(dist, p, r, len(own))
+    slot, lattice = _table_terms(flat, p, r, len(own))
     if lattice < slot:
-        kappa = _law(dist, p, r)[r][0]
         table: Counter = Counter()
         for sigma in _set_partitions(len(own)):
             block = dict(zip(own, sigma))
@@ -298,106 +282,119 @@ def _group_table(
             if any(read != reads[0] for read in reads):
                 continue
             f = 1
-            if not dist.flat_profile:
+            if not flat:
                 f = math.prod(map(math.factorial, Counter(reads[0]).values())) ** (r // 2)
             for rho in _set_partitions(max(sigma) + 1):
                 sizes = Counter(rho).values()
                 mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in sizes)
                 table[tuple(rho[x] for x in sigma)] += mu * f
         return ([_merged(
-            (([(own[pi.index(b)], own[e]) for e, b in enumerate(pi)], kappa * w)
-             for pi, w in table.items()),
-            scale,
+            ([(own[pi.index(b)], own[e]) for e, b in enumerate(pi)], w) for pi, w in table.items()
         )],)
     branches = []
     v = members[0]
-    for pi, w, words in _slot_partitions(dist, p, r):
+    for pi, w, words in _slot_partitions(flat, p, r):
         rep = [v[pi.index(b)] for b in range(max(pi) + 1)]
         base = [(rep[b], e) for e, b in zip(v, pi)]
         steps = []
         for i, member in enumerate(members[1:]):
             first = i == 0  # identifies v's edges within pi's blocks, at pi's weight
             steps.append(_merged(
-                (([*(base if first else ()), *((rep[b], e) for e, b in zip(member, word))],
-                  w if first else 1)
-                 for word in words),
-                scale if first else 1,
+                ([*(base if first else ()), *((rep[b], e) for e, b in zip(member, word))],
+                 w if first else 1)
+                for word in words
             ))
         branches.append(steps)
     return tuple(branches)
 
 
 def _group_counts(
-    verts: Sequence[tuple[int, ...]], p: int, dist: EntryDistribution
-) -> tuple[list, int]:
-    """(counts, terms) for the vertices ``verts``, each the edge ids of its
-    p slots: counts[k] is the coefficient of N^k in ((p-1)!)^{n/2} times the
-    sum over the edge indices of E[prod_v T_{I_v}], and terms counts the
-    identification sets applied to a state.
+    verts: Sequence[tuple[int, ...]], p: int, flat: bool, sizes: Sequence[int]
+) -> tuple[dict[tuple[int, ...], list[int]], int]:
+    """({lambda: counts}, terms) for the vertices ``verts``, each the edge ids
+    of its p slots, in groups of the ``sizes``: counts[k] is the coefficient
+    of N^k in ((p-1)!)^{n/2} times the sum over the edge indices of the terms
+    of E[prod_v T_{I_v}] at unit cumulants whose groups of r > 2 have the
+    sizes lambda, an ``int``; terms counts the identification sets applied to
+    a state.
 
     A dynamic programme keeps the weight of the partial terms per (mask of
-    unassigned vertices, edge partition in restricted-growth form) and
-    expands the masks in decreasing order, each through the groups of its
-    lowest vertex with r - 1 later ones, for each r of ``_law``.  Under
-    gaussian-gote only pairs occur, each table is the p! slot bijections at
-    weight 1 (equal identification sets merged), and this is Isserlis'
-    theorem.  A group of r takes its weights times D^{r/2}, with D of
-    ``_denominator``, which makes them ``int``; every term then carries
-    D^{n/2}, divided out once at the end.
+    unassigned vertices, lambda so far, edge partition in restricted-growth
+    form) and expands the masks in decreasing order, each through the groups
+    of its lowest vertex with r - 1 later ones, for each r of ``sizes``.
+    Under a Gaussian law only pairs occur, lambda stays (), each table is the
+    p! slot bijections at weight 1 (equal identification sets merged), and
+    this is Isserlis' theorem.
     """
     n = len(verts)
     m = n * p // 2
     if n % 2:
-        return [0] * (m + 1), 0
-    D = _denominator(dist, p, n)
-    pending = {(1 << n) - 1: Counter({tuple(range(m)): 1})}
+        return {}, 0
+    pending = {(1 << n) - 1: {(): Counter({tuple(range(m)): 1})}}
     terms = 0
     for mask in range((1 << n) - 1, 0, -1):
-        parts = pending.pop(mask, None)
-        if not parts:
+        by_signature = pending.pop(mask, None)
+        if not by_signature:
             continue
         v = (mask & -mask).bit_length() - 1
         later = [u for u in range(v + 1, n) if mask >> u & 1]
-        for r in _law(dist, p, n):
+        for r in sizes:
             for others in itertools.combinations(later, r - 1):
                 group = (v, *others)
-                out = pending.setdefault(mask & ~sum(1 << u for u in group), Counter())
-                for steps in _group_table(tuple(verts[u] for u in group), dist, D ** (r // 2)):
-                    cur = parts
-                    for i, step in enumerate(steps, 1 - len(steps)):
-                        terms += len(cur) * len(step)
-                        nxt = out if i == 0 else Counter()  # the last step adds into out
-                        for part, c in cur.items():
-                            for pairs, w in step:
-                                labels = part
-                                for e, f in pairs:
-                                    x, y = labels[e], labels[f]
-                                    if x != y:
-                                        x, y = min(x, y), max(x, y)
-                                        labels = tuple(
-                                            x if z == y else z - (z > y) for z in labels
-                                        )
-                                nxt[labels] += c * w
-                        cur = nxt
-    counts = [0] * (m + 1)
-    for part, c in pending.get(0, Counter()).items():
-        counts[max(part, default=-1) + 1] += c
-    if D > 1:
-        counts = [Fraction(c, D ** (n // 2)) for c in counts]
+                target = pending.setdefault(mask & ~sum(1 << u for u in group), {})
+                tables = _group_table(tuple(verts[u] for u in group), flat)
+                for lam, parts in by_signature.items():
+                    out = target.setdefault(lam if r == 2 else tuple(sorted((*lam, r))), Counter())
+                    for steps in tables:
+                        cur = parts
+                        for i, step in enumerate(steps, 1 - len(steps)):
+                            terms += len(cur) * len(step)
+                            nxt = out if i == 0 else Counter()  # the last step adds into out
+                            for part, c in cur.items():
+                                for pairs, w in step:
+                                    labels = part
+                                    for e, f in pairs:
+                                        x, y = labels[e], labels[f]
+                                        if x != y:
+                                            x, y = min(x, y), max(x, y)
+                                            labels = tuple(
+                                                x if z == y else z - (z > y) for z in labels
+                                            )
+                                    nxt[labels] += c * w
+                            cur = nxt
+    counts = {lam: [0] * (m + 1) for lam in pending.get(0, {})}
+    for lam, parts in pending.get(0, {}).items():
+        for part, c in parts.items():
+            counts[lam][max(part, default=-1) + 1] += c
     return counts, terms
 
 
-def _coefficients(verts: Sequence[tuple[int, ...]], p: int, dist: EntryDistribution) -> tuple:
+def _coefficients(counts: dict, p: int, n: int, dist: EntryDistribution) -> tuple:
     """Coefficients of N^{(n/2)(p-1)} times the sum over the edge indices of
-    E[prod_v T_{I_v}] for the n vertices ``verts``, in the powers N^k."""
-    counts, _ = _group_counts(verts, p, dist)
-    return tuple(Fraction(c) / math.factorial(p - 1) ** (len(verts) // 2) for c in counts)
+    E[prod_v T_{I_v}] under ``dist`` for n vertices, in the powers N^k, from
+    their ``_group_counts``: sum_lambda kappa_lambda counts[lambda] over
+    ((p-1)!)^{n/2}."""
+    kappa = _kappas(dist, n)
+    total = [Fraction(0)] * (p * n // 2 + 1)
+    for lam, c in counts.items():
+        weight = Fraction(math.prod(kappa[r] for r in lam), math.factorial(p - 1) ** (n // 2))
+        for k, x in enumerate(c):
+            total[k] += weight * x
+    return tuple(total)
 
 
 @lru_cache(maxsize=None)
+def _profile_counts(b: CombinatorialMap, flat: bool, sizes: tuple[int, ...]) -> dict:
+    """``_group_counts`` of E[Tr_b(W_N)], kept for every law of the profile
+    that admits the same sizes and every N of a later call."""
+    return _group_counts(_vertex_edge_ids(b), b.p, flat, sizes)[0]
+
+
 def _polynomial(b: CombinatorialMap, dist: EntryDistribution) -> tuple[Fraction, ...]:
-    """``_coefficients`` of E[Tr_b(W_N)], kept for every N of a later call."""
-    return _coefficients(_vertex_edge_ids(b), b.p, dist)
+    """``_coefficients`` of E[Tr_b(W_N)] under ``dist``: ``rademacher`` and
+    ``uniform`` share one programme per class."""
+    sizes = tuple(_kappas(dist, b.n))
+    return _coefficients(_profile_counts(b, dist.flat_profile, sizes), b.p, b.n, dist)
 
 
 def _at(coeffs: Sequence[Fraction], p: int, n: int, N: int) -> Fraction:
@@ -427,13 +424,15 @@ def _variance_polynomial(p: int, n: int, dist: EntryDistribution) -> tuple[Fract
     twice off the diagonal, b u b' the disjoint union (the edges of b' offset
     past those of b)."""
     classes = [(_vertex_edge_ids(b), w, _polynomial(b, dist)) for b, w in _trace_classes(p, n)]
+    sizes = tuple(_kappas(dist, 2 * n))
     m = p * n // 2
     total = [Fraction(0)] * (2 * m + 1)
     for i, (vi, wi, ci) in enumerate(classes):
         for j, (vj, wj, cj) in enumerate(classes[i:], i):
             weight = wi * wj * (1 if i == j else 2)
             union = vi + [tuple(e + m for e in vert) for vert in vj]
-            for k, c in enumerate(_coefficients(union, p, dist)):
+            counts, _ = _group_counts(union, p, dist.flat_profile, sizes)
+            for k, c in enumerate(_coefficients(counts, p, 2 * n, dist)):
                 total[k] += weight * c
             for k1, c1 in enumerate(ci):
                 for k2, c2 in enumerate(cj):

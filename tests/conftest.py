@@ -43,7 +43,7 @@ from melonic.maps import (
     multigraph,
     rooted_connected,
 )
-from melonic.exact import EntryDistribution, _group_counts
+from melonic.exact import EntryDistribution, _coefficients, _group_counts, _kappas
 from melonic.tensor import _EINSUM_LETTERS, SymTensor, _table
 
 _EXHAUSTIVE_TERM_GUARD = 10**8
@@ -391,10 +391,11 @@ def group_dp_run(p: int, n: int, dist: EntryDistribution) -> tuple[list, int]:
     took."""
     total = [Fraction(0)] * (p * n // 2 + 1)
     most = 0
+    sizes = tuple(_kappas(dist, n))
     for rep, count in _trace_classes(p, n):
-        counts, terms = _group_counts(_vertex_edge_ids(rep), p, dist)
-        for k, c in enumerate(counts):
-            total[k] += Fraction(count * c, math.factorial(p - 1) ** (n // 2))
+        counts, terms = _group_counts(_vertex_edge_ids(rep), p, dist.flat_profile, sizes)
+        for k, c in enumerate(_coefficients(counts, p, n, dist)):
+            total[k] += count * c
         most = max(most, terms)
     return total, most
 

@@ -558,6 +558,20 @@ class TestErrors:
         assert got == code
         assert err == f"melonic count: {error.__name__}: first line second line\n"
 
+    def test_reader_closing_stdout_early_ends_the_run_quietly(self):
+        # as with ``law --p 4 | head -2``, but the read end closes before the
+        # first write, so every write meets the broken pipe
+        child = subprocess.Popen(
+            [sys.executable, "-m", "melonic.cli", "law", "--p", "4"],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 1
+        assert err == b""
+
 
 def run_child(code):
     """stdout of ``python -c code`` in a fresh interpreter that imports this

@@ -199,17 +199,17 @@ class TestMelonicLimitTable:
         passes = []
         group_counts = exact._group_counts
 
-        def counting(verts, p, dist):
-            passes.append(dist.kind)
-            return group_counts(verts, p, dist)
+        def counting(verts, p, flat, sizes):
+            passes.append((flat, sizes))
+            return group_counts(verts, p, flat, sizes)
 
         monkeypatch.setattr(exact, "_group_counts", counting)
-        exact._polynomial.cache_clear()
+        exact._profile_counts.cache_clear()
         for dist in (EntryDistribution("rademacher"), GAUSSIAN_GOTE):
             melonic_limit_table(3, 4, (8, 16, 32), dist)
             melonic_limit_table(3, 4, (8,), dist)
             exact.expected_balanced_invariant(3, 4, 64, dist)
-        assert passes == ["rademacher"] * 5 + ["gaussian-gote"] * 5
+        assert passes == [(False, (2, 4))] * 5 + [(False, (2,))] * 5
 
     def test_universality_limit_column(self):
         gauss = melonic_limit_table(3, 2, (8, 16), GAUSSIAN_GOTE)

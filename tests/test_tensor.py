@@ -915,6 +915,35 @@ class TestExactExpectations:
         assert val / 32 == 1 + Fraction(6, 32) + Fraction(8, 32**2)
 
 
+# the class-weighted top coefficient of C_lambda over (p-1)!^{n/2}, lambda != ()
+SIGNATURE_TOPS = {
+    (2, 4): {(4,): 1},
+    (2, 6): {(4,): 6, (6,): 1},
+    (2, 8): {(4,): 28, (4, 4): 6, (6,): 8, (8,): 1},
+    (3, 4): {(4,): 8},
+    (3, 6): {(4,): 72, (6,): 100},
+    (4, 4): {(4,): 78},
+}
+
+
+def _signature_tops(p: int, n: int) -> Counter:
+    """{(flat, lambda): the class-weighted coefficient of N^bound in
+    N^{(n/2)(p-1)} C_{b,lambda} over (p-1)!^{n/2}}, after checking that every
+    class has no higher power: bound = 1 + (p-1)(n/2 - sum_{r in lambda}
+    (r/2 - 1)), the paper's hypergraph bound graded by lambda.  The invariant
+    profile takes every even group size, the flat one pairs only (its one
+    law is Gaussian)."""
+    tops = Counter()
+    for flat, sizes in ((False, tuple(range(2, n + 1, 2))), (True, (2,))):
+        for rep, count in _trace_classes(p, n):
+            counts, _ = exact._group_counts(exact._vertex_edge_ids(rep), p, flat, sizes)
+            for lam, c in counts.items():
+                bound = 1 + (p - 1) * (n // 2 - sum(r // 2 - 1 for r in lam))
+                assert not any(c[bound + 1 :])
+                tops[flat, lam] += Fraction(count * c[bound], math.factorial(p - 1) ** (n // 2))
+    return tops
+
+
 def _inverse_powers(coeffs, p, n, extra):
     """{j: coefficient of N^-j} of coeffs(N) / N^{n(p-1)+extra}."""
     return {n * (p - 1) + extra - k: c for k, c in enumerate(coeffs) if c}
@@ -930,22 +959,22 @@ class TestPairingOracle:
             for dist, falling in zip(dists, trace_polynomial(rep, dists)):
                 assert list(exact._polynomial(rep, dist)) == in_powers(falling)
 
-    def test_route_is_chosen_by_the_law(self):
-        # every law takes the group DP; its tables follow the law: the p!
-        # slot bijections at weight 1 for a Gaussian pair, and for the 7-edge
-        # melon under the flat profile the lattice route, one unmerged term
+    def test_route_is_chosen_by_the_profile(self):
+        # every law takes the group DP; its tables follow the variance
+        # profile, never the law: the p! slot bijections at weight 1 for a
+        # pair under the invariant profile, and for the 7-edge melon under the
+        # flat profile the lattice route, one unmerged term
         pair = ((0, 1, 2), (3, 4, 5))
-        for dist in (GAUSSIAN_GOTE, RADEMACHER, UNIFORM):
-            (steps,) = exact._group_table(pair, dist)
-            assert len(steps) == 1 and sorted(w for _, w in steps[0]) == [1] * 6
-            assert all(type(w) is int for _, w in steps[0])
-        assert exact._table_terms(FLAT, 7, 2, 7) == (426_833, 19_302)
+        (steps,) = exact._group_table(pair, False)
+        assert len(steps) == 1 and sorted(w for _, w in steps[0]) == [1] * 6
+        assert all(type(w) is int for _, w in steps[0])
+        assert exact._table_terms(True, 7, 2, 7) == (426_833, 19_302)
         melon = (tuple(range(7)), tuple(range(7)))
-        ((step,),) = exact._group_table(melon, FLAT)
+        ((step,),) = exact._group_table(melon, True)
         assert step == (((), 1),)
         # the laws differ through groups of four and more, absent from Gaussians
-        assert list(exact._law(GAUSSIAN_GOTE, 3, 6)) == [2]
-        assert list(exact._law(RADEMACHER, 3, 6)) == [2, 4, 6]
+        assert list(exact._kappas(GAUSSIAN_GOTE, 6)) == [2]
+        assert list(exact._kappas(RADEMACHER, 6)) == [2, 4, 6]
 
     @pytest.mark.parametrize(
         "members, dist",
@@ -969,11 +998,14 @@ class TestPairingOracle:
         ],
     )
     def test_slot_and_lattice_routes_agree(self, monkeypatch, members, dist):
-        # both enumerations give the same identification sets and weights
+        # both enumerations give the same identification sets and weights,
+        # every weight an int under both variance profiles
         def flat_table(route):
             monkeypatch.setattr(exact, "_table_terms", lambda *args: route)
             table = Counter()
-            for steps in exact._group_table.__wrapped__(members, dist):
+            branches = exact._group_table.__wrapped__(members, dist.flat_profile)
+            assert all(type(w) is int for steps in branches for step in steps for _, w in step)
+            for steps in branches:
                 states = Counter({tuple(range(m)): 1})
                 for step in steps:
                     nxt = Counter()
@@ -994,26 +1026,51 @@ class TestPairingOracle:
 
     @pytest.mark.parametrize("p, n, top", [(3, 6, 12), (4, 4, 4)])
     def test_degree_bound_and_fuss_catalan_top(self, p, n, top):
-        # N^{(n/2)(p-1)} E[Tr_b] has degree at most (n/2)(p-1) + 1, and the
-        # weighted top coefficient of E[I_n] is F_p(n/2)
+        # N^{(n/2)(p-1)} C_{b,lambda} has degree at most (n/2)(p-1) + 1 less
+        # (p-1) per power of N each group of lambda costs, and the weighted
+        # top coefficient of E[I_n] at lambda = () is F_p(n/2)
         bound = (n // 2) * (p - 1) + 1
-        weighted = 0
-        for rep, count in _trace_classes(p, n):
-            counts, _ = exact._group_counts(exact._vertex_edge_ids(rep), p, GAUSSIAN_GOTE)
-            assert not any(counts[bound + 1 :])
-            weighted += count * counts[bound]
+        tops = _signature_tops(p, n)
         assert bound == 7 and top == fuss_catalan(p, n // 2)
-        assert Fraction(weighted, math.factorial(p - 1) ** (n // 2)) == top
+        assert tops[False, ()] == tops[True, ()] == top
+        assert {lam: c for (_, lam), c in tops.items() if lam} == SIGNATURE_TOPS[p, n]
+
+    @pytest.mark.parametrize(
+        "p, n", [(2, 2), (2, 4), (2, 6), (2, 8), (3, 2), (3, 4), (4, 2), (5, 2), (6, 2)]
+    )
+    def test_each_cumulant_group_costs_its_powers_of_n(self, p, n):
+        # the bound of the last test at the other sizes the tests reach; a
+        # nonzero top coefficient for every lambda means the bound is attained
+        tops = _signature_tops(p, n)
+        assert tops[False, ()] == tops[True, ()] == fuss_catalan(p, n // 2)
+        assert {lam: c for (_, lam), c in tops.items() if lam} == SIGNATURE_TOPS.get((p, n), {})
 
     def test_odd_vertex_count_has_no_pairing(self):
-        assert exact._group_counts([(0, 0)], 2, GAUSSIAN_GOTE)[0] == [0, 0]
-        assert exact._group_counts([(0, 0)], 2, RADEMACHER)[0] == [0, 0]
+        assert exact._group_counts([(0, 0)], 2, False, (2,)) == ({}, 0)
+        for dist in (GAUSSIAN_GOTE, RADEMACHER):
+            assert exact._coefficients({}, 2, 1, dist) == (0, 0)
+
+    def test_laws_of_one_profile_share_the_dp(self, monkeypatch):
+        # rademacher and uniform admit the same group sizes, so one run per
+        # class serves both; each law weights it by its own cumulants
+        runs = []
+        group_counts = exact._group_counts
+
+        def recording(verts, p, flat, sizes):
+            runs.append((flat, sizes))
+            return group_counts(verts, p, flat, sizes)
+
+        monkeypatch.setattr(exact, "_group_counts", recording)
+        exact._profile_counts.cache_clear()
+        for dist in (RADEMACHER, UNIFORM):
+            expected_balanced_invariant(3, 4, 8, dist)
+        assert runs == [(False, (2, 4))] * len(_trace_classes(3, 4))
 
     def test_work_guard_per_route(self, monkeypatch):
         # each table is priced by the cheaper of its two routes
         assert exact._price(3, 6, GAUSSIAN_GOTE) == 3810
         assert exact._price(3, 6, RADEMACHER) == 52_034
-        assert exact._price(7, 2, FLAT) == 19_302 < exact._table_terms(FLAT, 7, 2, 7)[0]
+        assert exact._price(7, 2, FLAT) == 19_302 < exact._table_terms(True, 7, 2, 7)[0]
         # refusals come before any map is enumerated
         monkeypatch.setattr(exact, "_trace_classes", _no_contraction)
         with pytest.raises(ResourceLimitError, match=r"^3628800 oracle terms per class of 2"):
@@ -1065,36 +1122,43 @@ class TestPairingOracle:
             balanced_invariant_variance(3, 2, 8, EntryDistribution("symmetrized-pareto", 3.0))
 
     def test_variance_runs_the_dp_on_unions_only(self, monkeypatch):
-        # after the mean, one DP per (class, law) is cached and the variance
-        # adds one per unordered class pair, on its disjoint union, whose
-        # polynomial is the partition route's
+        # after the mean, one DP per (class, profile, group sizes) is cached,
+        # shared at n = 2 by the three laws of the invariant profile, and the
+        # variance adds one per unordered class pair, on its disjoint union,
+        # whose polynomial is the partition route's
         p, n = 4, 2
         dists = (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
         runs = []
         group_counts = exact._group_counts
 
-        def recording(verts, p, dist):
-            counts, terms = group_counts(verts, p, dist)
-            runs.append((len(verts), dist, counts))
+        def recording(verts, p, flat, sizes):
+            counts, terms = group_counts(verts, p, flat, sizes)
+            runs.append((len(verts), flat, sizes, counts))
             return counts, terms
 
+        def profile(dist, n):
+            return dist.flat_profile, tuple(exact._kappas(dist, n))
+
         monkeypatch.setattr(exact, "_group_counts", recording)
-        exact._polynomial.cache_clear()
+        exact._profile_counts.cache_clear()
         classes = [rep for rep, _ in _trace_classes(p, n)]
         pairs = [(b, d) for i, b in enumerate(classes) for d in classes[i:]]
         unions = []
+        cached = set()
         for dist in dists:
             expected_balanced_invariant(p, n, 8, dist)
-            assert [run[:2] for run in runs] == [(n, dist)] * len(classes)
+            new = profile(dist, n) not in cached
+            cached.add(profile(dist, n))
+            assert [run[:3] for run in runs] == [(n, *profile(dist, n))] * len(classes) * new
             runs.clear()
             balanced_invariant_variance(p, n, 8, dist)
-            assert [run[:2] for run in runs] == [(2 * n, dist)] * len(pairs)
-            unions.append([counts for _, _, counts in runs])
+            assert [run[:3] for run in runs] == [(2 * n, *profile(dist, 2 * n))] * len(pairs)
+            unions.append([exact._coefficients(run[3], p, 2 * n, dist) for run in runs])
             runs.clear()
-        norm = math.factorial(p - 1) ** n
+        assert len(cached) == 2
         for i, (b, d) in enumerate(pairs):
             for per_law, falling in zip(unions, trace_polynomial(_disjoint_union(b, d), dists)):
-                assert [Fraction(c, norm) for c in per_law[i]] == in_powers(falling)
+                assert list(per_law[i]) == in_powers(falling)
 
 
 class TestResolventSeries:

@@ -46,8 +46,8 @@ def test_universality_and_the_order_where_the_law_enters(p, n, c):
     for dist, kappa4 in KAPPA4.items():
         assert a[dist][: p - 1] == gote[: p - 1]
         assert a[dist][p - 1] - gote[p - 1] == c * kappa4
-    assert exact._law(RADEMACHER, p, 4)[4][0] == KAPPA4[RADEMACHER]
-    assert exact._law(UNIFORM, p, 4)[4][0] == KAPPA4[UNIFORM]
+    assert exact._kappas(RADEMACHER, 4)[4] == KAPPA4[RADEMACHER]
+    assert exact._kappas(UNIFORM, 4)[4] == KAPPA4[UNIFORM]
 
 
 def test_a2_at_p3_n4():
