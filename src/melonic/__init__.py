@@ -9,23 +9,17 @@ experiments reproducing the moment convergence at desk scale.
 import importlib
 import types
 
-from .counting import (
-    DyckPath, PlaneHypertree, count_dyck, count_melonic_maps, count_noncrossing_div,
-    count_rooted_maps, dyck_from_hypertree, fuss_catalan, generating_series_check,
-    hypertree_from_dyck,
-)
+from .counting import count_melonic_maps, count_rooted_maps, fuss_catalan
 from .errors import (
-    ContractViolation, DomainError, InvalidPartitionError, InvalidPathError, NumericalError,
-    ResourceLimitError,
+    ContractViolation, DomainError, InvalidPartitionError, NumericalError, ResourceLimitError,
 )
 from .hypergraph import (
-    Hypergraph, euler_deficiency, has_cycle, hypergraph_of, is_double_hypertree, is_hypertree,
+    Hypergraph, euler_deficiency, hypergraph_of, is_double_hypertree, is_hypertree,
     is_melonic_graph, melonic_partition,
 )
 from .maps import (
     CombinatorialMap, EdgePartition, Hypermap, Permutation, canonical_code, cycles, dual,
-    edge_list, enumerate_edge_partitions, enumerate_rooted_connected, is_connected, merge_edges,
-    relabel,
+    edge_list, enumerate_rooted_connected, merge_edges,
 )
 from .exact import (
     GAUSSIAN_GOTE, RADEMACHER, EntryDistribution, ExperimentConfig, balanced_invariant_variance,

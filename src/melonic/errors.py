@@ -9,10 +9,6 @@ class InvalidPartitionError(ContractViolation):
     """Blocks do not form a partition of the expected ground set."""
 
 
-class InvalidPathError(ContractViolation):
-    """A lattice path has a negative excursion or does not close."""
-
-
 class ResourceLimitError(RuntimeError):
     """The requested computation exceeds the configured desk-scale guard."""
 

@@ -384,17 +384,21 @@ def _coefficients(counts: dict, p: int, n: int, dist: EntryDistribution) -> tupl
 
 
 @lru_cache(maxsize=None)
-def _profile_counts(b: CombinatorialMap, flat: bool, sizes: tuple[int, ...]) -> dict:
-    """``_group_counts`` of E[Tr_b(W_N)], kept for every law of the profile
-    that admits the same sizes and every N of a later call."""
-    return _group_counts(_vertex_edge_ids(b), b.p, flat, sizes)[0]
+def _profile_counts(
+    verts: tuple[tuple[int, ...], ...], p: int, flat: bool, sizes: tuple[int, ...]
+) -> dict:
+    """``_group_counts`` of the vertices ``verts``, a class or a disjoint
+    union of two, kept for every law of the profile that admits the same
+    sizes and every N of a later call."""
+    return _group_counts(verts, p, flat, sizes)[0]
 
 
 def _polynomial(b: CombinatorialMap, dist: EntryDistribution) -> tuple[Fraction, ...]:
     """``_coefficients`` of E[Tr_b(W_N)] under ``dist``: ``rademacher`` and
     ``uniform`` share one programme per class."""
     sizes = tuple(_kappas(dist, b.n))
-    return _coefficients(_profile_counts(b, dist.flat_profile, sizes), b.p, b.n, dist)
+    counts = _profile_counts(_vertex_edge_ids(b), b.p, dist.flat_profile, sizes)
+    return _coefficients(counts, b.p, b.n, dist)
 
 
 def _at(coeffs: Sequence[Fraction], p: int, n: int, N: int) -> Fraction:
@@ -422,7 +426,7 @@ def _variance_polynomial(p: int, n: int, dist: EntryDistribution) -> tuple[Fract
     """``_coefficients`` of Var[I_n(W_N)] over 2n vertices: w_b w_b'
     (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) summed over the unordered class pairs,
     twice off the diagonal, b u b' the disjoint union (the edges of b' offset
-    past those of b)."""
+    past those of b), its DP shared like a class's by the laws of a profile."""
     classes = [(_vertex_edge_ids(b), w, _polynomial(b, dist)) for b, w in _trace_classes(p, n)]
     sizes = tuple(_kappas(dist, 2 * n))
     m = p * n // 2
@@ -430,8 +434,8 @@ def _variance_polynomial(p: int, n: int, dist: EntryDistribution) -> tuple[Fract
     for i, (vi, wi, ci) in enumerate(classes):
         for j, (vj, wj, cj) in enumerate(classes[i:], i):
             weight = wi * wj * (1 if i == j else 2)
-            union = vi + [tuple(e + m for e in vert) for vert in vj]
-            counts, _ = _group_counts(union, p, dist.flat_profile, sizes)
+            union = vi + tuple(tuple(e + m for e in vert) for vert in vj)
+            counts = _profile_counts(union, p, dist.flat_profile, sizes)
             for k, c in enumerate(_coefficients(counts, p, 2 * n, dist)):
                 total[k] += weight * c
             for k1, c1 in enumerate(ci):

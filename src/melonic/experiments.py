@@ -178,6 +178,8 @@ def mc_moments(
             # depth >= 2, so the flat profile would drift from the target law
             raise ContractViolation("the off-diagonal-only profile is valid for k <= 1 only")
     law = LimitLaw(cfg.p, k)  # validates p >= 2 and 0 <= k <= p-2
+    if cfg.n_max < 1:
+        raise ContractViolation(f"the moments of I_n/N need n >= 1, got n={cfg.n_max}")
     ns = list(range(1, cfg.n_max + 1))
     _check_enumeration_feasible(law.p, ns, cfg.N_grid, cfg.p)
     targets = [float(law.moment(n)) for n in ns]

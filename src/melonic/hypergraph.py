@@ -132,22 +132,15 @@ def hypergraph_of(b: Hypermap) -> Hypergraph:
 def _incidence(h: Hypergraph) -> tuple[bool, int]:
     """One union-find pass over the incidence bipartite multigraph (a node
     per vertex and per distinct hyperedge, l_v(e) links between them): has
-    it a cycle, that is more links than merges, and how many components."""
+    it a cycle, that is more links than merges, and how many components.
+    A vertex of inner multiplicity >= 2 inside a hyperedge is a length-1
+    cycle; outer multiplicities m(e) are ignored (they belong to the
+    reduced view)."""
     nv = h.num_vertices
     nodes = nv + len(h.edges)
     ds = DisjointSets(nodes)
     merges = sum(ds.union(v, nv + i) for i, e in enumerate(h.edges) for v in e)
     return sum(map(len, h.edges)) > merges, nodes - merges
-
-
-def has_cycle(h: Hypergraph) -> bool:
-    """Cycle in the incidence bipartite multigraph.
-
-    A vertex of inner multiplicity >= 2 inside a hyperedge is a length-1
-    cycle.  Outer multiplicities m(e) are ignored (they belong to the
-    reduced view).
-    """
-    return _incidence(h)[0]
 
 
 def is_hypertree(h: Hypergraph) -> bool:

@@ -52,12 +52,6 @@ _NEWTON_ITERATIONS = 60
 _STEP_FLOOR = 2.0**-40  # smallest homotopy step, as a fraction of the segment
 
 
-def critical_z(p: int) -> float:
-    """Radius of convergence z_c = (p-1)^{p-1} / p^p of the Fuss-Catalan
-    generating series."""
-    return (p - 1) ** (p - 1) / p**p
-
-
 def support_radius(p: int) -> float:
     """Edge of the support: omega_c = sqrt(p^p / (p-1)^{p-1})."""
     return math.sqrt(p**p / (p - 1) ** (p - 1))

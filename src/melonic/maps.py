@@ -16,10 +16,9 @@ class only.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .counting import count_rooted_maps
 from .errors import ContractViolation, InvalidPartitionError, ResourceLimitError
@@ -60,22 +59,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.image)})"
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for h, v in enumerate(self.image):
-            inv[v] = h
-        return Permutation(inv)
-
-    def conjugate(self, theta: "Permutation") -> "Permutation":
-        """Return theta o self o theta^{-1}."""
-        n = len(self.image)
-        if len(theta) != n:
-            raise ContractViolation("conjugating permutation acts on a different set")
-        out = [0] * n
-        for h in range(n):
-            out[theta(h)] = theta(self(h))
-        return Permutation(out)
 
     def is_involution(self) -> bool:
         return all(self(self(h)) == h for h in range(len(self)))
@@ -213,24 +196,10 @@ class EdgePartition:
     def __repr__(self) -> str:
         return f"EdgePartition({[list(b) for b in self.blocks]})"
 
-    @classmethod
-    def singletons(cls, m: int) -> "EdgePartition":
-        return cls([(e,) for e in range(m)], m)
-
 
 def dual(b: Hypermap) -> Hypermap:
     """The dual hypermap (tau, sigma); vertices and hyperedges swap roles."""
     return Hypermap(b.tau, b.sigma, b.root)
-
-
-def relabel(b: Hypermap, theta: Permutation) -> Hypermap:
-    """Conjugate both permutations by theta (and move the root along)."""
-    sigma = b.sigma.conjugate(theta)
-    tau = b.tau.conjugate(theta)
-    root = None if b.root is None else theta(b.root)
-    if isinstance(b, CombinatorialMap):
-        return CombinatorialMap(b.p, sigma, tau, root)
-    return Hypermap(sigma, tau, root)
 
 
 def edge_list(b: CombinatorialMap) -> list[tuple[int, int]]:
@@ -276,12 +245,6 @@ def merge_edges(b: CombinatorialMap, pi: EdgePartition) -> Hypermap:
         for i, h in enumerate(run):
             image[h] = run[(i + 1) % len(run)]
     return Hypermap(b.sigma, Permutation(image), b.root)
-
-
-def is_connected(b: Hypermap) -> bool:
-    """True iff the group generated by sigma and tau acts transitively on the
-    halfedges."""
-    return b.size == 0 or min(_bfs_labels(b, 0)) >= 0
 
 
 def _bfs_labels(b: Hypermap, start: int) -> list[int]:
@@ -408,13 +371,13 @@ def rooted_connected(p: int, n: int) -> tuple[CombinatorialMap, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_edge_ids(b: CombinatorialMap) -> list[tuple[int, ...]]:
+def _vertex_edge_ids(b: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the edge index of every halfedge in cycle order."""
     edge_of = {}
     for i, (h, k) in enumerate(edge_list(b)):
         edge_of[h] = i
         edge_of[k] = i
-    return [tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma)]
+    return tuple(tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma))
 
 
 def _refine(colour: list[int], adj, loops) -> list[int]:
@@ -499,29 +462,6 @@ def _trace_classes(p: int, n: int) -> tuple[tuple[CombinatorialMap, int], ...]:
     return tuple((members[0], len(members)) for members in groups.values())
 
 
-def enumerate_edge_partitions(m: int) -> Iterator[EdgePartition]:
-    """All set partitions of {0, ..., m-1}, in restricted-growth-string order.
-
-    Yields Bell(m) partitions.
-    """
-    if m < 1:
-        raise ContractViolation("m must be at least 1")
-    rgs = [0] * m
-
-    def gen(i: int, nblocks: int):
-        if i == m:
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for e, blk in enumerate(rgs):
-                blocks[blk].append(e)
-            yield EdgePartition(blocks, m)
-            return
-        for blk in range(nblocks + 1):
-            rgs[i] = blk
-            yield from gen(i + 1, max(nblocks, blk + 1))
-
-    yield from gen(0, 0)
-
-
 def map_to_json(b: CombinatorialMap) -> dict:
     """JSON-serialisable description used by the CLI."""
     return {
@@ -531,11 +471,3 @@ def map_to_json(b: CombinatorialMap) -> dict:
         "tau": list(b.tau.image),
         "root": b.root,
     }
-
-
-def map_from_json(obj: dict | str) -> CombinatorialMap:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return CombinatorialMap(
-        obj["p"], Permutation(obj["sigma"]), Permutation(obj["tau"]), obj.get("root")
-    )

@@ -11,35 +11,41 @@ Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
 relabelling, the map enumerator that undoes its traversal through a log,
 the cycle and connectivity tests of the incidence multigraph as two
-union-find passes, and small combinatorial helpers."""
+union-find passes, the Dyck path <-> plane hypertree bijection, the
+Fuss-Catalan generating-series check, the set partitions in
+restricted-growth order, the connectivity of a map and its relabelling,
+and small combinatorial helpers."""
 
 import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from melonic.counting import fuss_catalan
 from melonic.errors import ContractViolation, NumericalError, ResourceLimitError
 from melonic.hypergraph import DisjointSets, Hypergraph
 from melonic.limitlaw import _refuse_support, density, support_radius
 from melonic.maps import (
     CombinatorialMap,
     EdgePartition,
+    Hypermap,
     Permutation,
+    _bfs_labels,
     _canonical_sigma,
     _check_map_budget,
     _trace_classes,
     _vertex_edge_ids,
     canonical_code,
     edge_list,
-    enumerate_edge_partitions,
     enumerate_rooted_connected,
-    is_connected,
     multigraph,
     rooted_connected,
 )
@@ -587,6 +593,223 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
     image = list(range(n))
     rng.shuffle(image)
     return Permutation(image)
+
+
+class InvalidPathError(ContractViolation):
+    """A lattice path has a negative excursion or does not close."""
+
+
+@dataclass(frozen=True)
+class DyckPath:
+    """Lattice excursion with steps +1 and -(p-1), from height 0 back to 0.
+
+    A path of parameter p and n down-steps has length n*p.
+    """
+
+    steps: tuple[int, ...]
+    p: int
+
+    def __post_init__(self):
+        down = -(self.p - 1)
+        height = 0
+        for s in self.steps:
+            if s not in (1, down):
+                raise InvalidPathError(f"step {s} not in {{+1, {down}}}")
+            height += s
+            if height < 0:
+                raise InvalidPathError("negative excursion")
+        if height != 0:
+            raise InvalidPathError("path does not return to height 0")
+        if len(self.steps) % self.p:
+            raise InvalidPathError("length is not a multiple of p")
+
+    @property
+    def n(self) -> int:
+        """Number of down-steps (equivalently number of hyperedges)."""
+        return len(self.steps) // self.p
+
+
+def enumerate_dyck_paths(p: int, n: int) -> Iterator[DyckPath]:
+    """Yield every (p-1)-Dyck path with n down-steps, lexicographically
+    (up-step first).
+
+    Closing from height h with r steps left takes exactly (h+r)/p more
+    down-steps, which prunes both branches exactly.
+    """
+
+    def rec(steps: tuple[int, ...], height: int, remaining: int):
+        if remaining == 0:
+            yield DyckPath(steps, p)
+            return
+        downs_needed = (height + remaining) // p
+        if remaining - 1 >= downs_needed:
+            yield from rec(steps + (1,), height + 1, remaining - 1)
+        if height >= p - 1:
+            yield from rec(steps + (-(p - 1),), height - (p - 1), remaining - 1)
+
+    yield from rec((), 0, n * p)
+
+
+class PlaneHypertree:
+    """Rooted fully directed plane p-uniform hypertree.
+
+    A vertex carries an ordered tuple of hyperedges; each hyperedge is an
+    ordered (p-1)-tuple of child subtrees (the remaining slot is the vertex
+    that owns the hyperedge).  The empty tuple is the leaf.
+    """
+
+    __slots__ = ("p", "branches")
+
+    def __init__(self, p: int, branches: Sequence = ()):
+        if p < 2:
+            raise ContractViolation("p must be at least 2")
+        branches = tuple(tuple(e) for e in branches)
+        for e in branches:
+            if len(e) != p - 1 or any(not isinstance(t, PlaneHypertree) for t in e):
+                raise ContractViolation("each hyperedge must be a (p-1)-tuple of subtrees")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "branches", branches)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PlaneHypertree is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PlaneHypertree)
+            and self.p == other.p
+            and self.branches == other.branches
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.branches))
+
+    def __repr__(self) -> str:
+        return f"PlaneHypertree(p={self.p}, edges={self.num_edges()})"
+
+    def num_edges(self) -> int:
+        return sum(1 + sum(c.num_edges() for c in e) for e in self.branches)
+
+
+def dyck_from_hypertree(tree: PlaneHypertree) -> DyckPath:
+    """Depth-first walk following the hyperedge orientation: +1 on entering
+    each child vertex, -(p-1) once a hyperedge is fully explored."""
+    p = tree.p
+    steps: list[int] = []
+
+    def walk(vertex: PlaneHypertree):
+        for edge in vertex.branches:
+            for child in edge:
+                steps.append(1)
+                walk(child)
+            steps.append(-(p - 1))
+
+    walk(tree)
+    return DyckPath(tuple(steps), p)
+
+
+def hypertree_from_dyck(path: DyckPath) -> PlaneHypertree:
+    """Inverse of :func:`dyck_from_hypertree`.
+
+    Reading left to right, +1 opens a new vertex; a down-step closes a
+    hyperedge over the p-1 most recently opened vertices, attaching it to the
+    vertex below them.
+    """
+    p = path.p
+    root: list = []
+    stack: list[list] = [root]
+    for s in path.steps:
+        if s == 1:
+            stack.append([])
+        else:
+            if len(stack) < p:
+                raise InvalidPathError("down-step below height p-1")
+            children = [stack.pop() for _ in range(p - 1)][::-1]
+            stack[-1].append(tuple(PlaneHypertree(p, c) for c in children))
+    if len(stack) != 1:
+        raise InvalidPathError("path does not close")
+    return PlaneHypertree(p, root)
+
+
+def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j, bj in enumerate(b):
+            if i + j > order:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
+def generating_series_check(p: int, order: int) -> bool:
+    """Verify coefficient-wise, with exact integers up to the given order,
+    that T(z) = sum_k F_p(k) z^k satisfies T = 1 + z T^p."""
+    if order < 1:
+        raise ContractViolation("order must be at least 1")
+    series = [fuss_catalan(p, k) for k in range(order + 1)]
+    power = [1] + [0] * order
+    for _ in range(p):
+        power = _poly_mul_trunc(power, series, order)
+    rhs = [1] + power[:order]
+    return rhs == series
+
+
+def enumerate_edge_partitions(m: int) -> Iterator[EdgePartition]:
+    """All set partitions of {0, ..., m-1}, in restricted-growth-string order.
+
+    Yields Bell(m) partitions.
+    """
+    if m < 1:
+        raise ContractViolation("m must be at least 1")
+    rgs = [0] * m
+
+    def gen(i: int, nblocks: int):
+        if i == m:
+            blocks: list[list[int]] = [[] for _ in range(nblocks)]
+            for e, blk in enumerate(rgs):
+                blocks[blk].append(e)
+            yield EdgePartition(blocks, m)
+            return
+        for blk in range(nblocks + 1):
+            rgs[i] = blk
+            yield from gen(i + 1, max(nblocks, blk + 1))
+
+    yield from gen(0, 0)
+
+
+def is_connected(b: Hypermap) -> bool:
+    """True iff the group generated by sigma and tau acts transitively on the
+    halfedges."""
+    return b.size == 0 or min(_bfs_labels(b, 0)) >= 0
+
+
+def inverse(perm: Permutation) -> Permutation:
+    inv = [0] * len(perm.image)
+    for h, v in enumerate(perm.image):
+        inv[v] = h
+    return Permutation(inv)
+
+
+def conjugate(perm: Permutation, theta: Permutation) -> Permutation:
+    """Return theta o perm o theta^{-1}."""
+    n = len(perm.image)
+    if len(theta) != n:
+        raise ContractViolation("conjugating permutation acts on a different set")
+    out = [0] * n
+    for h in range(n):
+        out[theta(h)] = theta(perm(h))
+    return Permutation(out)
+
+
+def relabel(b: Hypermap, theta: Permutation) -> Hypermap:
+    """Conjugate both permutations by theta (and move the root along)."""
+    sigma = conjugate(b.sigma, theta)
+    tau = conjugate(b.tau, theta)
+    root = None if b.root is None else theta(b.root)
+    if isinstance(b, CombinatorialMap):
+        return CombinatorialMap(b.p, sigma, tau, root)
+    return Hypermap(sigma, tau, root)
 
 
 @pytest.fixture

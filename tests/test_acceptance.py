@@ -16,16 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from melonic.counting import (
-    count_dyck,
-    count_melonic_maps,
-    count_noncrossing_div,
-    dyck_from_hypertree,
-    enumerate_dyck_paths,
-    fuss_catalan,
-    generating_series_check,
-    hypertree_from_dyck,
-)
+from melonic.counting import count_columns, count_melonic_maps, fuss_catalan
 from melonic.experiments import (
     heavy_tail_moments,
     mc_moments,
@@ -52,7 +43,15 @@ from melonic.exact import (
 )
 from melonic.tensor import SymTensor
 
-from conftest import exact_i2_variance, expected_trace_exhaustive, moment_by_quadrature
+from conftest import (
+    dyck_from_hypertree,
+    enumerate_dyck_paths,
+    exact_i2_variance,
+    expected_trace_exhaustive,
+    generating_series_check,
+    hypertree_from_dyck,
+    moment_by_quadrature,
+)
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
 
@@ -117,7 +116,7 @@ def test_c02_melonic_counting_and_detector_agreement():
 def test_c03_counting_identities():
     with _Timer(10.0) as t:
         triple = all(
-            fuss_catalan(p, n) == count_dyck(p, n) == count_noncrossing_div(p, n)
+            fuss_catalan(p, n) == count_columns(p, n)[0][-1] == count_columns(p, n)[1][-1]
             for p in (2, 3, 4)
             for n in range(6)
         )

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -524,6 +525,25 @@ class TestErrors:
         )
         assert code == 3 and f"no map has p=3 and n={n}" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mc", "--n", "0"), "the moments of I_n/N need n >= 1, got n=0"),
+            (("mc", "--n", "-2"), "the moments of I_n/N need n >= 1, got n=-2"),
+            (("contract", "--k", "1", "--n", "0"), "the moments of I_n/N need n >= 1, got n=0"),
+            (("count", "--n", "-1"), "the count table needs n >= 0, got n=-1"),
+        ],
+    )
+    def test_degree_without_rows_is_refused(self, monkeypatch, capsys, argv, message):
+        # a table without a degree would be its header alone
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row computed for a degree without rows")
+
+        monkeypatch.setattr(experiments, "sample_invariants", no_row)
+        monkeypatch.setattr(counting, "_excursions", no_row)
+        code, err = self.fail(capsys, *argv)
+        assert code == 3 and f"ContractViolation: {message}" in err
+
     def test_count_table_is_priced_before_any_row(self, monkeypatch, capsys):
         def no_row(*args):
             raise AssertionError("a row counted before the guard")
@@ -587,27 +607,21 @@ def run_child(code):
     return done.stdout
 
 
-# every name ``melonic`` exported before its numpy modules were loaded lazily,
-# but expected_trace_partitions, now the tests' partition-route reference, and
-# ContractedLaw, contracted_law and contraction_moments, now LimitLaw(p, k)
-# and mc_moments(cfg, k)
+# melonic.__all__: the names of the pipeline, from maps to the limit law; a
+# definition only the tests use lives in the tests
 EXPORTED = {
-    "CombinatorialMap", "ContractViolation", "DomainError", "DyckPath",
-    "EdgePartition", "EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE",
-    "HeavyTailEstimate", "Hypergraph", "Hypermap", "InvalidPartitionError",
-    "InvalidPathError", "LimitLaw", "MomentEstimate", "NumericalError", "Permutation",
-    "PlaneHypertree", "RADEMACHER", "ResourceLimitError", "SymTensor", "balanced_invariant",
-    "balanced_invariant_variance", "canonical_code", "contract", "count_dyck",
-    "count_melonic_maps", "count_noncrossing_div",
-    "count_rooted_maps", "cycles", "density", "dual", "dyck_from_hypertree", "edge_list",
-    "enumerate_edge_partitions", "enumerate_rooted_connected", "euler_deficiency",
-    "expected_balanced_invariant", "fuss_catalan",
-    "generating_series_check", "has_cycle", "heavy_tail_moments", "hypergraph_of",
-    "hypertree_from_dyck", "inversion_density", "is_connected", "is_double_hypertree",
-    "is_hypertree", "is_melonic_graph", "mc_moments", "melonic_limit_table",
-    "melonic_partition", "merge_edges", "moment", "relabel", "resolvent_crosscheck",
-    "resolvent_series", "sample_gote", "sample_wigner", "stieltjes", "support_radius",
-    "trace_invariant", "variance_scaling",
+    "CombinatorialMap", "ContractViolation", "DomainError", "EdgePartition",
+    "EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE", "HeavyTailEstimate",
+    "Hypergraph", "Hypermap", "InvalidPartitionError", "LimitLaw", "MomentEstimate",
+    "NumericalError", "Permutation", "RADEMACHER", "ResourceLimitError", "SymTensor",
+    "balanced_invariant", "balanced_invariant_variance", "canonical_code", "contract",
+    "count_melonic_maps", "count_rooted_maps", "cycles", "density", "dual", "edge_list",
+    "enumerate_rooted_connected", "euler_deficiency", "expected_balanced_invariant",
+    "fuss_catalan", "heavy_tail_moments", "hypergraph_of", "inversion_density",
+    "is_double_hypertree", "is_hypertree", "is_melonic_graph", "mc_moments",
+    "melonic_limit_table", "melonic_partition", "merge_edges", "moment",
+    "resolvent_crosscheck", "resolvent_series", "sample_gote", "sample_wigner", "stieltjes",
+    "support_radius", "trace_invariant", "variance_scaling",
 }
 NUMPY_LOADED = "print('numpy' in sys.modules)"
 
@@ -660,3 +674,32 @@ class TestImport:
         assert set(dir(melonic)) >= EXPORTED | {"tensor", "experiments", "limitlaw"}
         with pytest.raises(AttributeError, match="no attribute 'nothing'"):
             melonic.nothing
+
+    def test_every_library_name_is_used_or_exported(self):
+        # a module-level function, class or constant of the package is either
+        # exported or named somewhere in the package outside its own definition
+        package = Path(melonic.__file__).resolve().parent
+        defined, named = [], []
+        for path in sorted(package.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                nodes = list(ast.walk(stmt))
+                named.append({n.id for n in nodes if isinstance(n, ast.Name)}
+                             | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+                if path.name == "__init__.py":
+                    continue
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    targets = [stmt.name]
+                elif isinstance(stmt, ast.Assign):
+                    targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    targets = [stmt.target.id]
+                else:
+                    targets = []
+                defined += [(path.name, name, len(named) - 1) for name in targets]
+        dead = [
+            f"{module}:{name}"
+            for module, name, own in defined
+            if name not in melonic.__all__
+            and not any(name in refs for i, refs in enumerate(named) if i != own)
+        ]
+        assert dead == []

@@ -3,25 +3,22 @@ import re
 
 import pytest
 
-from melonic.counting import (
-    DyckPath,
-    PlaneHypertree,
-    count_dyck,
-    count_melonic_maps,
-    count_noncrossing_div,
-    count_rooted_maps,
-    dyck_from_hypertree,
-    enumerate_dyck_paths,
-    fuss_catalan,
-    generating_series_check,
-    hypertree_from_dyck,
-)
-from melonic.errors import ContractViolation, InvalidPathError, ResourceLimitError
+from melonic.counting import count_columns, count_melonic_maps, count_rooted_maps, fuss_catalan
+from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.hypergraph import is_melonic_graph
 from melonic import counting, maps
 from melonic.maps import enumerate_rooted_connected, rooted_connected
 
-from conftest import fuss_catalan_alt
+from conftest import (
+    DyckPath,
+    InvalidPathError,
+    PlaneHypertree,
+    dyck_from_hypertree,
+    enumerate_dyck_paths,
+    fuss_catalan_alt,
+    generating_series_check,
+    hypertree_from_dyck,
+)
 
 
 def naive_noncrossing_div(m, d):
@@ -84,9 +81,9 @@ class TestFussCatalan:
 
 class TestDyck:
     def test_trivial_and_reference_counts(self):
-        assert count_dyck(3, 0) == 1
-        assert count_dyck(3, 2) == 3
-        assert count_dyck(2, 3) == 5
+        assert count_columns(3, 0)[0][-1] == 1
+        assert count_columns(3, 2)[0][-1] == 3
+        assert count_columns(2, 3)[0][-1] == 5
 
     def test_exhaustive_listing_p3_n2(self):
         paths = {d.steps for d in enumerate_dyck_paths(3, 2)}
@@ -99,7 +96,7 @@ class TestDyck:
     def test_count_equals_closed_form(self):
         for p in (2, 3, 4):
             for n in range(6):
-                assert count_dyck(p, n) == fuss_catalan(p, n)
+                assert count_columns(p, n)[0][-1] == fuss_catalan(p, n)
                 assert sum(1 for _ in enumerate_dyck_paths(p, n)) == fuss_catalan(p, n)
 
     def test_path_validation(self):
@@ -142,21 +139,21 @@ class TestHypertreeBijection:
 
 class TestNonCrossing:
     def test_reference_counts(self):
-        assert count_noncrossing_div(2, 0) == 1
-        assert count_noncrossing_div(2, 3) == 5
-        assert count_noncrossing_div(3, 2) == 3
+        assert count_columns(2, 0)[1][-1] == 1
+        assert count_columns(2, 3)[1][-1] == 5
+        assert count_columns(3, 2)[1][-1] == 3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_against_naive_filter(self, d):
-        # count_noncrossing_div(p, n) covers n(p-1) points with d = p-1
+        # the noncrossing column at n covers n(p-1) points with d = p-1
         for m in range(0, 8, d):
-            assert count_noncrossing_div(d + 1, m // d) == len(naive_noncrossing_div(m, d))
+            assert count_columns(d + 1, m // d)[1][-1] == len(naive_noncrossing_div(m, d))
 
     def test_matches_closed_form(self):
         for p in range(2, 7):
             for n in range(13):
-                assert count_noncrossing_div(p, n) == fuss_catalan(p, n)
-        assert count_noncrossing_div(3, 12) == 50_067_108
+                assert count_columns(p, n)[1][-1] == fuss_catalan(p, n)
+        assert count_columns(3, 12)[1][-1] == 50_067_108
 
 
 class TestMelonicCounts:

@@ -10,7 +10,6 @@ from melonic.errors import ContractViolation, DomainError, NumericalError
 from melonic.counting import fuss_catalan
 from melonic.limitlaw import (
     LimitLaw,
-    critical_z,
     density,
     inversion_density,
     moment,
@@ -108,7 +107,11 @@ class TestDensity:
 
     def test_support_endpoint_value(self):
         assert support_radius(3) == pytest.approx(2.598, abs=1e-3)
-        assert critical_z(3) == pytest.approx(4 / 27)
+        # the critical point z_c = (p-1)^{p-1} / p^p of the Fuss-Catalan
+        # series is 1 / omega_c^2
+        assert 1 / LimitLaw(3).support_sq() == Fraction(4, 27)
+        for p in range(2, 13):
+            assert 1 / LimitLaw(p).support_sq() == Fraction((p - 1) ** (p - 1), p**p)
 
     def test_outside_support(self):
         assert density(3, support_radius(3) + 0.1) == 0.0

@@ -19,10 +19,8 @@ from melonic.maps import (
     _multigraph_key,
     _trace_classes,
     edge_list,
-    enumerate_edge_partitions,
     enumerate_rooted_connected,
     multigraph,
-    relabel,
     rooted_connected,
 )
 from melonic.exact import (
@@ -47,6 +45,7 @@ from conftest import (
     automorphism_count,
     dense_map_by_sorting,
     einsum_contract,
+    enumerate_edge_partitions,
     exact_i2_variance,
     expected_trace_exhaustive,
     expected_trace_partitions,
@@ -57,6 +56,7 @@ from conftest import (
     multilinear_transform,
     naive_trace,
     random_permutation,
+    relabel,
     trace_classes_by_permutations,
     trace_polynomial,
 )
@@ -343,7 +343,7 @@ class TestInjectiveTraces:
         by_partition = {
             pi: injective_trace(b, pi, T) for pi in enumerate_edge_partitions(3)
         }
-        assert by_partition[EdgePartition.singletons(3)] == pytest.approx(
+        assert by_partition[EdgePartition([(0,), (1,), (2,)])] == pytest.approx(
             distinct, rel=1e-10
         )
         assert by_partition[EdgePartition([(0, 1), (2,)])] == pytest.approx(
@@ -383,7 +383,7 @@ class TestInjectiveTraces:
         T = sample_gote(2, 50, seed=11)
         b = enumerate_rooted_connected(2, 5)[0]
         with pytest.raises(ResourceLimitError):
-            injective_trace(b, EdgePartition.singletons(5), T)
+            injective_trace(b, EdgePartition([(e,) for e in range(5)]), T)
 
 
 class TestBalancedInvariant:
@@ -1122,10 +1122,11 @@ class TestPairingOracle:
             balanced_invariant_variance(3, 2, 8, EntryDistribution("symmetrized-pareto", 3.0))
 
     def test_variance_runs_the_dp_on_unions_only(self, monkeypatch):
-        # after the mean, one DP per (class, profile, group sizes) is cached,
-        # shared at n = 2 by the three laws of the invariant profile, and the
-        # variance adds one per unordered class pair, on its disjoint union,
-        # whose polynomial is the partition route's
+        # one DP per (vertices, profile, group sizes) is cached: the mean's
+        # per class, shared at n = 2 by the three laws of the invariant
+        # profile, and the variance's per unordered class pair, on its
+        # disjoint union, shared by rademacher and uniform; the union's
+        # polynomial is the partition route's
         p, n = 4, 2
         dists = (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
         runs = []
@@ -1145,6 +1146,7 @@ class TestPairingOracle:
         pairs = [(b, d) for i, b in enumerate(classes) for d in classes[i:]]
         unions = []
         cached = set()
+        union_counts = {}
         for dist in dists:
             expected_balanced_invariant(p, n, 8, dist)
             new = profile(dist, n) not in cached
@@ -1152,10 +1154,12 @@ class TestPairingOracle:
             assert [run[:3] for run in runs] == [(n, *profile(dist, n))] * len(classes) * new
             runs.clear()
             balanced_invariant_variance(p, n, 8, dist)
-            assert [run[:3] for run in runs] == [(2 * n, *profile(dist, 2 * n))] * len(pairs)
-            unions.append([exact._coefficients(run[3], p, 2 * n, dist) for run in runs])
+            new = profile(dist, 2 * n) not in union_counts
+            assert [run[:3] for run in runs] == [(2 * n, *profile(dist, 2 * n))] * len(pairs) * new
+            counts = union_counts.setdefault(profile(dist, 2 * n), [run[3] for run in runs])
+            unions.append([exact._coefficients(c, p, 2 * n, dist) for c in counts])
             runs.clear()
-        assert len(cached) == 2
+        assert len(cached) == 2 and len(union_counts) == 3
         for i, (b, d) in enumerate(pairs):
             for per_law, falling in zip(unions, trace_polynomial(_disjoint_union(b, d), dists)):
                 assert list(per_law[i]) == in_powers(falling)
