@@ -276,6 +276,41 @@ def contract(T: SymTensor, vectors: Sequence[np.ndarray]) -> SymTensor:
 
 
 
+class _Pool:
+    """Float64 buffers that one ``_contract`` call lends to its steps and
+    takes back, so its slices and samples reuse the memory of the ones
+    before instead of asking for fresh pages.  A request takes the smallest
+    free buffer that holds it; when none does, the free buffers are dropped
+    before a new one is allocated, so the pool never holds more than the
+    arrays alive at that moment."""
+
+    def __init__(self):
+        self._free: dict[int, list[np.ndarray]] = {}  # by size
+        self._lent: dict[int, np.ndarray] = {}  # by id
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised C-contiguous array of this shape."""
+        size = math.prod(shape)
+        fits = self._free.get(size) or next(
+            (bufs for n, bufs in sorted(self._free.items()) if n > size and bufs), None
+        )
+        if fits:
+            buf = fits.pop()
+        else:
+            self._free.clear()
+            buf = np.empty(size)
+        self._lent[id(buf)] = buf
+        return buf[:size].reshape(shape)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Take back the buffers these arrays view, once nothing reads them;
+        arrays the pool did not lend are left alone."""
+        for x in arrays:
+            buf = self._lent.pop(id(x.base), None)
+            if buf is not None:
+                self._free.setdefault(buf.size, []).append(buf)
+
+
 @dataclass(frozen=True)
 class _Step:
     """One step of a compiled contraction: the operands at positions ``take``,
@@ -291,6 +326,11 @@ class _Step:
     A prep is an axis order for ``transpose`` when it only permutes axes,
     else a ``...``-prefixed single-operand einsum (diagonals, sums).  A step
     of one or of more than two operands is the single einsum ``eq``.
+
+    The join writes into a buffer of ``pool``, except in the ``last`` step,
+    whose result is new memory; a reshape that must copy copies into a
+    buffer of ``pool``; and every input and copy goes back to ``pool`` as
+    soon as nothing reads it again.
     """
 
     take: tuple[int, ...]
@@ -301,13 +341,19 @@ class _Step:
     out_shape: Optional[tuple[int, ...]] = None
     perm: Optional[tuple[int, ...]] = None
 
-    def __call__(self, *ops):
+    def __call__(self, pool: _Pool, *ops, last: bool = False):
         if self.eq is not None:
-            return np.einsum(self.eq, *ops)
-        a, b = (
-            _prepared(x, prep, shape) for x, prep, shape in zip(ops, self.prep, self.shapes)
-        )
-        ab = self.join(a, b)
+            out = np.einsum(self.eq, *ops)  # a new array: every letter it drops is summed
+            pool.give(*ops)
+            return out
+        a = _prepared(pool, ops[0], self.prep[0], self.shapes[0])
+        b = _prepared(pool, ops[1], self.prep[1], self.shapes[1])
+        if self.join is np.matmul:
+            shape = (*a.shape[:-1], b.shape[-1])
+        else:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+        ab = self.join(a, b, out=None if last else pool.take(shape))
+        pool.give(a, b)
         if self.out_shape is not None:
             ab = ab.reshape(self.out_shape)
         if self.perm is not None:
@@ -315,13 +361,28 @@ class _Step:
         return ab
 
 
-def _prepared(x: np.ndarray, prep, shape: Optional[tuple[int, ...]]) -> np.ndarray:
-    """One operand of a two-operand step, in its prep and reshape."""
+def _prepared(pool: _Pool, x: np.ndarray, prep, shape: Optional[tuple[int, ...]]) -> np.ndarray:
+    """One operand of a two-operand step, in its prep and reshape.  Where
+    ``x.reshape(shape)`` would copy, the copy goes into a buffer of pool,
+    laid out as numpy's copy would be; elsewhere the result is a view.  x
+    goes back to pool as soon as nothing reads it again: once copied, or
+    summed into a new array by its prep, else with the result after the
+    join."""
     if isinstance(prep, tuple):
         x = x.transpose(prep)
     elif prep is not None:
-        x = np.einsum(prep, x)
-    return x if shape is None else x.reshape(shape)
+        x, op = np.einsum(prep, x), x
+        if x.base is None:
+            pool.give(op)
+    if shape is None:
+        return x
+    try:
+        return x.reshape(shape, copy=False)
+    except ValueError:
+        buf = pool.take(x.shape)
+        buf[...] = x
+        pool.give(x)
+        return buf.reshape(shape)
 
 
 def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
@@ -372,11 +433,12 @@ def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
     )
 
 
-def _run_steps(steps: Sequence[_Step], operands: list) -> np.ndarray:
-    """Run a compiled contraction on its operands, dropping each input as
-    soon as its step has consumed it; returns the last operand."""
-    for step in steps:
-        operands.append(step(*[operands.pop(j) for j in step.take]))
+def _run_steps(steps: Sequence[_Step], operands: list, pool: _Pool) -> np.ndarray:
+    """Run a compiled contraction on its operands, each step giving its
+    inputs back to pool once it has read them; returns the last operand,
+    which is not the pool's."""
+    for k, step in enumerate(steps, 1):
+        operands.append(step(pool, *[operands.pop(j) for j in step.take], last=k == len(steps)))
     return operands[0]
 
 
@@ -503,20 +565,25 @@ def _contract(plan: _Plan, operands: Sequence[np.ndarray]) -> np.ndarray:
     once per value tuple of the sliced edge indices, and each sample's slices
     are summed with ``math.fsum``.  The batch runs together while B times
     the plan's largest intermediate stays within ``_SLICE_ELEMS``, else one
-    sample at a time; either way a sample gets the same bits."""
-    B = len(operands[0])
-    if B > 1 and B * plan.max_elems > _SLICE_ELEMS:
-        return np.concatenate([_contract(plan, [op[i : i + 1] for op in operands])
-                               for i in range(B)])
-    N = operands[0].shape[1]
-    slices = [
-        _run_steps(
-            plan.steps,
-            [op[(slice(None), *(idx[j] for j in h))] for op, h in zip(operands, plan.holders)],
-        )
-        for idx in itertools.product(range(N), repeat=len(plan.sliced))
-    ]
-    return np.array([math.fsum(parts) for parts in zip(*slices)])
+    sample at a time; either way a sample gets the same bits.  Every slice
+    and sample draws its intermediates from one ``_Pool``, which ends with
+    the call."""
+    B, N = operands[0].shape[:2]
+    chunk = 1 if B * plan.max_elems > _SLICE_ELEMS else max(B, 1)
+    pool = _Pool()
+    values = []
+    for i in range(0, B, chunk):
+        batch = [op[i : i + chunk] for op in operands]
+        slices = [
+            _run_steps(
+                plan.steps,
+                [op[(slice(None), *(idx[j] for j in h))] for op, h in zip(batch, plan.holders)],
+                pool,
+            )
+            for idx in itertools.product(range(N), repeat=len(plan.sliced))
+        ]
+        values.extend(math.fsum(parts) for parts in zip(*slices))
+    return np.array(values)
 
 
 @lru_cache(maxsize=None)
@@ -535,13 +602,17 @@ def _k4_trace(dense: np.ndarray) -> float:
     Q[b, f - a, e] = sum_c T[a, b, c] T[c, f, e] = (T_a T_f)[b, e].  The
     parts tr((T_a T_f)^2) = sum_{b,e} Q[b, f, e] Q[e, f, b] are summed with
     ``math.fsum``, the f > a ones twice.  About N^5 FLOP with an N^3
-    intermediate, against 4 N^5 for the sliced greedy einsum.
+    intermediate, against 4 N^5 for the sliced greedy einsum; every Q is
+    written into the front of one N^3 buffer.
     """
     N = len(dense)
     unfolded = dense.reshape(N, N * N)
+    buf = np.empty(N**3)
     parts = []
     for a in range(N):
-        Q = (dense[a] @ unfolded[:, a * N :]).reshape(N, N - a, N)
+        Q = buf[: N * N * (N - a)].reshape(N, N * (N - a))
+        np.matmul(dense[a], unfolded[:, a * N :], out=Q)
+        Q = Q.reshape(N, N - a, N)
         s = np.einsum("bfe,efb->f", Q, Q)
         parts.append(s[0])
         parts.extend(2 * s[1:])
@@ -556,15 +627,18 @@ def _triangle_tensor(dense: np.ndarray) -> np.ndarray:
     Delta[c] = M_c^T T_(2) over the rows (b, d), with T_(1) and T_(2) the
     N x N^2 and N^2 x N unfoldings; 4 N^5 FLOP.  The values of c run as one
     stacked product while the N^4 intermediate fits in ``_SLICE_ELEMS``,
-    else one at a time, with the same bits; samples never share one."""
+    else one at a time, with the same bits; samples never share one.  Every
+    M is written into one buffer, and every product straight into the
+    result."""
     N = dense.shape[1]
     out = np.empty_like(dense)
     chunk = N if N**4 <= _SLICE_ELEMS else 1
+    M = np.empty((chunk, N, N * N))
     for T, delta in zip(dense, out):
         rows, cols = T.reshape(N, N * N), T.reshape(N * N, N)
         for c in range(0, N, chunk):
-            M = (T[c : c + chunk] @ rows).reshape(-1, N * N, N)
-            delta[c : c + chunk] = M.transpose(0, 2, 1) @ cols
+            np.matmul(T[c : c + chunk], rows, out=M)
+            np.matmul(M.reshape(-1, N * N, N).transpose(0, 2, 1), cols, out=delta[c : c + chunk])
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import types
 from collections import Counter, OrderedDict
 from fractions import Fraction
@@ -627,6 +628,72 @@ class TestBatchedEvaluation:
         for n in (0, 2, 4, 6):
             got = tensor.balanced_invariants(n, dense).tolist()
             assert got == [balanced_invariant(n, T) for T in tensors]
+
+    def test_per_sample_runs_reuse_their_buffers_and_keep_the_bits(self, monkeypatch):
+        # at N = 16 the 16 samples times K_{3,3}'s N^4 intermediate exceed
+        # _SLICE_ELEMS, so its samples run one at a time, all through one pool
+        tensors, dense = _stack(3, 16, seed=7)
+        plan = tensor._plan(_K33, 16)
+        assert 5 * plan.max_elems > tensor._SLICE_ELEMS >= plan.max_elems
+        for rep in _class_reps(3, 6):
+            evaluate, _, _ = tensor._class_route(rep, 16)
+            assert evaluate(dense).tolist() == [trace_invariant(rep, T) for T in tensors]
+
+        allocated, empty = [], np.empty
+        spy = lambda *a, **kw: allocated.append(1) or empty(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(tensor.np, "empty", spy)
+        counts = []
+        for B in (5, 16):
+            allocated.clear()
+            tensor._contract(plan, [dense[:B]] * 6)
+            counts.append(len(allocated))
+        # only the first samples allocate: 5 samples as many buffers as 16
+        assert counts[0] == counts[1] > 0
+
+    def test_slices_keep_their_own_results(self, monkeypatch):
+        # the last step writes no pool buffer, so no slice's result is
+        # overwritten by the next slice's intermediates
+        N = 5
+        dense = sample_gote(3, N, seed=12)._dense()
+        plan = tensor._greedy_plan(_K33, N, _joining_edges(_K33)[0])
+        results, run = [], tensor._run_steps
+        monkeypatch.setattr(tensor, "_run_steps", lambda *a: results.append(run(*a)) or results[-1])
+        assert _contract_one(plan, dense) == einsum_contract(plan, dense)
+        assert len(results) == N
+        assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(results, 2))
+        assert len({float(x[0]) for x in results}) == N
+
+
+# the class of (3, 6) whose multigraph is K_{3,3}: the most costly at N = 16
+_K33 = "abc,ade,bfg,chi,dfh,egi->"
+
+# tracemalloc's peak over the warm call of TestContractionMemory, measured
+# at the commit before the contractions drew their intermediates from a pool
+_PEAK_BEFORE_POOLS = 2_632_552
+
+
+class TestContractionMemory:
+    def test_warm_invariants_peak_no_higher_and_retain_no_array(self):
+        _, dense = _stack(3, 16, seed=0)
+        want = tensor.balanced_invariants(6, dense).tolist()
+
+        def array_bytes():
+            # the array memory numpy reports to tracemalloc
+            domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([domain]).traces)
+
+        tracemalloc.start()
+        try:
+            before, base = array_bytes(), tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = tensor.balanced_invariants(6, dense).tolist()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            after = array_bytes()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= _PEAK_BEFORE_POOLS
+        assert after == before
 
 
 def _triangle_classes():
