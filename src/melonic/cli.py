@@ -146,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> ExperimentConfig:
-    """Dataclass defaults < config file < explicit flags."""
+    """Dataclass defaults < config file < explicit flags; an output path
+    that cannot be opened for writing is refused."""
     cfg = ExperimentConfig()
     if args.config:
         try:
@@ -160,7 +161,16 @@ def _config(args) -> ExperimentConfig:
         for f in fields(cfg)
         if getattr(args, f.name, None) is not None
     }
-    return replace(cfg, **flags)
+    cfg = replace(cfg, **flags)
+    if cfg.out:  # refused before any work; a file the check creates is removed
+        existed = os.path.lexists(cfg.out)
+        try:
+            open(cfg.out, "a").close()
+        except OSError as exc:
+            raise ContractViolation(f"cannot write --out {cfg.out}: {exc}") from None
+        if not existed:
+            os.remove(cfg.out)
+    return cfg
 
 
 def _cmd_enumerate(args, cfg):
@@ -279,8 +289,11 @@ def _cmd_heavytail(args, cfg):
 
 def _cmd_resolvent(args, cfg):
     from . import experiments
-    r = experiments.resolvent_crosscheck(cfg.N_grid[0], args.z, args.K, cfg.seed)
-    rows = [(r.N, r.z.real, r.K, r.series, r.direct, r.gap, r.tail_bound, r.spectral_radius)]
+    checks = [experiments.resolvent_crosscheck(N, args.z, args.K, cfg.seed) for N in cfg.N_grid]
+    rows = [
+        (r.N, r.z.real, r.K, r.series, r.direct, r.gap, r.tail_bound, r.spectral_radius)
+        for r in checks
+    ]
     _emit_table(
         ["N", "z", "K", "series", "direct", "gap", "tail_bound", "spectral_radius"],
         rows,

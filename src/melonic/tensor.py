@@ -28,7 +28,7 @@ import itertools
 import math
 import string
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -231,7 +231,6 @@ class SymTensor:
         return f"SymTensor(p={self.p}, N={self.N}, {len(self.values)} packed entries)"
 
 
-
 def sample_wigner(p: int, N: int, dist: EntryDistribution, seed) -> SymTensor:
     """One independent draw per sorted multi-index, scaled so the unscaled
     off-diagonal variance 1/(p-1)! becomes 1/((p-1)! N^{p-1})."""
@@ -275,42 +274,6 @@ def contract(T: SymTensor, vectors: Sequence[np.ndarray]) -> SymTensor:
     return SymTensor.from_dense(T.p - k, T.N, out)
 
 
-
-class _Pool:
-    """Float64 buffers that one ``_contract`` call lends to its steps and
-    takes back, so its slices and samples reuse the memory of the ones
-    before instead of asking for fresh pages.  A request takes the smallest
-    free buffer that holds it; when none does, the free buffers are dropped
-    before a new one is allocated, so the pool never holds more than the
-    arrays alive at that moment."""
-
-    def __init__(self):
-        self._free: dict[int, list[np.ndarray]] = {}  # by size
-        self._lent: dict[int, np.ndarray] = {}  # by id
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised C-contiguous array of this shape."""
-        size = math.prod(shape)
-        fits = self._free.get(size) or next(
-            (bufs for n, bufs in sorted(self._free.items()) if n > size and bufs), None
-        )
-        if fits:
-            buf = fits.pop()
-        else:
-            self._free.clear()
-            buf = np.empty(size)
-        self._lent[id(buf)] = buf
-        return buf[:size].reshape(shape)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        """Take back the buffers these arrays view, once nothing reads them;
-        arrays the pool did not lend are left alone."""
-        for x in arrays:
-            buf = self._lent.pop(id(x.base), None)
-            if buf is not None:
-                self._free.setdefault(buf.size, []).append(buf)
-
-
 @dataclass(frozen=True)
 class _Step:
     """One step of a compiled contraction: the operands at positions ``take``,
@@ -327,10 +290,9 @@ class _Step:
     else a ``...``-prefixed single-operand einsum (diagonals, sums).  A step
     of one or of more than two operands is the single einsum ``eq``.
 
-    The join writes into a buffer of ``pool``, except in the ``last`` step,
-    whose result is new memory; a reshape that must copy copies into a
-    buffer of ``pool``; and every input and copy goes back to ``pool`` as
-    soon as nothing reads it again.
+    The join writes into buffer ``out`` of the plan's buffers, or into new
+    memory where that is None (the last step); an operand whose reshape
+    must copy is copied into its buffer in ``copies``.
     """
 
     take: tuple[int, ...]
@@ -340,20 +302,19 @@ class _Step:
     join: Optional[Callable] = None
     out_shape: Optional[tuple[int, ...]] = None
     perm: Optional[tuple[int, ...]] = None
+    out: Optional[int] = None
+    copies: tuple[Optional[int], Optional[int]] = (None, None)
 
-    def __call__(self, pool: _Pool, *ops, last: bool = False):
+    def __call__(self, bufs: list[np.ndarray], *ops):
         if self.eq is not None:
-            out = np.einsum(self.eq, *ops)  # a new array: every letter it drops is summed
-            pool.give(*ops)
-            return out
-        a = _prepared(pool, ops[0], self.prep[0], self.shapes[0])
-        b = _prepared(pool, ops[1], self.prep[1], self.shapes[1])
-        if self.join is np.matmul:
-            shape = (*a.shape[:-1], b.shape[-1])
-        else:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-        ab = self.join(a, b, out=None if last else pool.take(shape))
-        pool.give(a, b)
+            return np.einsum(self.eq, *ops)
+        a, b = map(partial(_prepared, bufs), ops, self.prep, self.shapes, self.copies)
+        out = None
+        if self.out is not None:
+            gemm = self.join is np.matmul
+            shape = a.shape[:-1] + b.shape[-1:] if gemm else np.broadcast_shapes(a.shape, b.shape)
+            out = bufs[self.out][: math.prod(shape)].reshape(shape)
+        ab = self.join(a, b, out=out)
         if self.out_shape is not None:
             ab = ab.reshape(self.out_shape)
         if self.perm is not None:
@@ -361,40 +322,34 @@ class _Step:
         return ab
 
 
-def _prepared(pool: _Pool, x: np.ndarray, prep, shape: Optional[tuple[int, ...]]) -> np.ndarray:
-    """One operand of a two-operand step, in its prep and reshape.  Where
-    ``x.reshape(shape)`` would copy, the copy goes into a buffer of pool,
-    laid out as numpy's copy would be; elsewhere the result is a view.  x
-    goes back to pool as soon as nothing reads it again: once copied, or
-    summed into a new array by its prep, else with the result after the
-    join."""
+def _prepared(bufs: list, x: np.ndarray, prep, shape: Optional[tuple], k: Optional[int]):
+    """One operand of a two-operand step, in its prep and reshape: a view,
+    or, where k is not None, a copy in the front of buffer k, laid out as
+    numpy's own copy would be."""
     if isinstance(prep, tuple):
         x = x.transpose(prep)
     elif prep is not None:
-        x, op = np.einsum(prep, x), x
-        if x.base is None:
-            pool.give(op)
-    if shape is None:
-        return x
-    try:
-        return x.reshape(shape, copy=False)
-    except ValueError:
-        buf = pool.take(x.shape)
-        buf[...] = x
-        pool.give(x)
-        return buf.reshape(shape)
+        x = np.einsum(prep, x)
+    if k is None:
+        return x if shape is None else x.reshape(shape)
+    np.copyto(bufs[k][: x.size].reshape(x.shape), x)
+    return bufs[k][: x.size].reshape(shape)
 
 
-def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
+def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int):
     """The step a,b->out with every index of size N, grouped as numpy's
     ``bmm_einsum`` groups it (the einsum_bmm scheme of Gray & Kourtis,
-    Quantum 5, 410 (2021)), behind a batch axis.  Every letter of a trace
-    equation sits on two slots, so a letter of both operands is needed by no
-    other operand: it is contracted, and numpy's batch group stays empty.
-    Letters of one operand that out keeps are kept, each group in operand
-    order, and every other letter is summed by its operand's own subscript.
-    numpy drops axes of size 1, so at N = 1 nothing is contracted and the
-    step is a product."""
+    Quantum 5, 410 (2021)), behind a batch axis, without its buffers.  Every
+    letter of a trace equation sits on two slots, so a letter of both
+    operands is needed by no other operand: it is contracted, and numpy's
+    batch group stays empty.  Letters of one operand that out keeps are
+    kept, each group in operand order, and every other letter is summed by
+    its operand's own subscript.  numpy drops axes of size 1, so at N = 1
+    nothing is contracted and the step is a product.
+
+    Returns the step, the groups of letters each operand's reshape fuses,
+    which make up its axes after its prep (none for a product), and the
+    letters of the join's result in memory order."""
 
     def prep(term: str, desired: str):
         if term == desired:
@@ -404,41 +359,42 @@ def _pairwise(take: tuple[int, int], a: str, b: str, out: str, N: int) -> _Step:
         return f"...{term}->...{desired}"
 
     left, right = dict.fromkeys(a), dict.fromkeys(b)
-    summed = [x for x in left if x in right] if N > 1 else []
+    summed = "".join(x for x in left if x in right) if N > 1 else ""
     if not summed:
         # each operand summed to the letters of out it holds, laid out in
         # out's order with a size-1 axis for each letter it lacks
-        return _Step(
+        step = _Step(
             take,
             prep=tuple(prep(t, "".join(x for x in out if x in t)) for t in (a, b)),
             shapes=tuple((-1, *(N if x in t else 1 for x in out)) for t in (a, b)),
             join=np.multiply,
         )
-    keep_a = [x for x in left if x not in right and x in out]
-    keep_b = [x for x in right if x not in left and x in out]
+        return step, ((), ()), out
+    keep_a = "".join(x for x in left if x not in right and x in out)
+    keep_b = "".join(x for x in right if x not in left and x in out)
 
-    def fused(*groups: list) -> Optional[tuple[int, ...]]:
+    def fused(*groups: str) -> Optional[tuple[int, ...]]:
         if all(len(g) == 1 for g in groups):
             return None
         return (-1, *(N ** len(g) for g in groups))
 
-    produced = "".join(keep_a + keep_b)
-    return _Step(
+    produced = keep_a + keep_b
+    step = _Step(
         take,
-        prep=(prep(a, "".join(keep_a + summed)), prep(b, "".join(summed + keep_b))),
+        prep=(prep(a, keep_a + summed), prep(b, summed + keep_b)),
         shapes=(fused(keep_a, summed), fused(summed, keep_b)),
         join=np.matmul,
         out_shape=None if fused(keep_a, keep_b) is None else (-1, *(N,) * len(produced)),
         perm=None if produced == out else (0, *(1 + produced.index(x) for x in out)),
     )
+    return step, ((keep_a, summed), (summed, keep_b)), produced
 
 
-def _run_steps(steps: Sequence[_Step], operands: list, pool: _Pool) -> np.ndarray:
-    """Run a compiled contraction on its operands, each step giving its
-    inputs back to pool once it has read them; returns the last operand,
-    which is not the pool's."""
-    for k, step in enumerate(steps, 1):
-        operands.append(step(pool, *[operands.pop(j) for j in step.take], last=k == len(steps)))
+def _run_steps(steps: Sequence[_Step], operands: list, bufs: list[np.ndarray]) -> np.ndarray:
+    """Run a compiled contraction on its operands and its plan's buffers;
+    returns the last operand, which is new memory."""
+    for step in steps:
+        operands.append(step(bufs, *[operands.pop(j) for j in step.take]))
     return operands[0]
 
 
@@ -458,7 +414,8 @@ class _Plan:
     ``max_elems`` (the largest intermediate of one slice, in elements) are
     predicted per sample from the path's index sets; ``widest`` is the most
     operands of one step, above 2 only when numpy's search fell back to its
-    naive loop.
+    naive loop.  ``buffers`` holds the size, in elements per sample, of each
+    buffer the steps write their joins and copies into.
     """
 
     sliced: str
@@ -469,6 +426,7 @@ class _Plan:
     flop: int
     max_elems: int
     widest: int
+    buffers: tuple[int, ...]
 
 
 _PATH_CACHE: dict[tuple[str, int], _Plan] = {}
@@ -483,11 +441,19 @@ def _einsum_eq(b: CombinatorialMap) -> str:
 
 def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
     """numpy's greedy path for eq with the letters in sliced fixed and every
-    index of size N, its step program and its cost.
+    index of size N, its step program, its buffers and its cost.
 
     Like numpy's contraction loop, each step pops its operands from the
     highest position down and appends the result, whose letters (those still
-    needed by another operand) are sorted."""
+    needed by another operand) are sorted.
+
+    Each operand's letters are tracked in memory order: an input's as in its
+    term, a join's as written, a prep's sum as in its source (``np.einsum``
+    keeps the order).  A reshape copies exactly where a group of letters it
+    fuses is not contiguous, in that order.  Every copy, and every join but
+    the last, writes into a buffer, free again once nothing reads it: a
+    copied or summed source before the join's buffer is taken, the join's
+    inputs after it, so no join writes into memory it reads."""
     terms = eq[:-2].split(",")
     holders = tuple(tuple(j for j, e in enumerate(sliced) if e in t) for t in terms)
     # allow intermediates up to order 4 (capped), else the path search
@@ -499,22 +465,56 @@ def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
     path = np.einsum_path(eq, *shapes, optimize=("greedy", budget))[0]
     steps = []
     flop = max_elems = widest = 0
-    for step in path[1:]:
+    sizes, free = [], []  # elements per sample of each buffer; the free ones
+    held = [(t, None) for t in terms]  # each operand's memory order and buffer
+
+    def release(*ks: Optional[int]) -> None:
+        free.extend(k for k in ks if k is not None)
+
+    def claim(n: int) -> int:
+        """The smallest free buffer that holds n, else the largest free one,
+        grown to n, else a new one."""
+        if not free:
+            free.append(len(sizes))
+            sizes.append(n)
+        k = min(free, key=lambda k: (sizes[k] < n, abs(sizes[k] - n)))
+        free.remove(k)
+        sizes[k] = max(sizes[k], n)
+        return k
+
+    for i, step in enumerate(path[1:], 1):
         take = tuple(sorted(step, reverse=True))
         picked = [terms.pop(j) for j in take]
+        sources = [held.pop(j) for j in take]
         union = set().union(*picked)
         kept = union & set().union(*terms)
         out = "".join(sorted(kept))
         terms.append(out)
-        if len(take) == 2:
-            steps.append(_pairwise(take, *picked, out, N))
-        else:
-            steps.append(_Step(take, eq=",".join("..." + t for t in picked) + "->..." + out))
         flop += N ** len(union) * (max(1, len(step) - 1) + (kept != union))
         max_elems = max(max_elems, N ** len(kept))
         widest = max(widest, len(step))
+        if len(take) != 2:  # one operand or numpy's naive loop: only ever the last step
+            steps.append(_Step(take, eq=",".join("..." + t for t in picked) + "->..." + out))
+            continue
+        pairwise, groups, layout = _pairwise(take, *picked, out, N)
+        copies, read = [], []
+        for (mem, owner), fused, prep in zip(sources, groups, pairwise.prep):
+            axes = "".join(fused)
+            if isinstance(prep, str):  # summed into a new array
+                release(owner)
+                mem, owner = "".join(x for x in mem if x in axes), None
+            copies.append(None if all(g in mem for g in fused) else claim(N ** len(axes)))
+            if copies[-1] is not None:
+                release(owner)
+                owner = copies[-1]
+            read.append(owner)
+        joined = None if i == len(path) - 1 else claim(N ** len(out))
+        release(*read)
+        steps.append(replace(pairwise, out=joined, copies=tuple(copies)))
+        held.append((layout, joined))
     return _Plan(
-        sliced, eq, path, tuple(steps), holders, N ** len(sliced) * flop, max_elems, widest
+        sliced, eq, path, tuple(steps), holders, N ** len(sliced) * flop, max_elems, widest,
+        tuple(sizes),
     )
 
 
@@ -566,11 +566,10 @@ def _contract(plan: _Plan, operands: Sequence[np.ndarray]) -> np.ndarray:
     are summed with ``math.fsum``.  The batch runs together while B times
     the plan's largest intermediate stays within ``_SLICE_ELEMS``, else one
     sample at a time; either way a sample gets the same bits.  Every slice
-    and sample draws its intermediates from one ``_Pool``, which ends with
-    the call."""
+    and sample writes into the plan's buffers, allocated once for the call."""
     B, N = operands[0].shape[:2]
     chunk = 1 if B * plan.max_elems > _SLICE_ELEMS else max(B, 1)
-    pool = _Pool()
+    bufs = [np.empty(chunk * size) for size in plan.buffers]
     values = []
     for i in range(0, B, chunk):
         batch = [op[i : i + chunk] for op in operands]
@@ -578,7 +577,7 @@ def _contract(plan: _Plan, operands: Sequence[np.ndarray]) -> np.ndarray:
             _run_steps(
                 plan.steps,
                 [op[(slice(None), *(idx[j] for j in h))] for op, h in zip(batch, plan.holders)],
-                pool,
+                bufs,
             )
             for idx in itertools.product(range(N), repeat=len(plan.sliced))
         ]

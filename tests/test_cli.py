@@ -278,6 +278,14 @@ class TestOtherSubcommands:
         )
         assert float(rows[0]["gap"]) <= float(rows[0]["tail_bound"])
 
+    def test_resolvent_check_reads_every_N(self, tmp_path):
+        # one row per N, each from its own substream: the row of its single-N run
+        argv = ("resolvent-check", "--z", "3.0", "--K", "8", "--seed", "5")
+        header, rows = csv_rows(run(tmp_path, *argv, "--N", "10,20"))
+        assert [row["N"] for row in rows] == ["10", "20"]
+        for N, row in zip(("10", "20"), rows):
+            assert csv_rows(run(tmp_path, *argv, "--N", N)) == (header, [row])
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -394,6 +402,24 @@ class TestErrors:
     def test_negative_seed_and_non_finite_numbers(self, capsys, argv, message):
         code, err = self.fail(capsys, *argv)
         assert code == 3 and "ContractViolation" in err and message in err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_is_refused_before_the_work(self, tmp_path, monkeypatch, capsys, where):
+        def no_work(*args):
+            raise AssertionError("worked before the output check")
+
+        monkeypatch.setitem(cli._COMMANDS, "law", no_work)
+        out = tmp_path / where
+        code, err = self.fail(capsys, "law", "--p", "3", "--out", str(out))
+        assert code == 3 and f"ContractViolation: cannot write --out {out}" in err
+
+    def test_out_check_leaves_no_file_behind(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, err = self.fail(capsys, "mc", "--p", "3", "--n", "8", "--out", str(out))
+        assert code == 5 and not out.exists()
+        out.write_text("kept")
+        code, err = self.fail(capsys, "mc", "--p", "3", "--n", "8", "--out", str(out))
+        assert code == 5 and out.read_text() == "kept"
 
     def test_law_at_large_p_is_a_numerical_error(self, capsys):
         # the homotopy overflows complex powers at p = 80; each overflow is

@@ -631,7 +631,8 @@ class TestBatchedEvaluation:
 
     def test_per_sample_runs_reuse_their_buffers_and_keep_the_bits(self, monkeypatch):
         # at N = 16 the 16 samples times K_{3,3}'s N^4 intermediate exceed
-        # _SLICE_ELEMS, so its samples run one at a time, all through one pool
+        # _SLICE_ELEMS, so its samples run one at a time, all through the
+        # buffers the call allocates once
         tensors, dense = _stack(3, 16, seed=7)
         plan = tensor._plan(_K33, 16)
         assert 5 * plan.max_elems > tensor._SLICE_ELEMS >= plan.max_elems
@@ -651,7 +652,7 @@ class TestBatchedEvaluation:
         assert counts[0] == counts[1] > 0
 
     def test_slices_keep_their_own_results(self, monkeypatch):
-        # the last step writes no pool buffer, so no slice's result is
+        # the last step writes into no buffer, so no slice's result is
         # overwritten by the next slice's intermediates
         N = 5
         dense = sample_gote(3, N, seed=12)._dense()
@@ -694,6 +695,84 @@ class TestContractionMemory:
         assert got == want
         assert peak <= _PEAK_BEFORE_POOLS
         assert after == before
+
+
+# the (p, n) whose classes' plans are checked for their buffers
+_BUFFER_CLASSES = [(2, n) for n in range(2, 9)] + [
+    (3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4), (5, 2)
+]
+
+
+def _buffer_plans(monkeypatch):
+    """(plan, dense stack of 16) for every class of _BUFFER_CLASSES at each N
+    of (1, 2, 3, 5, 8, 16) with N^p <= 16^4, then the sliced plans of (3, 4)
+    at N = 6 that a 300-element slice limit gives."""
+    for p, n in _BUFFER_CLASSES:
+        for N in (1, 2, 3, 5, 8, 16):
+            if N**p <= 16**4:
+                _, dense = _stack(p, N, seed=(p, n))
+                for rep in _class_reps(p, n):
+                    yield tensor._plan(tensor._einsum_eq(rep), N), dense
+    monkeypatch.setattr(tensor, "_SLICE_ELEMS", 300)
+    monkeypatch.setattr(tensor, "_PATH_CACHE", {})
+    _, dense = _stack(3, 6, seed=1)
+    plans = [tensor._plan(tensor._einsum_eq(rep), 6) for rep in _class_reps(3, 4)]
+    assert any(plan.sliced for plan in plans)
+    for plan in plans:
+        yield plan, dense
+
+
+class TestPlanBuffers:
+    def test_copies_are_where_numpy_copies(self, monkeypatch):
+        # an operand the plan leaves in place reshapes as a view, and an
+        # operand it copies would not
+        prepared, decided = tensor._prepared, []
+
+        def spy(bufs, x, prep, shape, k):
+            if shape is not None:
+                y = x.transpose(prep) if isinstance(prep, tuple) else x
+                y = np.einsum(prep, y) if isinstance(prep, str) else y
+                try:
+                    y.reshape(shape, copy=False)
+                    in_place = True
+                except ValueError:
+                    in_place = False
+                decided.append((k is None, in_place))
+            return prepared(bufs, x, prep, shape, k)
+
+        monkeypatch.setattr(tensor, "_prepared", spy)
+        for plan, dense in _buffer_plans(monkeypatch):
+            for B in (1, 3, 16):
+                tensor._contract(plan, [dense[:B]] * len(plan.holders))
+        assert decided and all(plan == numpy for plan, numpy in decided)
+        assert any(not plan for plan, _ in decided)
+
+    def test_no_step_writes_into_what_it_reads(self, monkeypatch):
+        # numpy would buffer such an overlap itself: the bits would hold and
+        # only the speed would show it
+        call, prepared, read, joins = tensor._Step.__call__, tensor._prepared, [], []
+
+        def prepared_spy(*args):
+            read.append(prepared(*args))
+            return read[-1]
+
+        def call_spy(step, bufs, *ops):
+            read.clear()
+            if step.copies[0] is not None:  # written before the second operand is read
+                assert not np.shares_memory(bufs[step.copies[0]], ops[1])
+            if None not in step.copies:
+                assert step.copies[0] != step.copies[1]
+            result = call(step, bufs, *ops)
+            if step.out is not None:
+                assert not any(np.shares_memory(bufs[step.out], x) for x in read)
+                joins.append(step)
+            return result
+
+        monkeypatch.setattr(tensor, "_prepared", prepared_spy)
+        monkeypatch.setattr(tensor._Step, "__call__", call_spy)
+        for plan, dense in _buffer_plans(monkeypatch):
+            tensor._contract(plan, [dense[:3]] * len(plan.holders))
+        assert joins
 
 
 def _triangle_classes():
