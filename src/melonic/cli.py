@@ -33,7 +33,7 @@ from .hypergraph import (
     hypergraph_of,
     melonic_partition,
 )
-from .maps import canonical_code, dual, enumerate_rooted_connected
+from .maps import dual, enumerate_rooted_connected
 
 
 def _fmt(x) -> str:
@@ -173,25 +173,31 @@ def _config(args) -> ExperimentConfig:
     return cfg
 
 
+def _coded_maps(p: int, n: int):
+    """(canonical code, map) of every rooted connected map, in listing order;
+    the codes are the ones the enumerator sorted by."""
+    return zip((code for code, _ in maps._coded_taus(p, n)), enumerate_rooted_connected(p, n))
+
+
 def _cmd_enumerate(args, cfg):
     out = []
-    for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
+    for code, b in _coded_maps(cfg.p, cfg.n_max):
         obj = maps.map_to_json(b)
-        obj["code"] = list(canonical_code(b))
+        obj["code"] = list(code)
         out.append(obj)
     _write(json.dumps(out, indent=2) + "\n", cfg.out)
 
 
 def _cmd_classify(args, cfg):
     rows = []
-    for b in enumerate_rooted_connected(cfg.p, cfg.n_max):
+    for code, b in _coded_maps(cfg.p, cfg.n_max):
         # melonic classification is defined for p >= 3; p = 2 rows stay blank
         pi = melonic_partition(b) if cfg.p >= 3 else None
         melonic = pi is not None if cfg.p >= 3 else ""
         dualgraph = hypergraph_of(dual(b)).reduced()
         rows.append(
             (
-                canonical_code(b),
+                code,
                 melonic,
                 "|".join(" ".join(map(str, blk)) for blk in pi.blocks) if pi else "",
                 euler_deficiency(dualgraph, cfg.p),

@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitError
 from .hypergraph import is_melonic_graph
-from .maps import CombinatorialMap, _check_map_budget, _class_keys, _trace_classes
-from .maps import _vertex_edge_ids, canonical_code, rooted_connected
+from .maps import CombinatorialMap, _check_map_budget, _class_keys, _coded_taus, _trace_classes
+from .maps import _vertex_edge_ids
 
 if TYPE_CHECKING:
     import numpy as np
@@ -551,7 +551,8 @@ def melonic_limit_table(
     The exact values and the melonic flag depend on the map's multigraph
     only, so each class is peeled once, and its polynomial in N, from the
     group DP of every exact law (``_polynomial``), is formed once per class
-    and evaluated on the grid.
+    and evaluated on the grid.  Each row carries the code the enumerator
+    sorted by, and no map but the class representatives is built.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -566,14 +567,15 @@ def melonic_limit_table(
     _require_maps(p, n)
     _price(p, n, dist)
     _check_map_budget(p, n)
-    maps = rooted_connected(p, n)
+    coded = _coded_taus(p, n)
+    reps = iter(_trace_classes(p, n))  # one per new key below, in the same order
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     logN = [math.log(N) for N in N_grid]
     per_class: dict = {}  # the row of each class's first map
     rows = []
-    for i, (b, key) in enumerate(zip(maps, _class_keys(p, n))):
-        code = canonical_code(b)
+    for i, ((code, _), key) in enumerate(zip(coded, _class_keys(p, n))):
         if key not in per_class:
+            b, _ = next(reps)
             melonic = is_melonic_graph(b)  # peeling reads the multigraph only
             alpha = alpha_melonic if melonic else Fraction(0)
             coeffs = _polynomial(b, dist)

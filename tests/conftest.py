@@ -9,7 +9,8 @@ dense-position ranks by sorting multi-indices, the alternative
 Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
 ``np.roots`` homotopy, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
-relabelling, the map enumerator that undoes its traversal through a log,
+relabelling or by the multigraph key's search without automorphism pruning,
+the map enumerator that undoes its traversal through a log,
 the cycle and connectivity tests of the incidence multigraph as two
 union-find passes, the Dyck path <-> plane hypertree bijection, the
 Fuss-Catalan generating-series check, the set partitions in
@@ -41,6 +42,7 @@ from melonic.maps import (
     _bfs_labels,
     _canonical_sigma,
     _check_map_budget,
+    _refine,
     _trace_classes,
     _vertex_edge_ids,
     canonical_code,
@@ -567,15 +569,44 @@ def multigraph_key_by_permutations(n: int, edges) -> tuple:
     return best
 
 
-def trace_classes_by_permutations(p: int, n: int) -> list:
+def multigraph_key_unpruned(n: int, edges) -> tuple:
+    """``maps._multigraph_key`` without automorphism pruning: every leaf of
+    the individualisation-refinement search is visited, about |Aut G| of
+    them, and the key is the smallest relabelled sorted edge tuple."""
+    mult = [Counter() for _ in range(n)]
+    loops = [0] * n
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] += 1
+            mult[v][u] += 1
+    adj = [tuple(m.items()) for m in mult]
+
+    def search(colour):
+        colour = _refine(colour, adj, loops)
+        split = min((c for c, k in Counter(colour).items() if k > 1), default=None)
+        if split is None:
+            return tuple(sorted(tuple(sorted((colour[u], colour[v]))) for u, v in edges))
+        return min(
+            search([2 * c + (c == split and w != v) for w, c in enumerate(colour)])
+            for v in range(n)
+            if colour[v] == split
+        )
+
+    return search([0] * n)
+
+
+def trace_classes_by_key(p: int, n: int, key) -> list:
     """(first map, class size) per multigraph class of B_n^(p), classes in
-    first-seen order, keyed by ``multigraph_key_by_permutations``."""
+    first-seen order: the maps of ``rooted_connected`` grouped by
+    ``key(n, sorted multigraph)``."""
     keys: dict = {}
     groups: dict = {}
     for b in rooted_connected(p, n):
         labelled = tuple(sorted(multigraph(b)))
         if labelled not in keys:
-            keys[labelled] = multigraph_key_by_permutations(n, labelled)
+            keys[labelled] = key(n, labelled)
         groups.setdefault(keys[labelled], []).append(b)
     return [(members[0], len(members)) for members in groups.values()]
 
@@ -781,7 +812,7 @@ def enumerate_edge_partitions(m: int) -> Iterator[EdgePartition]:
 def is_connected(b: Hypermap) -> bool:
     """True iff the group generated by sigma and tau acts transitively on the
     halfedges."""
-    return b.size == 0 or min(_bfs_labels(b, 0)) >= 0
+    return b.size == 0 or min(_bfs_labels(b.sigma.image, b.tau.image, 0)) >= 0
 
 
 def inverse(perm: Permutation) -> Permutation:

@@ -534,7 +534,7 @@ class TestErrors:
         def no_enumeration(*args):
             raise AssertionError("maps enumerated before the oracle guard")
 
-        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(exact, "_coded_taus", no_enumeration)
         monkeypatch.setattr(maps, "_canonical_sigma", no_enumeration)
         code, err = self.fail(capsys, "moments", "--p", "5", "--n", "4", "--dist", "rademacher")
         assert code == 5

@@ -242,7 +242,7 @@ class TestMelonicLimitTable:
         def no_enumeration(p, n):
             raise AssertionError("maps enumerated before the partition guard")
 
-        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(exact, "_coded_taus", no_enumeration)
         # the edge-partition guard is gone: the oracle guard admits (4, 5) and
         # (5, 4) under gaussian-gote and (4, 5) under rademacher, whose
         # 100,278 and 869,400 maps exceed the map budget, and it refuses
@@ -258,7 +258,7 @@ class TestMelonicLimitTable:
         def no_enumeration(p, n):
             raise AssertionError("maps enumerated before the pairing guard")
 
-        monkeypatch.setattr(exact, "rooted_connected", no_enumeration)
+        monkeypatch.setattr(exact, "_coded_taus", no_enumeration)
         # one pair of two 10-valent vertices: 10! slot bijections
         with pytest.raises(ResourceLimitError, match=r"^3628800 oracle terms"):
             melonic_limit_table(10, 2, (8,), GAUSSIAN_GOTE)

@@ -5,11 +5,12 @@ import tracemalloc
 import types
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from melonic import exact, tensor
+from melonic import exact, maps, tensor
 from melonic.counting import count_rooted_maps, fuss_catalan
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
@@ -57,8 +58,10 @@ from conftest import (
     multilinear_transform,
     naive_trace,
     random_permutation,
+    multigraph_key_by_permutations,
+    multigraph_key_unpruned,
     relabel,
-    trace_classes_by_permutations,
+    trace_classes_by_key,
     trace_polynomial,
 )
 
@@ -411,10 +414,95 @@ class TestBalancedInvariant:
         assert balanced_invariant(3, T) == 0.0
 
 
+# every (p, n) with maps whose enumeration tier-1 runs
+TIER1_SIZES = (
+    [(2, n) for n in range(1, 11)]
+    + [(3, 2), (3, 4), (3, 6), (4, 1), (4, 2), (4, 3), (4, 4), (5, 2), (6, 2)]
+)
+
+
+def _cycle(n):
+    return [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+
+
 class TestTraceClasses:
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4)])
     def test_matches_permutation_reference(self, p, n):
-        assert list(_trace_classes(p, n)) == trace_classes_by_permutations(p, n)
+        assert list(_trace_classes(p, n)) == trace_classes_by_key(
+            p, n, multigraph_key_by_permutations
+        )
+
+    @pytest.mark.parametrize("p,n", TIER1_SIZES)
+    def test_matches_unpruned_reference(self, p, n):
+        # representatives, class sizes and class order
+        assert list(_trace_classes(p, n)) == trace_classes_by_key(p, n, multigraph_key_unpruned)
+
+    def test_cold_grouping_builds_only_the_representatives(self, monkeypatch):
+        built = []
+        init = CombinatorialMap.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        # fresh caches, so the call below enumerates and groups anew
+        for name in ("_coded_taus", "_trace_classes"):
+            monkeypatch.setattr(maps, name, lru_cache(getattr(maps, name).__wrapped__))
+        monkeypatch.setattr(CombinatorialMap, "__init__", counted)
+        classes = maps._trace_classes(3, 6)
+        assert len(classes) == len(built) == 17
+        assert sum(size for _, size in classes) == count_rooted_maps(3, 6) == 1105
+
+    @pytest.mark.parametrize("p,n", TIER1_SIZES)
+    def test_key_equals_unpruned_search(self, p, n):
+        labelled = {tuple(sorted(multigraph(b))) for b in rooted_connected(p, n)}
+        for g in labelled:
+            assert _multigraph_key(n, g) == multigraph_key_unpruned(n, g)
+
+    def test_cycle_keys_equal_unpruned_search(self, rng):
+        for n in range(1, 53):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relab = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in _cycle(n))
+            assert _multigraph_key(n, relab) == multigraph_key_unpruned(n, _cycle(n))
+
+    def test_cycle_union_keys_equal_unpruned_search(self, rng):
+        # every 2-regular multigraph on up to 10 vertices with at most three
+        # cycles (a 1-cycle is a loop, a 2-cycle a double edge): one colour
+        # cell that refinement never splits, equal cycles swapped by
+        # automorphisms, unequal ones not; more cycles would leave the
+        # unpruned search up to 10! leaves
+        def partitions(n, top):
+            if n == 0:
+                yield []
+            for k in range(min(n, top), 0, -1):
+                yield from ([k] + rest for rest in partitions(n - k, k))
+
+        for n in range(1, 11):
+            for lengths in filter(lambda ks: len(ks) <= 3, partitions(n, n)):
+                starts = [sum(lengths[:i]) for i in range(len(lengths))]
+                edges = [(s + u, s + v) for s, k in zip(starts, lengths) for u, v in _cycle(k)]
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relab = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+                assert _multigraph_key(n, relab) == multigraph_key_unpruned(n, sorted(edges))
+
+    def test_pruning_bounds_the_search(self, monkeypatch):
+        # bounds fixed before measuring; the unpruned search refines 157 and
+        # 133 times, once per node of a tree with 2n and |Aut K_{3,3}| = 72 leaves
+        calls = []
+        refine = maps._refine
+
+        def counted(*args):
+            calls.append(None)
+            return refine(*args)
+
+        monkeypatch.setattr(maps, "_refine", counted)
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        for n, edges, bound in [(52, _cycle(52), 10), (6, k33, 24)]:
+            calls.clear()
+            _multigraph_key(n, edges)
+            assert len(calls) <= bound
 
     def test_class_counts(self):
         assert [len(_trace_classes(p, n)) for p, n in ((3, 4), (3, 6), (4, 4))] == [5, 17, 10]
