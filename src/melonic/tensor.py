@@ -11,10 +11,12 @@ of one edge and summed over its values.  Each plan is compiled once per
 (equation, N) into a step program of numpy's own pairwise batched-GEMM
 steps behind a batch axis, so a stack of samples contracts together and
 each gets ``np.einsum``'s value bit for bit without re-parsing its path on
-every call.  The tetrahedron K4 at p = 3 has its own kernel of one matrix
-product per index value.  At p = 3 a balanced invariant may replace each
-triangle of a class by one vertex carrying the triangle tensor, built once
-per sample for all its classes.  A contraction whose predicted FLOP or
+every call.  At p = 3 the tetrahedron K4 has its own kernel of one matrix
+product per index value, and K_{3,3} one through the blocks C_S and C_A of
+A = sum_a T_a (x) T_a on the symmetric and antisymmetric squares,
+Tr = tr(C_S^3) - tr(C_A^3).  At p = 3 a balanced invariant may also replace
+each triangle of a class by one vertex carrying the triangle tensor, built
+once per sample for all its classes.  A contraction whose predicted FLOP or
 memory exceeds a fixed limit is refused before it starts, and so is a
 tensor whose index table and dense expansion would exceed the memory
 limit, before its table is built.  The entry laws and the exact
@@ -45,7 +47,8 @@ _MAX_EDGES = len(_EINSUM_LETTERS)
 # more float64 elements than this (2 MiB), and refuses a route predicted to
 # exceed either limit below.  The K4 kernel fits them up to N = 200 (3.2e11
 # FLOP and a 64 MB intermediate); every other class at p = 3, n = 4 at
-# N = 128 predicts at most 1.1e9 FLOP.  The byte limit also bounds a
+# N = 128 predicts at most 1.1e9 FLOP.  The K_{3,3} kernel is refused at
+# N = 128 (1.13e12 FLOP, a 1.65 GB peak).  The byte limit also bounds a
 # tensor's index table and dense expansion together (``_check_storage``).
 _SLICE_ELEMS = 2**18
 _MAX_FLOP = 10**12
@@ -618,6 +621,132 @@ def _k4_trace(dense: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+@lru_cache(maxsize=None)
+def _is_k33(b: CombinatorialMap) -> bool:
+    """Whether the multigraph of b is K_{3,3}: at p = 3, six vertices, each
+    joined once to each of the three on the other side, which are the
+    neighbours of vertex 0."""
+    if b.p != 3 or b.n != 6:
+        return False
+    edges = sorted(multigraph(b))
+    side = {v for e in edges if 0 in e for v in e} - {0}
+    other = set(range(6)) - side
+    return edges == sorted((min(u, v), max(u, v)) for u in other for v in side)
+
+
+def _k33_chunk(N: int) -> int:
+    """Values of x per slab of the K_{3,3} kernel: all of them while the N^4
+    slab fits in ``_SLICE_ELEMS``, else one, as ``_triangle_tensor`` does."""
+    return N if N**4 <= _SLICE_ELEMS else 1
+
+
+@lru_cache(maxsize=4)
+def _k33_index(N: int, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the first slab of ``_k33_blocks`` holds the rows of C_S and C_A.
+
+    The slab of the x in [x0, x0 + chunk) holds A[(x, y), (u, v)] for
+    y >= x0 at [x - x0, y - x0, v, u].  Returns the flat indices into the
+    first slab (x0 = 0) of A[(x, y), (u, v)], at [0], and of A[(x, y), (v, u)],
+    at [1], for the rows (x, y >= x) and columns u <= v of C_S and the rows
+    (x, y > x) and columns u < v of C_A, in x-major order; and the positions
+    of the pairs (x, x) among the pairs u <= v.  A later slab holds one x, in
+    the layout of the first with its rows y - x0 < N - x0, so its indices are
+    the first rows of these."""
+    x, y = np.triu_indices(N)
+    x, y = x[x < chunk], y[x < chunk]
+    u, v = np.triu_indices(N)
+    rows = (x * N + y)[:, None] * N * N
+
+    def at(rows, u, v):
+        return np.stack([rows + v * N + u, rows + u * N + v])
+
+    strict = u < v
+    return at(rows, u, v), at(rows[x < y], u[strict], v[strict]), np.flatnonzero(u == v)
+
+
+def _k33_blocks(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_S and C_A of one order-3 tensor T: the blocks on Sym^2 and Alt^2 of
+    A = sum_a T_a (x) T_a, A[(x, y), (u, v)] = sum_a T[a, x, u] T[a, y, v], in
+    the orthonormal bases of the pairs x <= y and x < y, in x-major order.
+
+    By symmetry of T, the product of the N^2 x N unfolding's rows (y, v),
+    y >= x0, with T_x gives A[(x, y), (u, v)]: one stacked matrix product per
+    chunk of x (``_k33_chunk``).  A commutes with the swap P of the two
+    factors, so C_S[(x, y), (u, v)] = (A[(x, y), (u, v)] + A[(x, y), (v, u)])
+    w_xy w_uv, with w = 1/sqrt(2) on the pairs (x, x) and 1 elsewhere, and
+    C_A is the difference without weights.  A itself is never built: one
+    slab at a time, of at most ``_SLICE_ELEMS`` or N^3 elements."""
+    N = len(dense)
+    chunk = _k33_chunk(N)
+    index_s, index_a, diag = _k33_index(N, chunk)
+    n_s, n_a = N * (N + 1) // 2, N * (N - 1) // 2
+    c_s, c_a = np.empty((n_s, n_s)), np.empty((n_a, n_a))
+    unfolded = dense.reshape(N * N, N)
+    slab = np.empty(chunk * N**3)
+    r_s = r_a = 0
+    for x0 in range(0, N, chunk):
+        k_s = sum(N - x for x in range(x0, x0 + chunk))
+        k_a = k_s - chunk
+        out = slab[: chunk * N * N * (N - x0)].reshape(chunk, -1, N)
+        np.matmul(unfolded[x0 * N :], dense[x0 : x0 + chunk], out=out)
+        # mode="clip" takes straight into the rows; the default buffers them
+        rows = c_s[r_s : r_s + k_s]
+        np.take(out, index_s[0, :k_s], out=rows, mode="clip")
+        rows += np.take(out, index_s[1, :k_s])
+        rows = c_a[r_a : r_a + k_a]
+        np.take(out, index_a[0, :k_a], out=rows, mode="clip")
+        rows -= np.take(out, index_a[1, :k_a])
+        r_s, r_a = r_s + k_s, r_a + k_a
+    w = math.sqrt(0.5)
+    c_s[diag] *= w
+    c_s[:, diag] *= w
+    return c_s, c_a
+
+
+def _cube_trace(c: np.ndarray) -> float:
+    """tr(C^3) of a symmetric C: the sum of (C^T C) * C, with C^T C numpy's
+    SYRK product and the sum numpy's own pairwise one, never a BLAS dot, so
+    that the bits do not depend on the BLAS thread count."""
+    product = c.T @ c
+    np.multiply(product, c, out=product)
+    return float(product.sum())
+
+
+def _k33_trace(dense: np.ndarray) -> float:
+    """Tr of K_{3,3} (abc,ade,bfg,chi,dfh,egi) = sum_{a,b,c} tr((T_a T_b T_c)^2)
+    = tr(A^3 P), with A and P of ``_k33_blocks``.  P is +1 on Sym^2 and -1 on
+    Alt^2, so Tr = tr(C_S^3) - tr(C_A^3): two SYRK products of order
+    N(N +- 1)/2, about N^6 / 4 FLOP, with C_S, C_A and one product live.
+    The step program's cheapest pairwise order has a step over six indices,
+    about 2.4 N^6 FLOP; the symmetry of T is what goes below it."""
+    c_s, c_a = _k33_blocks(dense)
+    return _cube_trace(c_s) - _cube_trace(c_a)
+
+
+# elements (8 KiB) that ``_k33_cost`` allows for the array headers and
+# Python objects of one call, which tracemalloc counts with the arrays: at
+# most 3.3 KB in a first call, before the indices are cached, at N = 8 to 64
+_K33_OBJECTS = 1024
+
+
+def _k33_cost(N: int) -> tuple[int, int]:
+    """(FLOP, peak live elements) of ``_k33_trace`` at dimension N.
+
+    The slab of x0 <= x < x0 + chunk takes 2 chunk N^3 (N - x0) FLOP: in
+    all, N^4 (N + 1) in slabs of one x and 2 N^5 in one slab.  A SYRK product
+    of order n takes n^2 (n + 1).  Live at the peak are the cached indices,
+    C_S and C_A, and either the first slab with one take of its C_S rows or
+    the product of C_S; and ``_K33_OBJECTS``."""
+    chunk = _k33_chunk(N)
+    n_s, n_a = N * (N + 1) // 2, N * (N - 1) // 2
+    slabs = sum(2 * chunk * N**3 * (N - x0) for x0 in range(0, N, chunk))
+    flop = slabs + n_s**2 * (n_s + 1) + n_a**2 * (n_a + 1)
+    k_s = sum(N - x for x in range(chunk))
+    index = 2 * k_s * n_s + 2 * (k_s - chunk) * n_a + N
+    filling = chunk * N**3 + k_s * n_s
+    return flop, index + n_s**2 + n_a**2 + max(filling, n_s**2) + _K33_OBJECTS
+
+
 def _triangle_tensor(dense: np.ndarray) -> np.ndarray:
     """Delta[c, e, f] = sum_{a,b,d} T_abc T_ade T_bdf for each order-3
     tensor T of the stack: the triangle with its three outer legs, itself
@@ -680,24 +809,29 @@ def _refuse_over_limits(what: str, flop: int, max_elems: int) -> None:
 
 
 def _class_route(b: CombinatorialMap, N: int):
-    """(evaluate, FLOP, largest intermediate in elements) of Tr_b on its own
-    at dimension N: the K4 kernel for the tetrahedron, else the einsum plan;
-    ``evaluate`` takes the stack of dense tensors and gives Tr_b per sample.
-    b is refused when it has more edges than einsum letters.  The kernel's
-    slice a multiplies N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes
+    """(evaluate, FLOP, elements) of Tr_b on its own at dimension N: the K4
+    kernel for the tetrahedron, the K_{3,3} kernel for K_{3,3}, else the
+    einsum plan; ``evaluate`` takes the stack of dense tensors and gives Tr_b
+    per sample, and the elements are the largest intermediate, or for the
+    K_{3,3} kernel its peak of live arrays (``_k33_cost``).  b is refused
+    when it has more edges than einsum letters.  The K4 kernel's slice a
+    multiplies N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes
     2 N^2 (N - a) for its trace sums, N^3 (N + 1)^2 over all a; its largest
-    intermediate is Q at a = 0."""
+    intermediate is Q at a = 0.  Both kernels run the samples one at a time,
+    so a sample gets the bits it gets alone."""
     m = b.size // 2
     if m > _MAX_EDGES:
         raise ResourceLimitError(f"{m} edges exceeds the contraction guard ({_MAX_EDGES})")
     if _is_k4(b):
-        return _k4_batch, N**3 * (N + 1) ** 2, N**3
+        return partial(_each_sample, _k4_trace), N**3 * (N + 1) ** 2, N**3
+    if _is_k33(b):
+        return partial(_each_sample, _k33_trace), *_k33_cost(N)
     plan = _plan(_einsum_eq(b), N)
     return partial(_contract_plain, plan), plan.flop, plan.max_elems
 
 
-def _k4_batch(dense: np.ndarray) -> np.ndarray:
-    return np.array([_k4_trace(T) for T in dense])
+def _each_sample(kernel: Callable[[np.ndarray], float], dense: np.ndarray) -> np.ndarray:
+    return np.array([kernel(T) for T in dense])
 
 
 def _contract_plain(plan: _Plan, dense: np.ndarray) -> np.ndarray:
@@ -746,13 +880,14 @@ def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
     """Tr_b(T): sum over edge-index assignments of the product of one tensor
     entry per vertex.
 
-    The tetrahedron K4 at p = 3 takes ``_k4_trace``.  Every other map is a
-    tensor-network contraction along numpy's greedy path; when that path
-    would build an intermediate of more than ``_SLICE_ELEMS`` elements, or
-    finds no pairwise order within its budget, the contraction is sliced over
-    the index of one edge (more only while no pairwise order exists): each of
-    the N slices puts ``T[i]`` at the edge's two vertices, which by symmetry
-    is the slice on any axis, and the slices are summed with ``math.fsum``.
+    At p = 3 the tetrahedron K4 takes ``_k4_trace`` and K_{3,3}
+    ``_k33_trace``.  Every other map is a tensor-network contraction along
+    numpy's greedy path; when that path would build an intermediate of more
+    than ``_SLICE_ELEMS`` elements, or finds no pairwise order within its
+    budget, the contraction is sliced over the index of one edge (more only
+    while no pairwise order exists): each of the N slices puts ``T[i]`` at
+    the edge's two vertices, which by symmetry is the slice on any axis, and
+    the slices are summed with ``math.fsum``.
     The route is refused before any contraction when it is over the limits.
     """
     if b.p != T.p:

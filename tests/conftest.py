@@ -238,6 +238,14 @@ def k4_trace_sliced_gemm(T: SymTensor) -> float:
     return math.fsum(total)
 
 
+def k33_trace_by_products(T: SymTensor) -> float:
+    """Tr of K_{3,3} (p = 3) as sum_{a,b,c} tr((T_a T_b T_c)^2), T_a = T[a]:
+    every product T_a T_b T_c at once, N^5 elements, for small N only."""
+    dense = T.to_dense()
+    M = np.matmul(np.matmul(dense[:, None, None], dense[None, :, None]), dense[None, None, :])
+    return float(np.einsum("abcij,abcji->", M, M))
+
+
 def einsum_contract(plan, dense: np.ndarray) -> float:
     """A contraction plan by ``np.einsum`` along its path, once per value
     tuple of the sliced edge indices, the slices summed with ``math.fsum``:

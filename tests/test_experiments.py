@@ -311,8 +311,8 @@ class TestUpFrontPricing:
     @pytest.mark.parametrize(
         "n, grid, message",
         [
-            # K_{3,3} and other n = 6 classes at N = 128, after N = 16 is admitted
-            (6, (16, 128), r"6-vertex map at N=128 is predicted to take 1\.77e\+13 FLOP"),
+            # the K_{3,3} kernel at N = 128, after N = 16 is admitted
+            (6, (16, 128), r"6-vertex map at N=128 is predicted to take 1\.13e\+12 FLOP"),
             (4, (256,), r"4-vertex map at N=256 is predicted to take 1\.11e\+12 FLOP"),
         ],
     )

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,7 @@ from conftest import (
     index_table_by_sorting,
     injective_trace,
     k4_trace_sliced_gemm,
+    k33_trace_by_products,
     multilinear_transform,
     naive_trace,
     random_permutation,
@@ -961,6 +966,109 @@ class TestK4Kernel:
         assert len(calls) == taken
 
 
+def _k33():
+    """The class of (3, 6) whose multigraph is K_{3,3}."""
+    (rep,) = [b for b in _class_reps(3, 6) if tensor._is_k33(b)]
+    return rep
+
+
+# a script printing the K_{3,3} kernel's value, as float.hex, on one fixed
+# N = 32 tensor; run in child processes under different BLAS thread counts
+_K33_BITS = (
+    "from melonic import tensor\n"
+    "dense = tensor.sample_gote(3, 32, seed=31)._dense()\n"
+    "print(tensor._k33_trace(dense).hex())\n"
+)
+
+
+class TestK33Kernel:
+    def test_only_k33_takes_the_kernel(self, monkeypatch):
+        assert tensor._einsum_eq(_k33()) == _K33
+        assert not any(tensor._is_k33(b) for b in _class_reps(3, 4) + _class_reps(4, 4))
+        calls, kernel = [], tensor._k33_trace
+        monkeypatch.setattr(tensor, "_k33_trace", lambda d: calls.append(1) or kernel(d))
+        for p, n, taken in [(3, 2, 0), (3, 4, 0), (3, 6, 1), (4, 2, 0), (4, 4, 0)]:
+            calls.clear()
+            balanced_invariant(n, sample_gote(p, 3, seed=4))
+            assert len(calls) == taken
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 16, 32])
+    def test_matches_the_step_program(self, N):
+        dense = sample_gote(3, N, seed=20 + N)._dense()
+        want = _contract_one(tensor._plan(_K33, N), dense)
+        assert tensor._k33_trace(dense) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_naive_trace(self, N):
+        # the assignment loop has N^9 terms, so only the smallest N
+        T = sample_gote(3, N, seed=30 + N)
+        assert tensor._k33_trace(T._dense()) == pytest.approx(naive_trace(_k33(), T), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 5, 8])
+    def test_matches_the_triple_products(self, N):
+        T = sample_gote(3, N, seed=40 + N)
+        assert tensor._k33_trace(T._dense()) == pytest.approx(k33_trace_by_products(T), rel=1e-12)
+
+    def test_blocks_are_symmetric_and_N1_has_no_alternating_block(self):
+        c_s, c_a = tensor._k33_blocks(sample_gote(3, 1, seed=1)._dense())
+        assert c_s.shape == (1, 1) and c_a.shape == (0, 0)
+        c_s, c_a = tensor._k33_blocks(sample_gote(3, 7, seed=1)._dense())
+        assert c_s.shape == (28, 28) and c_a.shape == (21, 21)
+        for c in (c_s, c_a):
+            assert np.allclose(c, c.T, rtol=1e-14, atol=0)
+
+    def test_slabs_of_one_x_agree_with_one_slab(self, monkeypatch):
+        # N = 7 fits one slab; below the limit every x takes its own
+        dense = sample_gote(3, 7, seed=5)._dense()
+        assert tensor._k33_chunk(7) == 7
+        whole = tensor._k33_trace(dense)
+        monkeypatch.setattr(tensor, "_SLICE_ELEMS", 7**4 - 1)
+        assert tensor._k33_chunk(7) == 1
+        assert tensor._k33_trace(dense) == pytest.approx(whole, rel=1e-12)
+
+    def test_flop_of_one_slab_and_of_slabs_of_one_x(self):
+        for N in (8, 16, 23, 32, 128):
+            flop, _ = tensor._k33_cost(N)
+            n_s, n_a = N * (N + 1) // 2, N * (N - 1) // 2
+            slabs = 2 * N**5 if N**4 <= tensor._SLICE_ELEMS else N**4 * (N + 1)
+            assert flop == slabs + n_s**2 * (n_s + 1) + n_a**2 * (n_a + 1)
+
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_traced_peak_within_its_price(self, N):
+        # a first call builds the cached indices, a second finds them
+        dense = sample_gote(3, N, seed=N)._dense()
+        _, max_elems = tensor._k33_cost(N)
+        tensor._k33_index.cache_clear()
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tensor._k33_trace(dense)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * max_elems
+        # the price is no loose bound: C_S, C_A and a product are most of it
+        n_s, n_a = N * (N + 1) // 2, N * (N - 1) // 2
+        assert peaks[1] >= 8 * (2 * n_s**2 + n_a**2)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = str(Path(tensor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", _K33_BITS], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith("0x")
+
+
 def _no_contraction(*args, **kwargs):
     raise AssertionError("contracted before the guard")
 
@@ -969,6 +1077,7 @@ class TestContractionGuard:
     @pytest.fixture(autouse=True)
     def _nothing_contracts(self, monkeypatch):
         monkeypatch.setattr(tensor, "_k4_trace", _no_contraction)
+        monkeypatch.setattr(tensor, "_k33_trace", _no_contraction)
         monkeypatch.setattr(tensor, "_run_steps", _no_contraction)
         monkeypatch.setattr(tensor, "_triangle_tensor", _no_contraction)
         monkeypatch.setattr(tensor.np, "einsum", _no_contraction)
@@ -993,6 +1102,24 @@ class TestContractionGuard:
         monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
         with pytest.raises(ResourceLimitError, match=r"1\.18e\+06 FLOP"):
             trace_invariant(_k4(), sample_gote(3, 16, seed=0))
+
+    def test_k33_flop_limit_refuses_before_contracting(self, monkeypatch):
+        # the kernel's slabs and SYRK products at N = 16, one FLOP over the limit
+        flop, max_elems = tensor._k33_cost(16)
+        assert tensor._class_route(_k33(), 16)[1:] == (flop, max_elems)
+        T = sample_gote(3, 16, seed=0)
+        monkeypatch.setattr(tensor, "_MAX_FLOP", flop - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(f"take {flop:.3g} FLOP")):
+            trace_invariant(_k33(), T)
+        with pytest.raises(ResourceLimitError, match=re.escape(f"take {flop:.3g} FLOP")):
+            balanced_invariant(6, T)
+
+    def test_k33_byte_limit_refuses_before_contracting(self, monkeypatch):
+        _, max_elems = tensor._k33_cost(16)
+        T = sample_gote(3, 16, seed=0)
+        monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * max_elems - 1)
+        with pytest.raises(ResourceLimitError, match=re.escape(f"of {8 * max_elems:.3g} bytes")):
+            trace_invariant(_k33(), T)
 
     def test_byte_limit_refuses(self, monkeypatch):
         # admits an N^2 intermediate, not the K4 kernel's N^3; the tensor is
