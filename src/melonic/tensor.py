@@ -11,8 +11,9 @@ of one edge and summed over its values.  Each plan is compiled once per
 (equation, N) into a step program of numpy's own pairwise batched-GEMM
 steps behind a batch axis, so a stack of samples contracts together and
 each gets ``np.einsum``'s value bit for bit without re-parsing its path on
-every call.  At p = 3 the tetrahedron K4 has its own kernel of one matrix
-product per index value, and K_{3,3} one through the blocks C_S and C_A of
+every call.  At p = 3 the tetrahedron K4 has its own kernel, a sum over the
+orbits of an order-8 symmetry of its terms in one stacked matrix product
+per index value, and K_{3,3} one through the blocks C_S and C_A of
 A = sum_a T_a (x) T_a on the symmetric and antisymmetric squares,
 Tr = tr(C_S^3) - tr(C_A^3).  At p = 3 a balanced invariant may also replace
 each triangle of a class by one vertex carrying the triangle tensor, built
@@ -45,11 +46,12 @@ _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
 # trace_invariant slices a contraction whose largest intermediate would hold
 # more float64 elements than this (2 MiB), and refuses a route predicted to
-# exceed either limit below.  The K4 kernel fits them up to N = 200 (3.2e11
-# FLOP and a 64 MB intermediate); every other class at p = 3, n = 4 at
-# N = 128 predicts at most 1.1e9 FLOP.  The K_{3,3} kernel is refused at
-# N = 128 (1.13e12 FLOP, a 1.65 GB peak).  The byte limit also bounds a
-# tensor's index table and dense expansion together (``_check_storage``).
+# exceed either limit below.  The K4 kernel fits them up to N = 287 (9.97e11
+# FLOP and a 191 MB peak) and is refused at N = 288 (1.01e12 FLOP); every
+# other class at p = 3, n = 4 at N = 128 predicts at most 1.1e9 FLOP.  The
+# K_{3,3} kernel is refused at N = 128 (1.13e12 FLOP, a 1.65 GB peak).  The
+# byte limit also bounds a tensor's index table and dense expansion together
+# (``_check_storage``).
 _SLICE_ELEMS = 2**18
 _MAX_FLOP = 10**12
 _MAX_INTERMEDIATE_BYTES = 2**30
@@ -596,29 +598,78 @@ def _is_k4(b: CombinatorialMap) -> bool:
     return b.p == 3 and b.n == 4 and sorted(multigraph(b)) == k4
 
 
-def _k4_trace(dense: np.ndarray) -> float:
-    """Tr of the tetrahedron K4 = sum_{a,f} tr(T_a T_f T_a T_f), T_a = T[a].
+# elements (8 KiB) that ``_k4_cost`` and ``_k33_cost`` allow for the array
+# headers and Python objects of one call, which tracemalloc counts with the
+# arrays: at most 3.3 KB in a first call of either kernel at N = 8 to 64
+_KERNEL_OBJECTS = 1024
 
-    The summand is symmetric under a <-> f, so for each a one matrix product
-    gives T_a T_f for every f >= a: by symmetry T[c, f, e] = T_f[c, e], so
-    Q[b, f - a, e] = sum_c T[a, b, c] T[c, f, e] = (T_a T_f)[b, e].  The
-    parts tr((T_a T_f)^2) = sum_{b,e} Q[b, f, e] Q[e, f, b] are summed with
-    ``math.fsum``, the f > a ones twice.  About N^5 FLOP with an N^3
-    intermediate, against 4 N^5 for the sliced greedy einsum; every Q is
-    written into the front of one N^3 buffer.
+
+@lru_cache(maxsize=4)
+def _k4_weights(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(above, weights) of ``_k4_trace`` at dimension N: above[x, y] is 1
+    for y > x and 0 elsewhere, and weights is above with 1/4 on its
+    diagonal."""
+    above = np.triu(np.ones((N, N)), 1)
+    weights = above.copy()
+    np.fill_diagonal(weights, 0.25)
+    above.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return above, weights
+
+
+def _k4_trace(dense: np.ndarray) -> float:
+    """Tr of the tetrahedron K4 = sum_{x,y} tr(T_x T_y T_x T_y), T_x = T[x].
+
+    With the Gram matrix G[(x, u), (y, v)] = sum_c T[x, u, c] T[y, v, c] =
+    (T_x T_y)[u, v], K4 = sum_{x,y,u,v} F, F = G[(x, u), (y, v)] G[(x, v),
+    (y, u)].  By symmetry of T, F is invariant under x <-> y, u <-> v and
+    (x, y) <-> (u, v), a group of order 8 that moves any of the four
+    positions to x.  So K4 = 4 sum F / c over the tuples whose smallest
+    index sits at x, c the number of the four indices equal to x.
+
+    The strict part, x < y, u, v: for each x one stacked product gives
+    out[y, v, u] = G[(x, u), (y, v)] for y, v, u > x, and F sums to
+    sum out[y, v, u] out[y, u, v]; 2 N (N - 1 - x)^3 FLOP, about N^5 / 2 in
+    all, against N^5 for the pairs of slices.  The ties, where x recurs,
+    need B_x = T_x^2, A_x = sum_c T[x, x, c] T_c and C[x, y] = B_x[x, y]:
+    they sum to sum_x [sum_{y,v>x} A_x B_x + sum_{u,v>x} B_x^2 / 2 +
+    sum_{y>x} C[x, y]^2 + C[x, x]^2 / 4].  With B masked to y, v > x, the
+    first is sum_{x,c} T[x, x, c] <B_x, T_c>, one matrix product for all x.
+    B takes the N^3 buffer that each out is later written into; the parts
+    are summed with ``math.fsum``.
     """
     N = len(dense)
-    unfolded = dense.reshape(N, N * N)
+    above, weights = _k4_weights(N)
     buf = np.empty(N**3)
-    parts = []
-    for a in range(N):
-        Q = buf[: N * N * (N - a)].reshape(N, N * (N - a))
-        np.matmul(dense[a], unfolded[:, a * N :], out=Q)
-        Q = Q.reshape(N, N - a, N)
-        s = np.einsum("bfe,efb->f", Q, Q)
-        parts.append(s[0])
-        parts.extend(2 * s[1:])
-    return math.fsum(parts)
+    b = buf.reshape(N, N, N)
+    np.matmul(dense, dense, out=b)
+    c = np.diagonal(b)  # c[y, x] = C[x, y]
+    parts = [np.einsum("xy,yx,yx->", weights, c, c)]
+    b *= above[:, :, None]
+    b *= above[:, None, :]
+    # by symmetry of T its N^2 x N unfolding's columns are the T_c
+    projected = b.reshape(N, N * N) @ dense.reshape(N * N, N)
+    parts.append(np.einsum("cx,xc->", np.diagonal(dense), projected))
+    parts.append(np.einsum("i,i->", buf, buf) / 2)
+    for x in range(N - 1):
+        n = N - 1 - x
+        out = buf[: n**3].reshape(n, n, n)
+        np.matmul(dense[x + 1 :, x + 1 :], dense[x, :, x + 1 :], out=out)
+        parts.append(np.einsum("yvu,yuv->", out, out))
+    return 4 * math.fsum(parts)
+
+
+def _k4_cost(N: int) -> tuple[int, int]:
+    """(FLOP, peak live elements) of ``_k4_trace`` at dimension N.
+
+    The strict part takes 2 (N + 1) n^3 for n = N - 1 - x, its product and
+    its sum: (N + 1) N^2 (N - 1)^2 / 2 in all.  The ties take 2 N^4 for B
+    and 2 N^4 for its product with the T_c; their O(N^3) passes are left
+    out, as ``_k33_cost`` leaves out its takes.  Live at the peak are the
+    buffer, the cached above and weights, the projected N x N product, one
+    buffer of numpy's iterator (``np.getbufsize()`` elements, taken by the
+    masks and by the sum over C), and ``_KERNEL_OBJECTS``."""
+    flop = (N + 1) * N**2 * (N - 1) ** 2 // 2 + 4 * N**4
+    return flop, N**3 + 3 * N**2 + np.getbufsize() + _KERNEL_OBJECTS
 
 
 @lru_cache(maxsize=None)
@@ -723,12 +774,6 @@ def _k33_trace(dense: np.ndarray) -> float:
     return _cube_trace(c_s) - _cube_trace(c_a)
 
 
-# elements (8 KiB) that ``_k33_cost`` allows for the array headers and
-# Python objects of one call, which tracemalloc counts with the arrays: at
-# most 3.3 KB in a first call, before the indices are cached, at N = 8 to 64
-_K33_OBJECTS = 1024
-
-
 def _k33_cost(N: int) -> tuple[int, int]:
     """(FLOP, peak live elements) of ``_k33_trace`` at dimension N.
 
@@ -736,7 +781,7 @@ def _k33_cost(N: int) -> tuple[int, int]:
     all, N^4 (N + 1) in slabs of one x and 2 N^5 in one slab.  A SYRK product
     of order n takes n^2 (n + 1).  Live at the peak are the cached indices,
     C_S and C_A, and either the first slab with one take of its C_S rows or
-    the product of C_S; and ``_K33_OBJECTS``."""
+    the product of C_S; and ``_KERNEL_OBJECTS``."""
     chunk = _k33_chunk(N)
     n_s, n_a = N * (N + 1) // 2, N * (N - 1) // 2
     slabs = sum(2 * chunk * N**3 * (N - x0) for x0 in range(0, N, chunk))
@@ -744,7 +789,7 @@ def _k33_cost(N: int) -> tuple[int, int]:
     k_s = sum(N - x for x in range(chunk))
     index = 2 * k_s * n_s + 2 * (k_s - chunk) * n_a + N
     filling = chunk * N**3 + k_s * n_s
-    return flop, index + n_s**2 + n_a**2 + max(filling, n_s**2) + _K33_OBJECTS
+    return flop, index + n_s**2 + n_a**2 + max(filling, n_s**2) + _KERNEL_OBJECTS
 
 
 def _triangle_tensor(dense: np.ndarray) -> np.ndarray:
@@ -802,8 +847,8 @@ def _triangle_eq(b: CombinatorialMap) -> Optional[tuple[str, int]]:
 def _refuse_over_limits(what: str, flop: int, max_elems: int) -> None:
     if flop > _MAX_FLOP or 8 * max_elems > _MAX_INTERMEDIATE_BYTES:
         raise ResourceLimitError(
-            f"{what} is predicted to take {flop:.3g} FLOP with a largest intermediate "
-            f"of {8 * max_elems:.3g} bytes; the limits are {_MAX_FLOP:.3g} FLOP "
+            f"{what} is predicted to take {flop:.3g} FLOP and to hold "
+            f"{8 * max_elems:.3g} bytes at once; the limits are {_MAX_FLOP:.3g} FLOP "
             f"and {_MAX_INTERMEDIATE_BYTES:.3g} bytes"
         )
 
@@ -812,18 +857,17 @@ def _class_route(b: CombinatorialMap, N: int):
     """(evaluate, FLOP, elements) of Tr_b on its own at dimension N: the K4
     kernel for the tetrahedron, the K_{3,3} kernel for K_{3,3}, else the
     einsum plan; ``evaluate`` takes the stack of dense tensors and gives Tr_b
-    per sample, and the elements are the largest intermediate, or for the
-    K_{3,3} kernel its peak of live arrays (``_k33_cost``).  b is refused
-    when it has more edges than einsum letters.  The K4 kernel's slice a
-    multiplies N x N by N x N(N - a) in 2 N^3 (N - a) FLOP and takes
-    2 N^2 (N - a) for its trace sums, N^3 (N + 1)^2 over all a; its largest
-    intermediate is Q at a = 0.  Both kernels run the samples one at a time,
-    so a sample gets the bits it gets alone."""
+    per sample, and the elements are the largest intermediate, or for a
+    kernel its peak of live arrays (``_k4_cost``, ``_k33_cost``).  b is
+    refused when it has more edges than einsum letters.  The K4 kernel
+    takes about N^5 / 2 FLOP and holds one N^3 buffer; the limits admit it
+    up to N = 287.  Both kernels run the samples one at a time, so a sample
+    gets the bits it gets alone."""
     m = b.size // 2
     if m > _MAX_EDGES:
         raise ResourceLimitError(f"{m} edges exceeds the contraction guard ({_MAX_EDGES})")
     if _is_k4(b):
-        return partial(_each_sample, _k4_trace), N**3 * (N + 1) ** 2, N**3
+        return partial(_each_sample, _k4_trace), *_k4_cost(N)
     if _is_k33(b):
         return partial(_each_sample, _k33_trace), *_k33_cost(N)
     plan = _plan(_einsum_eq(b), N)

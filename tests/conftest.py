@@ -3,8 +3,9 @@ they cross-check: a matching-based enumerator, a nested-loop trace evaluator,
 the exact expectation by one pass over the edge partitions (the reference of
 the group DP, in falling factorials of N), the injective-trace and
 exhaustive-sum references for that partition route,
-the sliced GEMM order for the tetrahedral trace invariant, numpy's own
-``np.einsum`` along a contraction plan's path, the index table and the
+the sliced GEMM order and the sum over slice pairs for the tetrahedral
+trace invariant, numpy's own ``np.einsum`` along a contraction plan's
+path, the index table and the
 dense-position ranks by sorting multi-indices, the alternative
 Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
 ``np.roots`` homotopy, quadrature moments of the limit law, the exact
@@ -236,6 +237,29 @@ def k4_trace_sliced_gemm(T: SymTensor) -> float:
         Z = np.tensordot(Y, A, axes=(1, 0)).transpose(0, 2, 1)
         total.append(float(np.vdot(Z, dense)))
     return math.fsum(total)
+
+
+def k4_trace_by_pairs(T: SymTensor) -> float:
+    """Tr of the tetrahedral map K4 (p = 3) as sum_{a,f} tr((T_a T_f)^2),
+    T_a = T[a], over the pairs a <= f, the f > a ones twice: for each a one
+    matrix product Q[b, f - a, e] = sum_c T[a, b, c] T[c, f, e] =
+    (T_a T_f)[b, e] for every f >= a, and tr((T_a T_f)^2) = sum_{b,e}
+    Q[b, f, e] Q[e, f, b].  About N^5 FLOP in one N^3 buffer."""
+    if T.p != 3:
+        raise ContractViolation("K4 is a cubic graph")
+    N = T.N
+    dense = T.to_dense()
+    unfolded = dense.reshape(N, N * N)
+    buf = np.empty(N**3)
+    parts = []
+    for a in range(N):
+        Q = buf[: N * N * (N - a)].reshape(N, N * (N - a))
+        np.matmul(dense[a], unfolded[:, a * N :], out=Q)
+        Q = Q.reshape(N, N - a, N)
+        s = np.einsum("bfe,efb->f", Q, Q)
+        parts.append(s[0])
+        parts.extend(2 * s[1:])
+    return math.fsum(parts)
 
 
 def k33_trace_by_products(T: SymTensor) -> float:

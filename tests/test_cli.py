@@ -583,12 +583,12 @@ class TestErrors:
         def no_contraction(dense):
             raise AssertionError("contracted before the guard")
 
-        monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 5 * 10**5)
         monkeypatch.setattr(tensor, "_k4_trace", no_contraction)
         code, err = self.fail(
             capsys, "mc", "--p", "3", "--n", "4", "--N", "16", "--samples", "2"
         )
-        assert code == 5 and "predicted to take 1.18e+06 FLOP" in err
+        assert code == 5 and "predicted to take 7.52e+05 FLOP" in err
 
     @pytest.mark.parametrize(
         "error, code",

@@ -58,6 +58,7 @@ from conftest import (
     in_powers,
     index_table_by_sorting,
     injective_trace,
+    k4_trace_by_pairs,
     k4_trace_sliced_gemm,
     k33_trace_by_products,
     multilinear_transform,
@@ -931,13 +932,46 @@ class TestTriangleRoute:
         assert tensor.balanced_invariants(6, dense) == pytest.approx(plain, rel=1e-12)
 
 
-class TestK4Kernel:
-    @pytest.mark.parametrize("N", [1, 2, 3, 7])
-    def test_matches_naive_trace(self, N):
-        T = sample_gote(3, N, seed=N)
-        assert tensor._k4_trace(T._dense()) == pytest.approx(
-            naive_trace(_k4(), T), rel=1e-12, abs=1e-12
+# a script printing the K4 kernel's value, as float.hex, on fixed tensors at
+# N = 32 and 48; run in child processes under different BLAS thread counts
+_K4_BITS = (
+    "from melonic import tensor\n"
+    "for N in (32, 48):\n"
+    "    dense = tensor.sample_gote(3, N, seed=N)._dense()\n"
+    "    print(tensor._k4_trace(dense).hex())\n"
+)
+
+
+def _bits_under_blas_threads(script):
+    """The stdout of script in child processes at OPENBLAS_NUM_THREADS=1 and 2."""
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
         )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    return outs
+
+
+class TestK4Kernel:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7])
+    def test_matches_naive_trace(self, N):
+        # at small N most tuples of the orbit sum are ties
+        for seed in range(3):
+            T = sample_gote(3, N, seed=100 * N + seed)
+            assert tensor._k4_trace(T._dense()) == pytest.approx(naive_trace(_k4(), T), rel=1e-13)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 16, 33, 64, 96])
+    def test_matches_the_sum_over_slice_pairs(self, N):
+        for seed in range(3 if N <= 33 else 2):
+            T = sample_gote(3, N, seed=200 * N + seed)
+            kernel = tensor._k4_trace(T._dense())
+            assert kernel == pytest.approx(k4_trace_by_pairs(T), rel=1e-13)
 
     @pytest.mark.parametrize("N", [2, 7, 32])
     def test_matches_einsum_route_unsliced_and_sliced(self, N):
@@ -947,13 +981,12 @@ class TestK4Kernel:
         eq = tensor._einsum_eq(_k4())
         for sliced in ["", *sorted(set(eq) - set(",->"))]:
             plan = tensor._greedy_plan(eq, N, sliced)
-            assert _contract_one(plan, dense) == pytest.approx(kernel, rel=1e-12, abs=1e-12)
+            assert _contract_one(plan, dense) == pytest.approx(kernel, rel=1e-13)
 
     def test_matches_sliced_gemm_reference(self):
-        T = sample_gote(3, 96, seed=7)
-        assert trace_invariant(_k4(), T) == pytest.approx(
-            k4_trace_sliced_gemm(T), rel=1e-12, abs=1e-12
-        )
+        for N, seed in itertools.product((48, 96), (7, 8)):
+            T = sample_gote(3, N, seed=seed)
+            assert trace_invariant(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-13)
 
     @pytest.mark.parametrize(
         "p,n,taken", [(3, 2, 0), (3, 4, 1), (3, 6, 0), (4, 2, 0), (4, 4, 0)]
@@ -964,6 +997,38 @@ class TestK4Kernel:
         monkeypatch.setattr(tensor, "_k4_trace", lambda dense: calls.append(1) or kernel(dense))
         balanced_invariant(n, sample_gote(p, 3, seed=4))
         assert len(calls) == taken
+
+    def test_route_takes_the_kernel_price(self):
+        for N in (16, 64, 256):
+            flop, max_elems = tensor._k4_cost(N)
+            assert tensor._class_route(_k4(), N)[1:] == (flop, max_elems)
+            # the strict part's products, N^3 (N - 1)^2 / 2 FLOP, and O(N^4)
+            assert 0 < flop - N**3 * (N - 1) ** 2 // 2 <= 5 * N**4
+        assert f"{tensor._k4_cost(256)[0]:.3g}" == "5.65e+11"
+
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_traced_peak_within_its_price(self, N):
+        # a first call builds the cached masks, a second finds them
+        dense = sample_gote(3, N, seed=N)._dense()
+        _, max_elems = tensor._k4_cost(N)
+        tensor._k4_weights.cache_clear()
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tensor._k4_trace(dense)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * max_elems
+        # the price is no loose bound: the N^3 buffer is most of it
+        assert peaks[1] >= 8 * N**3
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        outs = _bits_under_blas_threads(_K4_BITS)
+        assert outs[0] == outs[1] and outs[0].startswith("0x")
 
 
 def _k33():
@@ -1055,17 +1120,7 @@ class TestK33Kernel:
         assert peaks[1] >= 8 * (2 * n_s**2 + n_a**2)
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        src = str(Path(tensor.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-            done = subprocess.run(
-                [sys.executable, "-c", _K33_BITS], env=env, capture_output=True, text=True,
-                timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            outs.append(done.stdout)
+        outs = _bits_under_blas_threads(_K33_BITS)
         assert outs[0] == outs[1] and outs[0].startswith("0x")
 
 
@@ -1098,9 +1153,9 @@ class TestContractionGuard:
             trace_invariant(b, sample_gote(3, 16, seed=0))
 
     def test_flop_limit_refuses_before_contracting(self, monkeypatch):
-        # the K4 kernel's N^3 (N + 1)^2 at N = 16
-        monkeypatch.setattr(tensor, "_MAX_FLOP", 10**6)
-        with pytest.raises(ResourceLimitError, match=r"1\.18e\+06 FLOP"):
+        # the K4 kernel's price at N = 16, about N^5 / 2 + 4 N^4
+        monkeypatch.setattr(tensor, "_MAX_FLOP", 5 * 10**5)
+        with pytest.raises(ResourceLimitError, match=r"7\.52e\+05 FLOP"):
             trace_invariant(_k4(), sample_gote(3, 16, seed=0))
 
     def test_k33_flop_limit_refuses_before_contracting(self, monkeypatch):
@@ -1118,15 +1173,17 @@ class TestContractionGuard:
         _, max_elems = tensor._k33_cost(16)
         T = sample_gote(3, 16, seed=0)
         monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * max_elems - 1)
-        with pytest.raises(ResourceLimitError, match=re.escape(f"of {8 * max_elems:.3g} bytes")):
+        message = re.escape(f"hold {8 * max_elems:.3g} bytes at once")
+        with pytest.raises(ResourceLimitError, match=message):
             trace_invariant(_k33(), T)
 
     def test_byte_limit_refuses(self, monkeypatch):
-        # admits an N^2 intermediate, not the K4 kernel's N^3; the tensor is
-        # built first, since the limit also prices its storage
+        # admits an N^2 intermediate, not the K4 kernel's peak of its N^3
+        # buffer, N^2 arrays and numpy's iterator buffer; the tensor is built
+        # first, since the limit also prices its storage
         T = sample_gote(3, 16, seed=0)
         monkeypatch.setattr(tensor, "_MAX_INTERMEDIATE_BYTES", 8 * 16**2)
-        with pytest.raises(ResourceLimitError, match=r"intermediate of 3\.28e\+04 bytes"):
+        with pytest.raises(ResourceLimitError, match=r"hold 1\.13e\+05 bytes at once"):
             trace_invariant(_k4(), T)
 
     def test_limits_admit_p3_n4_up_to_N200(self, monkeypatch):
@@ -1179,10 +1236,12 @@ class TestContractionGuard:
         assert [tensor._table(3, N) for N in (32, 48, 64)] == tables
         assert list(tensor._TABLES) == [(3, 32), (3, 48), (3, 64)]
 
-    def test_k4_refused_at_N256_before_densifying(self):
-        # a stand-in tensor: the guard must not need its entries
-        T = types.SimpleNamespace(p=3, N=256, _dense=_no_contraction)
-        with pytest.raises(ResourceLimitError, match=r"take 1\.11e\+12 FLOP"):
+    def test_k4_refused_at_N288_before_densifying(self):
+        # N = 287 is the last the FLOP limit admits; a stand-in tensor: the
+        # guard must not need its entries
+        assert tensor._k4_cost(287)[0] <= tensor._MAX_FLOP < tensor._k4_cost(288)[0]
+        T = types.SimpleNamespace(p=3, N=288, _dense=_no_contraction)
+        with pytest.raises(ResourceLimitError, match=r"take 1\.01e\+12 FLOP"):
             trace_invariant(_k4(), T)
 
 
