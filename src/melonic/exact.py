@@ -9,7 +9,7 @@ into groups that read one entry, each a table of index identifications, and
 each law weights the terms by the cumulants of their group sizes at the end.
 Under Gaussian entries only pairs occur and the programme is Isserlis'
 theorem.  The variance of I_n runs it on disjoint unions of two classes.  One
-guard prices the programme's terms before any map is built.
+guard prices the programme's terms before any map is enumerated.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ContractViolation, ResourceLimitError
-from .hypergraph import is_melonic_graph
-from .maps import CombinatorialMap, _check_map_budget, _class_keys, _coded_taus, _trace_classes
-from .maps import _vertex_edge_ids
+from .hypergraph import _peel
+from .maps import _check_map_budget, _class_keys, _coded_taus, _network_edges, _trace_classes
+from .maps import _Network
 
 if TYPE_CHECKING:
     import numpy as np
@@ -384,21 +384,19 @@ def _coefficients(counts: dict, p: int, n: int, dist: EntryDistribution) -> tupl
 
 
 @lru_cache(maxsize=None)
-def _profile_counts(
-    verts: tuple[tuple[int, ...], ...], p: int, flat: bool, sizes: tuple[int, ...]
-) -> dict:
+def _profile_counts(verts: _Network, p: int, flat: bool, sizes: tuple[int, ...]) -> dict:
     """``_group_counts`` of the vertices ``verts``, a class or a disjoint
     union of two, kept for every law of the profile that admits the same
     sizes and every N of a later call."""
     return _group_counts(verts, p, flat, sizes)[0]
 
 
-def _polynomial(b: CombinatorialMap, dist: EntryDistribution) -> tuple[Fraction, ...]:
-    """``_coefficients`` of E[Tr_b(W_N)] under ``dist``: ``rademacher`` and
-    ``uniform`` share one programme per class."""
-    sizes = tuple(_kappas(dist, b.n))
-    counts = _profile_counts(_vertex_edge_ids(b), b.p, dist.flat_profile, sizes)
-    return _coefficients(counts, b.p, b.n, dist)
+def _polynomial(net: _Network, dist: EntryDistribution) -> tuple[Fraction, ...]:
+    """``_coefficients`` of E[Tr(W_N)] of the network under ``dist``:
+    ``rademacher`` and ``uniform`` share one programme per class."""
+    n, p = len(net), len(net[0])
+    counts = _profile_counts(net, p, dist.flat_profile, tuple(_kappas(dist, n)))
+    return _coefficients(counts, p, n, dist)
 
 
 def _at(coeffs: Sequence[Fraction], p: int, n: int, N: int) -> Fraction:
@@ -417,7 +415,7 @@ def expected_balanced_invariant(
     _price(p, n, dist)
     _check_map_budget(p, n)
     return sum(
-        (count * _at(_polynomial(rep, dist), p, n, N) for rep, count in _trace_classes(p, n)),
+        (count * _at(_polynomial(net, dist), p, n, N) for net, count in _trace_classes(p, n)),
         Fraction(0),
     )
 
@@ -427,7 +425,7 @@ def _variance_polynomial(p: int, n: int, dist: EntryDistribution) -> tuple[Fract
     (E[Tr_{b u b'}] - E[Tr_b] E[Tr_b']) summed over the unordered class pairs,
     twice off the diagonal, b u b' the disjoint union (the edges of b' offset
     past those of b), its DP shared like a class's by the laws of a profile."""
-    classes = [(_vertex_edge_ids(b), w, _polynomial(b, dist)) for b, w in _trace_classes(p, n)]
+    classes = [(net, w, _polynomial(net, dist)) for net, w in _trace_classes(p, n)]
     sizes = tuple(_kappas(dist, 2 * n))
     m = p * n // 2
     total = [Fraction(0)] * (2 * m + 1)
@@ -549,10 +547,10 @@ def melonic_limit_table(
     against the melonic limit alpha = (p-1)!^{-n/2}.
 
     The exact values and the melonic flag depend on the map's multigraph
-    only, so each class is peeled once, and its polynomial in N, from the
-    group DP of every exact law (``_polynomial``), is formed once per class
-    and evaluated on the grid.  Each row carries the code the enumerator
-    sorted by, and no map but the class representatives is built.
+    only, so each class's network (``_trace_classes``) is peeled once, on
+    its edge list, and its polynomial in N, from the group DP of every exact
+    law (``_polynomial``), is formed once and evaluated on the grid.  Each
+    row carries the code the enumerator sorted by, and no map is built.
     The deviation column decays like 1/N; the fitted log-log slope is
     reported per map, or None when the grid has a single N (no line to fit)
     or the map is exact at every N (deviation identically zero, which the
@@ -568,17 +566,17 @@ def melonic_limit_table(
     _price(p, n, dist)
     _check_map_budget(p, n)
     coded = _coded_taus(p, n)
-    reps = iter(_trace_classes(p, n))  # one per new key below, in the same order
+    nets = iter(_trace_classes(p, n))  # one per new key below, in the same order
     alpha_melonic = Fraction(1, math.factorial(p - 1) ** (n // 2)) if n % 2 == 0 else Fraction(0)
     logN = [math.log(N) for N in N_grid]
     per_class: dict = {}  # the row of each class's first map
     rows = []
     for i, ((code, _), key) in enumerate(zip(coded, _class_keys(p, n))):
         if key not in per_class:
-            b, _ = next(reps)
-            melonic = is_melonic_graph(b)  # peeling reads the multigraph only
+            net, _ = next(nets)
+            melonic = _peel(p, _network_edges(net), None)
             alpha = alpha_melonic if melonic else Fraction(0)
-            coeffs = _polynomial(b, dist)
+            coeffs = _polynomial(net, dist)
             values = [_at(coeffs, p, n, N) / N for N in N_grid]
             devs = [abs(v - alpha) for v in values]
             slope = None

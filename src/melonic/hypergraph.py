@@ -12,7 +12,7 @@ cycles: that is exactly what makes double hypertrees acyclic objects.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
 from .maps import (
@@ -24,7 +24,6 @@ from .maps import (
     edge_list,
     merge_edges,
     multigraph,
-    vertex_of_halfedge,
 )
 
 
@@ -124,9 +123,10 @@ def hypergraph_of(b: Hypermap) -> Hypergraph:
     """The hypergraph of a hypermap: vertices are the sigma-cycles, and each
     tau-cycle contributes the multiset of sigma-cycles its halfedges sit in.
     Equal multisets collapse into one hyperedge with higher multiplicity."""
-    vid = vertex_of_halfedge(b)  # numbers the sigma-cycles 0, 1, ...
+    vertices = cycles(b.sigma)
+    vid = {h: v for v, cyc in enumerate(vertices) for h in cyc}
     edges = [tuple(sorted(vid[h] for h in cyc)) for cyc in cycles(b.tau)]
-    return Hypergraph(max(vid, default=-1) + 1, edges)
+    return Hypergraph(len(vertices), edges)
 
 
 def _incidence(h: Hypergraph) -> tuple[bool, int]:
@@ -177,8 +177,8 @@ def euler_deficiency(h: Hypergraph, p: int) -> int:
     return 1 - h.num_vertices + (p - 1) * len(h.edges)
 
 
-def _peel(b: CombinatorialMap, record: Optional[DisjointSets]) -> bool:
-    """Shared melon-peeling loop on the multigraph G(b).
+def _peel(p: int, edges: Sequence[tuple[int, int]], record: Optional[DisjointSets]) -> bool:
+    """Shared melon-peeling loop on the p-regular multigraph of these edges.
 
     Repeatedly finds a vertex pair joined by p-1 parallel edges, removes the
     pair and splices the two external halfedges into one edge; succeeds when
@@ -186,9 +186,8 @@ def _peel(b: CombinatorialMap, record: Optional[DisjointSets]) -> bool:
     spliced edges are merged in it, building the edge partition that folds
     the dual hypergraph into a double hypertree.
     """
-    p = b.p
     # live edges as (carrier edge id, u, v); carrier ids index the uf classes
-    live = [(i, u, v) for i, (u, v) in enumerate(multigraph(b))]
+    live = [(i, u, v) for i, (u, v) in enumerate(edges)]
     while True:
         pair_count: Counter = Counter()
         for _, u, v in live:
@@ -222,7 +221,7 @@ def is_melonic_graph(b: CombinatorialMap) -> bool:
     a vertex pair joined by p-1 parallel edges."""
     if b.p < 3:
         raise ContractViolation("melonic detectors require p >= 3")
-    return _peel(b, None)
+    return _peel(b.p, multigraph(b), None)
 
 
 def melonic_partition(b: CombinatorialMap) -> Optional[EdgePartition]:
@@ -239,7 +238,7 @@ def melonic_partition(b: CombinatorialMap) -> Optional[EdgePartition]:
         raise ContractViolation("melonic_partition requires p >= 3")
     m = len(edge_list(b))
     ds = DisjointSets(m)
-    if not _peel(b, ds):
+    if not _peel(b.p, multigraph(b), ds):
         return None
     groups: dict[int, list[int]] = {}
     for e in range(m):

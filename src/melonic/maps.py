@@ -11,14 +11,14 @@ Edge indexing convention used throughout the package: the edges of a map are
 its tau-cycles sorted by minimal halfedge, and an ``EdgePartition`` refers to
 these indices.  Maps with isomorphic multigraphs form one trace class: the
 trace invariant of a symmetric tensor and its expectation depend on the
-class only.
+class only, and are computed from a network (``_Network``) per class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .counting import count_rooted_maps
 from .errors import ContractViolation, InvalidPartitionError, ResourceLimitError
@@ -212,20 +212,10 @@ def edge_list(b: CombinatorialMap) -> list[tuple[int, int]]:
     return [tuple(c) for c in cycles(b.tau)]
 
 
-def vertex_of_halfedge(b: Hypermap) -> list[int]:
-    """Array mapping each halfedge to the index of its sigma-cycle."""
-    vid = [0] * b.size
-    for i, cyc in enumerate(cycles(b.sigma)):
-        for h in cyc:
-            vid[h] = i
-    return vid
-
-
 def multigraph(b: CombinatorialMap) -> list[tuple[int, int]]:
     """The underlying multigraph G(b): one sorted vertex pair per edge,
     in edge-index order (self-loops appear as (v, v))."""
-    vid = vertex_of_halfedge(b)
-    return [tuple(sorted((vid[h], vid[k]))) for h, k in edge_list(b)]
+    return _network_edges(_vertex_edge_ids(b))
 
 
 def merge_edges(b: CombinatorialMap, pi: EdgePartition) -> Hypermap:
@@ -384,13 +374,28 @@ def rooted_connected(p: int, n: int) -> tuple[CombinatorialMap, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_edge_ids(b: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
-    """For each vertex, the edge index of every halfedge in cycle order."""
-    edge_of = {}
-    for i, (h, k) in enumerate(edge_list(b)):
-        edge_of[h] = i
-        edge_of[k] = i
-    return tuple(tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma))
+# a map's network, all the numeric layer reads of it: each vertex's edge ids
+_Network = tuple[tuple[int, ...], ...]
+
+
+def _network(vertices: Iterable[Sequence[int]], tau: Sequence[int]) -> _Network:
+    """The network of the map with these vertex cycles and this tau image:
+    the edge id of each halfedge in cycle order, edges in ``edge_list`` order."""
+    edge_of = [0] * len(tau)
+    for e, h in enumerate(h for h, k in enumerate(tau) if h < k):
+        edge_of[h] = edge_of[tau[h]] = e
+    return tuple(tuple(edge_of[h] for h in cyc) for cyc in vertices)
+
+
+def _vertex_edge_ids(b: CombinatorialMap) -> _Network:
+    """The network of b, the conversion of the map-facing functions."""
+    return _network(cycles(b.sigma), b.tau.image)
+
+
+def _network_edges(net: _Network) -> list[tuple[int, int]]:
+    """The multigraph of a network: each edge's sorted vertex pair, by edge id."""
+    ends = sorted((e, v) for v, vert in enumerate(net) for e in vert)
+    return [(u, v) for (_, u), (_, v) in zip(ends[::2], ends[1::2])]
 
 
 def _refine(colour: list[int], adj, loops) -> list[int]:
@@ -514,22 +519,19 @@ def _class_keys(p: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _trace_classes(p: int, n: int) -> tuple[tuple[CombinatorialMap, int], ...]:
+def _trace_classes(p: int, n: int) -> tuple[tuple[_Network, int], ...]:
     """Group the maps of B_n^(p) by multigraph isomorphism, for every n; Tr_b
     of a symmetric tensor and its expectation only depend on that class.
-    Returns (representative, class size) in first-seen order, with the first
-    map of each class in enumeration order as its representative.  The maps
-    are grouped as tau images, and only the representatives are built."""
+    Returns (network, class size) in first-seen order: the network of the
+    first map of each class in enumeration order, read off its tau image under
+    the canonical sigma (vertex v holds halfedges vp ... vp + p - 1)."""
     keys = _class_keys(p, n)
     first: dict = {}
     for (_, tau), key in zip(_coded_taus(p, n), keys):
         first.setdefault(key, tau)
     sizes = Counter(keys)
-    sigma = _canonical_sigma(p, n)
-    return tuple(
-        (CombinatorialMap(p, sigma, Permutation(tau), root=0), sizes[key])
-        for key, tau in first.items()
-    )
+    vertices = [range(v * p, v * p + p) for v in range(n)]
+    return tuple((_network(vertices, tau), sizes[key]) for key, tau in first.items())
 
 
 def map_to_json(b: CombinatorialMap) -> dict:

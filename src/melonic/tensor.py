@@ -3,8 +3,9 @@ trace-invariant evaluation.
 
 Storage keeps one float64 value per sorted multi-index (i1 <= ... <= ip),
 C(N+p-1, p) entries in colexicographic order via the combinadic ranking; the
-full symmetry is structural, never duplicated.  Trace invariants contract one
-dense tensor copy per map vertex over the shared edge indices, along numpy's
+full symmetry is structural, never duplicated.  A trace invariant is read
+off a network (``maps._Network``: each vertex's edge ids), and contracts one
+dense tensor copy per vertex over the shared edge indices, along numpy's
 greedy path; a contraction whose largest intermediate would be too big, or
 that has no pairwise order within the path budget, is sliced over the index
 of one edge and summed over its values.  Each plan is compiled once per
@@ -21,8 +22,8 @@ once per sample for all its classes.  A contraction whose predicted FLOP or
 memory exceeds a fixed limit is refused before it starts, and so is a
 tensor whose index table and dense expansion would exceed the memory
 limit, before its table is built.  The entry laws and the exact
-expectations live in the numpy-free ``exact`` module, the trace classes in
-``maps``.
+expectations live in the numpy-free ``exact`` module, the trace classes, as
+networks, in ``maps``; only ``trace_invariant`` takes a map, and converts it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ContractViolation, ResourceLimitError
 from .exact import GAUSSIAN_GOTE, EntryDistribution
 from .exact import expected_balanced_invariant  # noqa: F401  (read as tensor.* by perfbench)
-from .maps import CombinatorialMap, _trace_classes, _vertex_edge_ids, multigraph
+from . import maps
 
 _EINSUM_LETTERS = string.ascii_letters
 _MAX_EDGES = len(_EINSUM_LETTERS)
@@ -438,10 +439,9 @@ _PATH_CACHE: dict[tuple[str, int], _Plan] = {}
 
 
 @lru_cache(maxsize=None)
-def _einsum_eq(b: CombinatorialMap) -> str:
+def _einsum_eq(net: maps._Network) -> str:
     """One operand per vertex, one letter per edge, scalar output."""
-    verts = _vertex_edge_ids(b)
-    return ",".join("".join(_EINSUM_LETTERS[e] for e in vert) for vert in verts) + "->"
+    return ",".join("".join(_EINSUM_LETTERS[e] for e in vert) for vert in net) + "->"
 
 
 def _greedy_plan(eq: str, N: int, sliced: str = "") -> _Plan:
@@ -591,11 +591,11 @@ def _contract(plan: _Plan, operands: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _is_k4(b: CombinatorialMap) -> bool:
-    """Whether the multigraph of b is the tetrahedron K4: at p = 3, four
-    vertices with one edge per vertex pair."""
+def _is_k4(net: maps._Network) -> bool:
+    """Whether the multigraph of net is the tetrahedron K4: four vertices
+    of three edges each, one edge per vertex pair."""
     k4 = list(itertools.combinations(range(4), 2))
-    return b.p == 3 and b.n == 4 and sorted(multigraph(b)) == k4
+    return len(net) == 4 and len(net[0]) == 3 and sorted(maps._network_edges(net)) == k4
 
 
 # elements (8 KiB) that ``_k4_cost`` and ``_k33_cost`` allow for the array
@@ -673,13 +673,13 @@ def _k4_cost(N: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _is_k33(b: CombinatorialMap) -> bool:
-    """Whether the multigraph of b is K_{3,3}: at p = 3, six vertices, each
-    joined once to each of the three on the other side, which are the
-    neighbours of vertex 0."""
-    if b.p != 3 or b.n != 6:
+def _is_k33(net: maps._Network) -> bool:
+    """Whether the multigraph of net is K_{3,3}: six vertices of three edges
+    each, each joined once to each of the three on the other side, which are
+    the neighbours of vertex 0."""
+    if len(net) != 6 or len(net[0]) != 3:
         return False
-    edges = sorted(multigraph(b))
+    edges = sorted(maps._network_edges(net))
     side = {v for e in edges if 0 in e for v in e} - {0}
     other = set(range(6)) - side
     return edges == sorted((min(u, v), max(u, v)) for u in other for v in side)
@@ -816,30 +816,29 @@ def _triangle_tensor(dense: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triangle_eq(b: CombinatorialMap) -> Optional[tuple[str, int]]:
-    """(equation, k) of b's network with k disjoint triangles each replaced
+def _triangle_eq(net: maps._Network) -> Optional[tuple[str, int]]:
+    """(equation, k) of the network with k disjoint triangles each replaced
     by one vertex carrying ``_triangle_tensor``, those k operands first; None
-    when b has no triangle.  At p = 3 only: a triangle is three vertices, each
+    when it has no triangle.  At p = 3 only: a triangle is three vertices, each
     pair joined by a single edge, so their third edges are three distinct
     edges leaving it.  Triangles are taken greedily in vertex order, and
     only among vertices no taken triangle holds: the prism
     abc,ade,bdf,cgh,egi,fhi becomes cef,cef."""
-    if b.p != 3:
+    if len(net[0]) != 3:
         return None
-    verts = _vertex_edge_ids(b)
     taken: set[int] = set()
     deltas = []
-    for tri in itertools.combinations(range(len(verts)), 3):
+    for tri in itertools.combinations(range(len(net)), 3):
         if not taken.isdisjoint(tri):
             continue
-        sides = [[e for e in verts[u] if e in verts[v]] for u, v in itertools.combinations(tri, 2)]
+        sides = [[e for e in net[u] if e in net[v]] for u, v in itertools.combinations(tri, 2)]
         if all(len(side) == 1 for side in sides):
             inner = {side[0] for side in sides}
-            deltas.append(tuple(e for u in tri for e in verts[u] if e not in inner))
+            deltas.append(tuple(e for u in tri for e in net[u] if e not in inner))
             taken.update(tri)
     if not deltas:
         return None
-    rest = [vert for u, vert in enumerate(verts) if u not in taken]
+    rest = [vert for u, vert in enumerate(net) if u not in taken]
     terms = ("".join(_EINSUM_LETTERS[e] for e in vert) for vert in deltas + rest)
     return ",".join(terms) + "->", len(deltas)
 
@@ -853,24 +852,24 @@ def _refuse_over_limits(what: str, flop: int, max_elems: int) -> None:
         )
 
 
-def _class_route(b: CombinatorialMap, N: int):
-    """(evaluate, FLOP, elements) of Tr_b on its own at dimension N: the K4
+def _class_route(net: maps._Network, N: int):
+    """(evaluate, FLOP, elements) of the network's Tr at dimension N: the K4
     kernel for the tetrahedron, the K_{3,3} kernel for K_{3,3}, else the
-    einsum plan; ``evaluate`` takes the stack of dense tensors and gives Tr_b
+    einsum plan; ``evaluate`` takes the stack of dense tensors and gives Tr
     per sample, and the elements are the largest intermediate, or for a
-    kernel its peak of live arrays (``_k4_cost``, ``_k33_cost``).  b is
+    kernel its peak of live arrays (``_k4_cost``, ``_k33_cost``).  It is
     refused when it has more edges than einsum letters.  The K4 kernel
     takes about N^5 / 2 FLOP and holds one N^3 buffer; the limits admit it
     up to N = 287.  Both kernels run the samples one at a time, so a sample
     gets the bits it gets alone."""
-    m = b.size // 2
+    m = sum(map(len, net)) // 2
     if m > _MAX_EDGES:
         raise ResourceLimitError(f"{m} edges exceeds the contraction guard ({_MAX_EDGES})")
-    if _is_k4(b):
+    if _is_k4(net):
         return partial(_each_sample, _k4_trace), *_k4_cost(N)
-    if _is_k33(b):
+    if _is_k33(net):
         return partial(_each_sample, _k33_trace), *_k33_cost(N)
-    plan = _plan(_einsum_eq(b), N)
+    plan = _plan(_einsum_eq(net), N)
     return partial(_contract_plain, plan), plan.flop, plan.max_elems
 
 
@@ -898,9 +897,9 @@ def _route(p: int, n: int, N: int) -> tuple[tuple[int, Callable, bool], ...]:
     the triangle tensor is built.  That tensor is built once per sample for
     all reduced classes, so it is charged once, and only when the FLOP it
     saves exceed its own.  The route depends on (p, n, N) alone."""
-    classes = _trace_classes(p, n)
-    plain = [_class_route(rep, N) for rep, _ in classes]
-    eqs = [_triangle_eq(rep) for rep, _ in classes]
+    classes = maps._trace_classes(p, n)
+    plain = [_class_route(net, N) for net, _ in classes]
+    eqs = [_triangle_eq(net) for net, _ in classes]
     small = [None if eq is None else (_plan(eq[0], N), eq[1]) for eq in eqs]
     saved = sum(max(0, route[1] - s[0].flop) for route, s in zip(plain, small) if s)
     # _triangle_tensor per sample: 4 N^5 FLOP, its M of N^4 or, sliced, N^3
@@ -920,23 +919,24 @@ def _route(p: int, n: int, N: int) -> tuple[tuple[int, Callable, bool], ...]:
     return tuple(terms)
 
 
-def trace_invariant(b: CombinatorialMap, T: SymTensor) -> float:
+def trace_invariant(b: maps.CombinatorialMap, T: SymTensor) -> float:
     """Tr_b(T): sum over edge-index assignments of the product of one tensor
     entry per vertex.
 
-    At p = 3 the tetrahedron K4 takes ``_k4_trace`` and K_{3,3}
-    ``_k33_trace``.  Every other map is a tensor-network contraction along
-    numpy's greedy path; when that path would build an intermediate of more
-    than ``_SLICE_ELEMS`` elements, or finds no pairwise order within its
-    budget, the contraction is sliced over the index of one edge (more only
-    while no pairwise order exists): each of the N slices puts ``T[i]`` at
-    the edge's two vertices, which by symmetry is the slice on any axis, and
-    the slices are summed with ``math.fsum``.
-    The route is refused before any contraction when it is over the limits.
+    b is read as its network (``maps._vertex_edge_ids``).  At p = 3 the
+    tetrahedron K4 takes ``_k4_trace`` and K_{3,3} ``_k33_trace``.  Every
+    other map is a tensor-network contraction along numpy's greedy path;
+    when that path would build an intermediate of more than ``_SLICE_ELEMS``
+    elements, or finds no pairwise order within its budget, the contraction
+    is sliced over the index of one edge (more only while no pairwise order
+    exists): each of the N slices puts ``T[i]`` at the edge's two vertices,
+    which by symmetry is the slice on any axis, and the slices are summed
+    with ``math.fsum``.  The route is refused before any contraction when it
+    is over the limits.
     """
     if b.p != T.p:
         raise ContractViolation(f"map order {b.p} != tensor order {T.p}")
-    evaluate, flop, max_elems = _class_route(b, T.N)
+    evaluate, flop, max_elems = _class_route(maps._vertex_edge_ids(b), T.N)
     _refuse_over_limits(f"the trace invariant of a {b.n}-vertex map at N={T.N}", flop, max_elems)
     return float(evaluate(T._dense()[None])[0])
 

@@ -11,7 +11,8 @@ Fuss-Catalan closed form, the Stieltjes transform by the fixed-step
 ``np.roots`` homotopy, quadrature moments of the limit law, the exact
 disjoint-union variance of I_2/N, multigraph classes by trying every vertex
 relabelling or by the multigraph key's search without automorphism pruning,
-the map enumerator that undoes its traversal through a log,
+the map enumerator that undoes its traversal through a log, a map's
+network and multigraph read through ``edge_list``, the map of a network,
 the cycle and connectivity tests of the incidence multigraph as two
 union-find passes, the Dyck path <-> plane hypertree bijection, the
 Fuss-Catalan generating-series check, the set partitions in
@@ -47,6 +48,7 @@ from melonic.maps import (
     _trace_classes,
     _vertex_edge_ids,
     canonical_code,
+    cycles,
     edge_list,
     enumerate_rooted_connected,
     multigraph,
@@ -432,8 +434,8 @@ def group_dp_run(p: int, n: int, dist: EntryDistribution) -> tuple[list, int]:
     total = [Fraction(0)] * (p * n // 2 + 1)
     most = 0
     sizes = tuple(_kappas(dist, n))
-    for rep, count in _trace_classes(p, n):
-        counts, terms = _group_counts(_vertex_edge_ids(rep), p, dist.flat_profile, sizes)
+    for net, count in _trace_classes(p, n):
+        counts, terms = _group_counts(net, p, dist.flat_profile, sizes)
         for k, c in enumerate(_coefficients(counts, p, n, dist)):
             total[k] += count * c
         most = max(most, terms)
@@ -553,6 +555,41 @@ def moment_by_quadrature(p: int, n: int) -> float:
     if err > bound:
         raise NumericalError(f"quadrature error {err:.2e} above {bound:g}")
     return 2.0 * val
+
+
+def map_of_network(net) -> CombinatorialMap:
+    """The rooted map of canonical sigma whose network is net: halfedge
+    v p + i lies at slot i of vertex v, and the two slots of an edge are
+    paired.  The inverse of reading a network off a tau image, for the
+    networks whose edges are numbered by minimal halfedge."""
+    p, n = len(net[0]), len(net)
+    slots: dict = {}
+    for h, e in enumerate(e for vert in net for e in vert):
+        slots.setdefault(e, []).append(h)
+    image = list(range(n * p))
+    for h, k in slots.values():
+        image[h], image[k] = k, h
+    return CombinatorialMap(p, canonical_sigma(p, n), Permutation(image), root=0)
+
+
+def vertex_edge_ids_by_edge_list(b: CombinatorialMap) -> tuple:
+    """A map's network as ``maps._vertex_edge_ids`` read it before the
+    network reader: each halfedge's index in ``edge_list``, per sigma-cycle."""
+    edge_of = {}
+    for i, (h, k) in enumerate(edge_list(b)):
+        edge_of[h] = i
+        edge_of[k] = i
+    return tuple(tuple(edge_of[h] for h in cyc) for cyc in cycles(b.sigma))
+
+
+def multigraph_by_halfedge_vertices(b: CombinatorialMap) -> list:
+    """``maps.multigraph`` as it read a map before the network reader: the
+    sorted sigma-cycle indices of each edge's two halfedges."""
+    vid = [0] * b.size
+    for i, cyc in enumerate(cycles(b.sigma)):
+        for h in cyc:
+            vid[h] = i
+    return [tuple(sorted((vid[h], vid[k]))) for h, k in edge_list(b)]
 
 
 def _disjoint_union(b: CombinatorialMap, d: CombinatorialMap) -> CombinatorialMap:

@@ -129,13 +129,15 @@ class TestMomentsExact:
     def test_pairing_route_output_is_byte_identical(self, tmp_path, monkeypatch, p):
         # the group DP, Isserlis' pairings under gaussian-gote; forcing the
         # partition route of the tests must print the same bytes
-        from conftest import in_powers, trace_polynomial
+        from conftest import in_powers, map_of_network, trace_polynomial
 
         args = ("moments", "--p", p, "--n", "4", "--N", "3,8,16", "--dist", "gaussian-gote")
         pairing = run(tmp_path, *args)
-        monkeypatch.setattr(
-            exact, "_polynomial", lambda b, dist: in_powers(trace_polynomial(b, [dist])[0])
-        )
+
+        def partition_route(net, dist):
+            return in_powers(trace_polynomial(map_of_network(net), [dist])[0])
+
+        monkeypatch.setattr(exact, "_polynomial", partition_route)
         assert run(tmp_path, *args).encode() == pairing.encode()
 
 
@@ -703,11 +705,27 @@ class TestImport:
 
     def test_every_library_name_is_used_or_exported(self):
         # a module-level function, class or constant of the package is either
-        # exported or named somewhere in the package outside its own definition
+        # exported or named somewhere in the package outside its own definition,
+        # and a module outside __init__.py reads every name it imports, unless
+        # the import's line marks a re-export with "# noqa: F401"
         package = Path(melonic.__file__).resolve().parent
-        defined, named = [], []
+        defined, named, unread = [], [], []
         for path in sorted(package.glob("*.py")):
-            for stmt in ast.parse(path.read_text()).body:
+            source = path.read_text()
+            tree = ast.parse(source)
+            if path.name != "__init__.py":
+                lines = source.splitlines()
+                reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                for node in ast.walk(tree):
+                    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                        continue
+                    if getattr(node, "module", None) == "__future__":
+                        continue
+                    if "# noqa: F401" in lines[node.lineno - 1]:
+                        continue
+                    bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                    unread += [f"{path.name}:{name}" for name in bound if name not in reads]
+            for stmt in tree.body:
                 nodes = list(ast.walk(stmt))
                 named.append({n.id for n in nodes if isinstance(n, ast.Name)}
                              | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
@@ -729,3 +747,4 @@ class TestImport:
             and not any(name in refs for i, refs in enumerate(named) if i != own)
         ]
         assert dead == []
+        assert unread == []

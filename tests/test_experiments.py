@@ -7,7 +7,7 @@ import pytest
 from melonic.counting import count_melonic_maps, count_rooted_maps, fuss_catalan
 from melonic import exact, experiments, maps, tensor
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
-from melonic.hypergraph import is_melonic_graph
+from melonic.hypergraph import _peel, is_melonic_graph
 from melonic.maps import rooted_connected
 from melonic.exact import (
     GAUSSIAN_GOTE,
@@ -184,11 +184,11 @@ class TestMelonicLimitTable:
         # the class flag is the per-map detector's answer for every map
         peels = []
 
-        def counted(b):
-            peels.append(b)
-            return is_melonic_graph(b)
+        def counted(p, edges, record):
+            peels.append(edges)
+            return _peel(p, edges, record)
 
-        monkeypatch.setattr(exact, "is_melonic_graph", counted)
+        monkeypatch.setattr(exact, "_peel", counted)
         rows = melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
         assert len(peels) == classes == len(exact._trace_classes(p, n))
         assert [r.melonic for r in rows] == [is_melonic_graph(b) for b in rooted_connected(p, n)]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from melonic import exact, maps, tensor
+from melonic import cli, exact, maps, tensor
 from melonic.counting import count_rooted_maps, fuss_catalan
 from melonic.errors import ContractViolation, ResourceLimitError
 from melonic.maps import (
@@ -24,6 +24,7 @@ from melonic.maps import (
     Permutation,
     _multigraph_key,
     _trace_classes,
+    _vertex_edge_ids,
     edge_list,
     enumerate_rooted_connected,
     multigraph,
@@ -61,6 +62,8 @@ from conftest import (
     k4_trace_by_pairs,
     k4_trace_sliced_gemm,
     k33_trace_by_products,
+    map_of_network,
+    multigraph_by_halfedge_vertices,
     multilinear_transform,
     naive_trace,
     random_permutation,
@@ -69,6 +72,7 @@ from conftest import (
     relabel,
     trace_classes_by_key,
     trace_polynomial,
+    vertex_edge_ids_by_edge_list,
 )
 
 FLAT = EntryDistribution("gaussian-offdiag-only")
@@ -431,19 +435,52 @@ def _cycle(n):
     return [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
 
 
+def _networks(classes):
+    """(network, class size) of (map, class size) pairs."""
+    return [(_vertex_edge_ids(b), size) for b, size in classes]
+
+
 class TestTraceClasses:
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (3, 6), (4, 2), (4, 3), (4, 4)])
     def test_matches_permutation_reference(self, p, n):
-        assert list(_trace_classes(p, n)) == trace_classes_by_key(
-            p, n, multigraph_key_by_permutations
-        )
+        want = trace_classes_by_key(p, n, multigraph_key_by_permutations)
+        assert list(_trace_classes(p, n)) == _networks(want)
 
     @pytest.mark.parametrize("p,n", TIER1_SIZES)
     def test_matches_unpruned_reference(self, p, n):
-        # representatives, class sizes and class order
-        assert list(_trace_classes(p, n)) == trace_classes_by_key(p, n, multigraph_key_unpruned)
+        # representatives, class sizes and class order; under the canonical
+        # sigma a network determines its map, so the representatives are the
+        # maps the reference groups by
+        want = trace_classes_by_key(p, n, multigraph_key_unpruned)
+        assert list(_trace_classes(p, n)) == _networks(want)
+        assert [map_of_network(net) for net, _ in _trace_classes(p, n)] == [b for b, _ in want]
 
-    def test_cold_grouping_builds_only_the_representatives(self, monkeypatch):
+    @pytest.mark.parametrize("p,n", TIER1_SIZES)
+    def test_network_reader_matches_the_map(self, p, n):
+        # what the numeric layer reads off a tau image is the map's network
+        # and multigraph, by the edge_list route they were read by before
+        vertices = [range(v * p, v * p + p) for v in range(n)]
+        for b in rooted_connected(p, n):
+            net = maps._network(vertices, b.tau.image)
+            assert net == _vertex_edge_ids(b) == vertex_edge_ids_by_edge_list(b)
+            edges = maps._network_edges(net)
+            assert edges == multigraph(b) == multigraph_by_halfedge_vertices(b)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--p", "3", "--n", "6", "--N", "2", "--samples", "2"],
+            ["var", "--N", "2,4", "--samples", "2"],
+            ["contract", "--p", "4", "--k", "1", "--n", "4", "--N", "2", "--samples", "2"],
+            ["moments", "--p", "3", "--n", "6", "--N", "8"],
+            ["heavytail", "--N", "2", "--samples", "2"],
+            ["resolvent-check", "--N", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_numeric_subcommands_build_no_map(self, argv, monkeypatch, capsys):
+        # the classes reach the numeric layer as networks, read off the
+        # enumerator's tau tuples
         built = []
         init = CombinatorialMap.__init__
 
@@ -451,13 +488,16 @@ class TestTraceClasses:
             built.append(args)
             init(self, *args, **kwargs)
 
-        # fresh caches, so the call below enumerates and groups anew
-        for name in ("_coded_taus", "_trace_classes"):
-            monkeypatch.setattr(maps, name, lru_cache(getattr(maps, name).__wrapped__))
+        # fresh caches, so the run below enumerates and groups anew
+        for name in ("_coded_taus", "_trace_classes", "rooted_connected"):
+            fresh = lru_cache(getattr(maps, name).__wrapped__)
+            for module in (maps, exact):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fresh)
         monkeypatch.setattr(CombinatorialMap, "__init__", counted)
-        classes = maps._trace_classes(3, 6)
-        assert len(classes) == len(built) == 17
-        assert sum(size for _, size in classes) == count_rooted_maps(3, 6) == 1105
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert built == []
 
     @pytest.mark.parametrize("p,n", TIER1_SIZES)
     def test_key_equals_unpruned_search(self, p, n):
@@ -519,8 +559,8 @@ class TestTraceClasses:
     def test_class_sizes_are_multigraph_weights(self, p, n):
         # w(G) = n p ((p-1)!)^n / (|Aut G| prod_e m_e! prod_loops 2^{m_e})
         classes = _trace_classes(p, n)
-        for rep, count in classes:
-            edges = multigraph(rep)
+        for net, count in classes:
+            edges = maps._network_edges(net)
             mult = Counter(edges)
             denom = (
                 automorphism_count(n, edges)
@@ -568,14 +608,22 @@ class TestTraceClasses:
         )
 
 
-def _class_reps(p, n):
-    return [rep for rep, _ in _trace_classes(p, n)]
+def _class_nets(p, n):
+    """The network of each class of B_n^(p), in class order."""
+    return [net for net, _ in _trace_classes(p, n)]
+
+
+def _class_maps(p, n):
+    """The first map of each class of B_n^(p), in class order, for the
+    references that read maps."""
+    return [map_of_network(net) for net in _class_nets(p, n)]
 
 
 def _k4():
-    """The tetrahedral class of B_4^(3): every vertex pair joined once."""
+    """The first map of the tetrahedral class of B_4^(3): every vertex pair
+    joined once."""
     k4 = list(itertools.combinations(range(4), 2))
-    (rep,) = [b for b in _class_reps(3, 4) if sorted(multigraph(b)) == k4]
+    (rep,) = [b for b in _class_maps(3, 4) if sorted(multigraph(b)) == k4]
     return rep
 
 
@@ -584,10 +632,10 @@ def _contract_one(plan, dense):
     return tensor._contract(plan, [dense[None]] * len(plan.holders))[0]
 
 
-def _einsum_route(b, T):
-    """Tr_b(T) by the compiled step program of the current plan, whatever
-    route trace_invariant would take."""
-    return _contract_one(tensor._plan(tensor._einsum_eq(b), T.N), T._dense())
+def _einsum_route(net, T):
+    """Tr(T) of the network by the compiled step program of the current
+    plan, whatever route trace_invariant would take."""
+    return _contract_one(tensor._plan(tensor._einsum_eq(net), T.N), T._dense())
 
 
 def _joining_edges(eq):
@@ -610,37 +658,37 @@ class TestSlicedContraction:
     def test_slicing_keeps_every_value(self, p, n, monkeypatch):
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         tensors = [sample_gote(p, 2, seed=5), sample_gote(p, 7, seed=6)]
-        reps = _class_reps(p, n)
-        unsliced = [[_einsum_route(b, T) for T in tensors] for b in reps]
+        nets = _class_nets(p, n)
+        unsliced = [[_einsum_route(net, T) for T in tensors] for net in nets]
         assert not any(plan.sliced for plan in tensor._PATH_CACHE.values())
-        for b, (small, _) in zip(reps, unsliced):
+        for b, (small, _) in zip(_class_maps(p, n), unsliced):
             assert small == pytest.approx(naive_trace(b, tensors[0]), rel=1e-12, abs=1e-12)
 
         # the planner's own choice once every intermediate is over budget
         monkeypatch.setattr(tensor, "_SLICE_ELEMS", 0)
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
-        for b, want in zip(reps, unsliced):
-            got = [_einsum_route(b, T) for T in tensors]
+        for net, want in zip(nets, unsliced):
+            got = [_einsum_route(net, T) for T in tensors]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         # two vertices contract in one step to a scalar, which slicing cannot shrink
         assert any(plan.sliced for plan in tensor._PATH_CACHE.values()) == (n > 2)
 
         # every edge between two vertices, and for n <= 4 every pair of them
-        for b, want in zip(reps, unsliced):
-            eq = tensor._einsum_eq(b)
+        for net, want in zip(nets, unsliced):
+            eq = tensor._einsum_eq(net)
             edges = _joining_edges(eq)
             pairs = ["".join(c) for c in itertools.combinations(edges, 2)] if n <= 4 else []
             for T, value in zip(tensors, want):
                 for sliced in edges + pairs:
                     tensor._PATH_CACHE[(eq, T.N)] = tensor._greedy_plan(eq, T.N, sliced)
-                    assert _einsum_route(b, T) == pytest.approx(value, rel=1e-12, abs=1e-12)
+                    assert _einsum_route(net, T) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("N", [96, 128, 256])
     @pytest.mark.parametrize("p,n", [(3, 4), (3, 6)])
     def test_large_N_plans_are_pairwise_within_N_cubed(self, p, n, N, monkeypatch):
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
-        for b in _class_reps(p, n):
-            plan = tensor._plan(tensor._einsum_eq(b), N)
+        for net in _class_nets(p, n):
+            plan = tensor._plan(tensor._einsum_eq(net), N)
             assert all(len(step) <= 2 for step in plan.path[1:])
             assert plan.max_elems <= N**3
             flop, largest = _numpy_cost(plan, N)
@@ -650,11 +698,12 @@ class TestSlicedContraction:
     def test_k4_beyond_the_greedy_budget(self, monkeypatch):
         # at N = 96 no pairwise order fits numpy's budget without slicing
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
-        eq = tensor._einsum_eq(_k4())
+        net = _vertex_edge_ids(_k4())
+        eq = tensor._einsum_eq(net)
         assert tensor._greedy_plan(eq, 96).widest == 4
         assert len(tensor._plan(eq, 96).sliced) == 1
         T = sample_gote(3, 96, seed=7)
-        assert _einsum_route(_k4(), T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
+        assert _einsum_route(net, T) == pytest.approx(k4_trace_sliced_gemm(T), rel=1e-12)
 
 
 class TestStepProgram:
@@ -663,8 +712,8 @@ class TestStepProgram:
     def test_equals_numpy_einsum_bit_for_bit(self, p, n, N):
         # N = 1 takes numpy's size-1 handling: every step is a product
         dense = sample_gote(p, N, seed=(p, n, N))._dense()
-        for b in _class_reps(p, n):
-            eq = tensor._einsum_eq(b)
+        for net in _class_nets(p, n):
+            eq = tensor._einsum_eq(net)
             for sliced in ["", *_joining_edges(eq)]:
                 plan = tensor._greedy_plan(eq, N, sliced)
                 assert _contract_one(plan, dense) == einsum_contract(plan, dense)
@@ -698,9 +747,9 @@ class TestBatchedEvaluation:
         # every class on its own route, against the batch of one of trace_invariant
         for N in (1, 3, 6):
             tensors, dense = _stack(p, N, seed=10 * p + n)
-            for rep in _class_reps(p, n):
-                evaluate, _, _ = tensor._class_route(rep, N)
-                alone = [trace_invariant(rep, T) for T in tensors]
+            for b in _class_maps(p, n):
+                evaluate, _, _ = tensor._class_route(_vertex_edge_ids(b), N)
+                alone = [trace_invariant(b, T) for T in tensors]
                 for B in (1, 3, 16):
                     assert evaluate(dense[:B]).tolist() == alone[:B]
 
@@ -709,7 +758,7 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(tensor, "_SLICE_ELEMS", 300)
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         tensors, dense = _stack(3, 6, seed=1)
-        plans = [tensor._plan(tensor._einsum_eq(rep), 6) for rep in _class_reps(3, 4)]
+        plans = [tensor._plan(tensor._einsum_eq(net), 6) for net in _class_nets(3, 4)]
         assert any(plan.sliced for plan in plans)
         assert any(3 * plan.max_elems <= 300 < 16 * plan.max_elems for plan in plans)
         for plan in plans:
@@ -730,9 +779,9 @@ class TestBatchedEvaluation:
         tensors, dense = _stack(3, 16, seed=7)
         plan = tensor._plan(_K33, 16)
         assert 5 * plan.max_elems > tensor._SLICE_ELEMS >= plan.max_elems
-        for rep in _class_reps(3, 6):
-            evaluate, _, _ = tensor._class_route(rep, 16)
-            assert evaluate(dense).tolist() == [trace_invariant(rep, T) for T in tensors]
+        for b in _class_maps(3, 6):
+            evaluate, _, _ = tensor._class_route(_vertex_edge_ids(b), 16)
+            assert evaluate(dense).tolist() == [trace_invariant(b, T) for T in tensors]
 
         allocated, empty = [], np.empty
         spy = lambda *a, **kw: allocated.append(1) or empty(*a, **kw)  # noqa: E731
@@ -805,12 +854,12 @@ def _buffer_plans(monkeypatch):
         for N in (1, 2, 3, 5, 8, 16):
             if N**p <= 16**4:
                 _, dense = _stack(p, N, seed=(p, n))
-                for rep in _class_reps(p, n):
-                    yield tensor._plan(tensor._einsum_eq(rep), N), dense
+                for net in _class_nets(p, n):
+                    yield tensor._plan(tensor._einsum_eq(net), N), dense
     monkeypatch.setattr(tensor, "_SLICE_ELEMS", 300)
     monkeypatch.setattr(tensor, "_PATH_CACHE", {})
     _, dense = _stack(3, 6, seed=1)
-    plans = [tensor._plan(tensor._einsum_eq(rep), 6) for rep in _class_reps(3, 4)]
+    plans = [tensor._plan(tensor._einsum_eq(net), 6) for net in _class_nets(3, 4)]
     assert any(plan.sliced for plan in plans)
     for plan in plans:
         yield plan, dense
@@ -870,17 +919,18 @@ class TestPlanBuffers:
 
 
 def _triangle_classes():
-    """(rep, equation, k) of every class at (3, 4) and (3, 6) with a triangle."""
+    """(first map, network, equation, k) of every class at (3, 4) and (3, 6)
+    with a triangle."""
     return [
-        (rep, *tensor._triangle_eq(rep))
+        (b, net, *tensor._triangle_eq(net))
         for n in (4, 6)
-        for rep in _class_reps(3, n)
-        if tensor._triangle_eq(rep) is not None
+        for b, net in zip(_class_maps(3, n), _class_nets(3, n))
+        if tensor._triangle_eq(net) is not None
     ]
 
 
-def _triangle_route(rep, eq, k, dense):
-    """Tr of rep per sample by its network with k triangle tensors."""
+def _triangle_route(eq, k, dense):
+    """Tr per sample of the network with k triangle tensors of equation eq."""
     plan = tensor._plan(eq, dense.shape[1])
     return tensor._contract_reduced(plan, k, dense, tensor._triangle_tensor(dense))
 
@@ -888,27 +938,27 @@ def _triangle_route(rep, eq, k, dense):
 class TestTriangleRoute:
     def test_triangles_found(self):
         # K4 and six classes at n = 6; the prism keeps no plain vertex
-        found = {tensor._einsum_eq(rep): (eq, k) for rep, eq, k in _triangle_classes()}
+        found = {tensor._einsum_eq(net): (eq, k) for _, net, eq, k in _triangle_classes()}
         assert len(found) == 7 and sorted(k for _, k in found.values()) == [1] * 6 + [2]
         assert found["abc,ade,bdf,cgh,egi,fhi->"] == ("cef,cef->", 2)
-        assert all(tensor._triangle_eq(rep) is None for rep in _class_reps(3, 2))
-        assert all(tensor._triangle_eq(rep) is None for rep in _class_reps(4, 4))
+        assert all(tensor._triangle_eq(net) is None for net in _class_nets(3, 2))
+        assert all(tensor._triangle_eq(net) is None for net in _class_nets(4, 4))
 
     @pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
     def test_matches_the_plain_plan(self, N):
         tensors, dense = _stack(3, N, seed=3, B=3)
-        for rep, eq, k in _triangle_classes():
-            plain = tensor._contract_plain(tensor._plan(tensor._einsum_eq(rep), N), dense)
-            assert _triangle_route(rep, eq, k, dense) == pytest.approx(plain, rel=1e-12, abs=1e-12)
+        for _, net, eq, k in _triangle_classes():
+            plain = tensor._contract_plain(tensor._plan(tensor._einsum_eq(net), N), dense)
+            assert _triangle_route(eq, k, dense) == pytest.approx(plain, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_matches_naive_trace(self, N):
         # all classes at N <= 2; at N = 3 the prism only, two triangles
         tensors, dense = _stack(3, N, seed=4, B=1)
-        for rep, eq, k in _triangle_classes():
+        for b, _, eq, k in _triangle_classes():
             if N < 3 or k == 2:
-                want = naive_trace(rep, tensors[0])
-                got = _triangle_route(rep, eq, k, dense)[0]
+                want = naive_trace(b, tensors[0])
+                got = _triangle_route(eq, k, dense)[0]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_sliced_triangle_tensor_keeps_the_bits(self, monkeypatch):
@@ -926,7 +976,8 @@ class TestTriangleRoute:
             assert sum(reduced for _, _, reduced in tensor._route(3, 6, N)) == 6
         tensors, dense = _stack(3, 8, seed=6, B=2)
         plain = [
-            math.fsum(count * trace_invariant(rep, T) for rep, count in _trace_classes(3, 6))
+            math.fsum(count * trace_invariant(map_of_network(net), T)
+                      for net, count in _trace_classes(3, 6))
             for T in tensors
         ]
         assert tensor.balanced_invariants(6, dense) == pytest.approx(plain, rel=1e-12)
@@ -978,7 +1029,7 @@ class TestK4Kernel:
         T = sample_gote(3, N, seed=10 + N)
         dense = T._dense()
         kernel = tensor._k4_trace(dense)
-        eq = tensor._einsum_eq(_k4())
+        eq = tensor._einsum_eq(_vertex_edge_ids(_k4()))
         for sliced in ["", *sorted(set(eq) - set(",->"))]:
             plan = tensor._greedy_plan(eq, N, sliced)
             assert _contract_one(plan, dense) == pytest.approx(kernel, rel=1e-13)
@@ -1001,7 +1052,7 @@ class TestK4Kernel:
     def test_route_takes_the_kernel_price(self):
         for N in (16, 64, 256):
             flop, max_elems = tensor._k4_cost(N)
-            assert tensor._class_route(_k4(), N)[1:] == (flop, max_elems)
+            assert tensor._class_route(_vertex_edge_ids(_k4()), N)[1:] == (flop, max_elems)
             # the strict part's products, N^3 (N - 1)^2 / 2 FLOP, and O(N^4)
             assert 0 < flop - N**3 * (N - 1) ** 2 // 2 <= 5 * N**4
         assert f"{tensor._k4_cost(256)[0]:.3g}" == "5.65e+11"
@@ -1032,8 +1083,8 @@ class TestK4Kernel:
 
 
 def _k33():
-    """The class of (3, 6) whose multigraph is K_{3,3}."""
-    (rep,) = [b for b in _class_reps(3, 6) if tensor._is_k33(b)]
+    """The first map of the class of (3, 6) whose multigraph is K_{3,3}."""
+    (rep,) = [b for b in _class_maps(3, 6) if tensor._is_k33(_vertex_edge_ids(b))]
     return rep
 
 
@@ -1048,8 +1099,8 @@ _K33_BITS = (
 
 class TestK33Kernel:
     def test_only_k33_takes_the_kernel(self, monkeypatch):
-        assert tensor._einsum_eq(_k33()) == _K33
-        assert not any(tensor._is_k33(b) for b in _class_reps(3, 4) + _class_reps(4, 4))
+        assert tensor._einsum_eq(_vertex_edge_ids(_k33())) == _K33
+        assert not any(tensor._is_k33(net) for net in _class_nets(3, 4) + _class_nets(4, 4))
         calls, kernel = [], tensor._k33_trace
         monkeypatch.setattr(tensor, "_k33_trace", lambda d: calls.append(1) or kernel(d))
         for p, n, taken in [(3, 2, 0), (3, 4, 0), (3, 6, 1), (4, 2, 0), (4, 4, 0)]:
@@ -1146,8 +1197,8 @@ class TestContractionGuard:
             balanced_invariant(6, T)
 
     def test_step_program_refused_before_contracting(self, monkeypatch):
-        b = next(rep for rep in _class_reps(3, 4) if rep != _k4())
-        _, flop, _ = tensor._class_route(b, 16)
+        b = next(rep for rep in _class_maps(3, 4) if rep != _k4())
+        _, flop, _ = tensor._class_route(_vertex_edge_ids(b), 16)
         monkeypatch.setattr(tensor, "_MAX_FLOP", flop - 1)
         with pytest.raises(ResourceLimitError, match="FLOP"):
             trace_invariant(b, sample_gote(3, 16, seed=0))
@@ -1161,7 +1212,7 @@ class TestContractionGuard:
     def test_k33_flop_limit_refuses_before_contracting(self, monkeypatch):
         # the kernel's slabs and SYRK products at N = 16, one FLOP over the limit
         flop, max_elems = tensor._k33_cost(16)
-        assert tensor._class_route(_k33(), 16)[1:] == (flop, max_elems)
+        assert tensor._class_route(_vertex_edge_ids(_k33()), 16)[1:] == (flop, max_elems)
         T = sample_gote(3, 16, seed=0)
         monkeypatch.setattr(tensor, "_MAX_FLOP", flop - 1)
         with pytest.raises(ResourceLimitError, match=re.escape(f"take {flop:.3g} FLOP")):
@@ -1189,8 +1240,8 @@ class TestContractionGuard:
     def test_limits_admit_p3_n4_up_to_N200(self, monkeypatch):
         monkeypatch.setattr(tensor, "_PATH_CACHE", {})
         for N in (96, 128, 200):
-            for b in _class_reps(3, 4):
-                _, flop, max_elems = tensor._class_route(b, N)
+            for net in _class_nets(3, 4):
+                _, flop, max_elems = tensor._class_route(net, N)
                 assert flop <= tensor._MAX_FLOP
                 assert 8 * max_elems <= tensor._MAX_INTERMEDIATE_BYTES
 
@@ -1249,7 +1300,7 @@ class TestExactExpectations:
     @pytest.mark.parametrize("dist", [GAUSSIAN_GOTE, RADEMACHER, UNIFORM, FLAT])
     def test_oracle_equivalence(self, dist):
         cases = [(b, (4, 6, 8)) for b in enumerate_rooted_connected(3, 2)]
-        cases += [(rep, (2, 3)) for rep, _ in _trace_classes(3, 4)]
+        cases += [(rep, (2, 3)) for rep in _class_maps(3, 4)]
         cases += [(b, (3, 4)) for b in enumerate_rooted_connected(4, 2)]
         cases += [(b, (3, 5)) for b in enumerate_rooted_connected(2, 4)]
         for b, grid in cases:
@@ -1275,11 +1326,11 @@ class TestExactExpectations:
 
         bound = (n // 2) * (p - 1) + 1
         for dist in dists:
-            for rep, _ in _trace_classes(p, n):
-                coeffs = exact._polynomial(rep, dist)
+            for b in _class_maps(p, n):
+                coeffs = exact._polynomial(_vertex_edge_ids(b), dist)
                 degree = max(k for k, c in enumerate(coeffs) if c)
                 assert degree <= bound
-                assert (degree == bound) == is_melonic_graph(rep)
+                assert (degree == bound) == is_melonic_graph(b)
 
     def test_melon_hand_value(self):
         # E[Tr]/N = 1/2 + 3/(2N) + 1/N^2 under the invariant profile
@@ -1355,8 +1406,8 @@ def _signature_tops(p: int, n: int) -> Counter:
     law is Gaussian)."""
     tops = Counter()
     for flat, sizes in ((False, tuple(range(2, n + 1, 2))), (True, (2,))):
-        for rep, count in _trace_classes(p, n):
-            counts, _ = exact._group_counts(exact._vertex_edge_ids(rep), p, flat, sizes)
+        for net, count in _trace_classes(p, n):
+            counts, _ = exact._group_counts(net, p, flat, sizes)
             for lam, c in counts.items():
                 bound = 1 + (p - 1) * (n // 2 - sum(r // 2 - 1 for r in lam))
                 assert not any(c[bound + 1 :])
@@ -1375,9 +1426,9 @@ class TestPairingOracle:
         # under every exact law, the group DP gives the partition route's
         # polynomial in the powers N^k
         dists = (GAUSSIAN_GOTE, FLAT, RADEMACHER, UNIFORM)
-        for rep, _ in _trace_classes(p, n):
-            for dist, falling in zip(dists, trace_polynomial(rep, dists)):
-                assert list(exact._polynomial(rep, dist)) == in_powers(falling)
+        for b in _class_maps(p, n):
+            for dist, falling in zip(dists, trace_polynomial(b, dists)):
+                assert list(exact._polynomial(_vertex_edge_ids(b), dist)) == in_powers(falling)
 
     def test_route_is_chosen_by_the_profile(self):
         # every law takes the group DP; its tables follow the variance
@@ -1562,7 +1613,7 @@ class TestPairingOracle:
 
         monkeypatch.setattr(exact, "_group_counts", recording)
         exact._profile_counts.cache_clear()
-        classes = [rep for rep, _ in _trace_classes(p, n)]
+        classes = _class_maps(p, n)
         pairs = [(b, d) for i, b in enumerate(classes) for d in classes[i:]]
         unions = []
         cached = set()
