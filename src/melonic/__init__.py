@@ -7,46 +7,41 @@ experiments reproducing the moment convergence at desk scale.
 """
 
 import importlib
-import types
 
-from .counting import count_melonic_maps, count_rooted_maps, fuss_catalan
-from .errors import (
-    ContractViolation, DomainError, InvalidPartitionError, NumericalError, ResourceLimitError,
-)
-from .hypergraph import (
-    Hypergraph, euler_deficiency, hypergraph_of, is_double_hypertree, is_hypertree,
-    is_melonic_graph, melonic_partition,
-)
-from .maps import (
-    CombinatorialMap, EdgePartition, Hypermap, Permutation, canonical_code, cycles, dual,
-    edge_list, enumerate_rooted_connected, merge_edges,
-)
-from .exact import (
-    GAUSSIAN_GOTE, RADEMACHER, EntryDistribution, ExperimentConfig, balanced_invariant_variance,
-    expected_balanced_invariant, melonic_limit_table,
-)
-from .limitlaw import (
-    LimitLaw, density, inversion_density, moment, stieltjes, support_radius,
-)
-
-# The modules that load numpy are imported when one of their names is first
-# read (PEP 562), so the exact subcommands start without numpy.
+# Each public name is imported from its module when it is first read (PEP 562),
+# so ``import melonic`` loads no submodule and a subcommand loads only the
+# modules it runs.
 _LAZY = {
-    "tensor": (
-        "SymTensor", "balanced_invariant", "contract", "resolvent_series", "sample_gote",
-        "sample_wigner", "trace_invariant",
+    "config": ("EntryDistribution", "ExperimentConfig", "GAUSSIAN_GOTE", "RADEMACHER"),
+    "counting": ("count_melonic_maps", "count_rooted_maps", "fuss_catalan"),
+    "errors": (
+        "ContractViolation", "DomainError", "InvalidPartitionError", "NumericalError",
+        "ResourceLimitError",
     ),
+    "exact": ("balanced_invariant_variance", "expected_balanced_invariant", "melonic_limit_table"),
     "experiments": (
         "HeavyTailEstimate", "MomentEstimate", "heavy_tail_moments", "mc_moments",
         "resolvent_crosscheck", "variance_scaling",
     ),
+    "hypergraph": (
+        "Hypergraph", "euler_deficiency", "hypergraph_of", "is_double_hypertree", "is_hypertree",
+        "is_melonic_graph", "melonic_partition",
+    ),
+    "limitlaw": (
+        "LimitLaw", "density", "inversion_density", "moment", "stieltjes", "support_radius",
+    ),
+    "maps": (
+        "CombinatorialMap", "EdgePartition", "Hypermap", "Permutation", "canonical_code", "cycles",
+        "dual", "edge_list", "enumerate_rooted_connected", "merge_edges",
+    ),
+    "tensor": (
+        "SymTensor", "balanced_invariant", "contract", "resolvent_series", "sample_gote",
+        "sample_wigner", "trace_invariant",
+    ),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = sorted(
-    [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, types.ModuleType)]
-    + list(_LAZY_OWNER)
-)
+__all__ = sorted(_LAZY_OWNER)
 
 
 def __getattr__(name):

@@ -6,15 +6,17 @@ contracted tensor (--k 0 is mc), and law tabulates LimitLaw(p, k).
 Tabular output is CSV (default) or JSON via --format; floats are
 serialised with 17 significant digits so runs are bit-reproducible at a
 fixed BLAS thread count (the matrix products of the contractions may round
-differently with another OPENBLAS_NUM_THREADS, which shows at N >= 32).  Settings come from one ExperimentConfig: its
-defaults, then a JSON config file (--config), then explicit flags.  Each
-subcommand accepts only the flags it reads.  The package's own errors end
-the run with a one-line message and the exit codes listed in _EXIT_CODES.
-A reader that closes stdout early (``| head``) ends the run quietly with
-exit code 1, the code of Python's own exit on a broken pipe.
-enumerate, classify, count and moments are exact and law computes on Python
-floats, so these five never load numpy; the other subcommands import it,
-with the modules they run, when they start.
+differently with another OPENBLAS_NUM_THREADS, which shows at N >= 32).
+Settings come from one ExperimentConfig: its defaults, then a JSON config
+file (--config), then explicit flags.  Each subcommand accepts only the
+flags it reads.  The package's own errors end the run with a one-line
+message and the exit codes listed in _EXIT_CODES.  A reader that closes
+stdout early (``| head``) ends the run quietly with exit code 1, the code of
+Python's own exit on a broken pipe.
+This module loads only errors and config, and each subcommand imports what
+it runs when it starts: count counting, law limitlaw, enumerate maps,
+classify maps and hypergraph, moments exact, maps and hypergraph; only mc,
+var, contract, heavytail and resolvent-check load numpy.
 """
 
 from __future__ import annotations
@@ -25,15 +27,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from . import counting, exact, limitlaw, maps
+from .config import ExperimentConfig
 from .errors import ContractViolation, DomainError, NumericalError, ResourceLimitError
-from .exact import ExperimentConfig
-from .hypergraph import (
-    euler_deficiency,
-    hypergraph_of,
-    melonic_partition,
-)
-from .maps import dual, enumerate_rooted_connected
 
 
 def _fmt(x) -> str:
@@ -176,10 +171,12 @@ def _config(args) -> ExperimentConfig:
 def _coded_maps(p: int, n: int):
     """(canonical code, map) of every rooted connected map, in listing order;
     the codes are the ones the enumerator sorted by."""
-    return zip((code for code, _ in maps._coded_taus(p, n)), enumerate_rooted_connected(p, n))
+    from .maps import _coded_taus, enumerate_rooted_connected
+    return zip((code for code, _ in _coded_taus(p, n)), enumerate_rooted_connected(p, n))
 
 
 def _cmd_enumerate(args, cfg):
+    from . import maps
     out = []
     for code, b in _coded_maps(cfg.p, cfg.n_max):
         obj = maps.map_to_json(b)
@@ -189,6 +186,8 @@ def _cmd_enumerate(args, cfg):
 
 
 def _cmd_classify(args, cfg):
+    from .hypergraph import euler_deficiency, hypergraph_of, melonic_partition
+    from .maps import dual
     rows = []
     for code, b in _coded_maps(cfg.p, cfg.n_max):
         # melonic classification is defined for p >= 3; p = 2 rows stay blank
@@ -207,9 +206,10 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_count(args, cfg):
+    from . import counting
     p, ns = cfg.p, range(cfg.n_max + 1)
     counting._check_count_table(p, cfg.n_max)
-    fuss = [counting.fuss_catalan(p, n) for n in ns]  # refuses p < 2 on any row
+    fuss = [counting.fuss_catalan(p, n) for n in ns]
     dyck, noncrossing = counting.count_columns(p, cfg.n_max)
     melonic = [counting.count_melonic_maps(p, n) if p >= 3 else "" for n in ns]
     rows = [(p, n, fuss[n], dyck[n], noncrossing[n], melonic[n]) for n in ns]
@@ -218,6 +218,7 @@ def _cmd_count(args, cfg):
 
 
 def _cmd_moments(args, cfg):
+    from . import exact
     rows = []
     table = exact.melonic_limit_table(cfg.p, cfg.n_max, cfg.N_grid, cfg.dist)
     for r in table:
@@ -257,6 +258,7 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
 
 
 def _cmd_law(args, cfg):
+    from . import limitlaw
     p, k = cfg.p, args.k
     if args.grid < 1:
         raise ContractViolation(f"--grid must be at least 1, got {args.grid}")

@@ -96,12 +96,12 @@ def _check_count_table(p: int, n_max: int) -> None:
     ``left`` steps to go, S (f L (L + 1) / 2 + L) pairs in all.  That is an
     upper bound: the DP skips heights of count zero and stops at the first
     step that lands above the kept heights, so at p = 3, n = 200 it visits
-    2.8e6 of the 1.69e7 pairs priced.  A table without rows, n_max < 0, is
-    refused too."""
+    2.8e6 of the 1.69e7 pairs priced.  A table without rows, n_max < 0, and
+    one at p < 2 are refused too."""
     if n_max < 0:
         raise ContractViolation(f"the count table needs n >= 0, got n={n_max}")
-    if p < 2 or n_max < 1:
-        return  # the columns refuse p < 2 themselves
+    if p < 2:
+        raise ContractViolation(f"the count table needs p >= 2, got p={p}")
     dyck, noncrossing = (n_max * p, 2, p - 1), (n_max * (p - 1), n_max + 1, 1)  # (L, S, f)
     pairs = sum(S * (f * L * (L + 1) // 2 + L) for L, S, f in (dyck, noncrossing))
     if pairs > _COUNT_TABLE_GUARD:

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import EntryDistribution, ExperimentConfig
 from .errors import ContractViolation, DomainError
-from .exact import EntryDistribution, ExperimentConfig, _require_maps
+from .exact import _require_maps
 from .limitlaw import LimitLaw, moment
 from .maps import _check_map_budget
 from .tensor import (

@@ -495,6 +495,7 @@ def _multigraph_key(n: int, edges: Sequence[tuple[int, int]]) -> tuple:
     return best[0]
 
 
+@lru_cache(maxsize=None)
 def _class_keys(p: int, n: int) -> tuple:
     """Multigraph class key of each map of B_n^(p), in enumeration order.
 

@@ -38,8 +38,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import GAUSSIAN_GOTE, EntryDistribution
 from .errors import ContractViolation, ResourceLimitError
-from .exact import GAUSSIAN_GOTE, EntryDistribution
 from .exact import expected_balanced_invariant  # noqa: F401  (read as tensor.* by perfbench)
 from . import maps
 

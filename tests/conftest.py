@@ -54,7 +54,8 @@ from melonic.maps import (
     multigraph,
     rooted_connected,
 )
-from melonic.exact import EntryDistribution, _coefficients, _group_counts, _kappas
+from melonic.config import EntryDistribution
+from melonic.exact import _coefficients, _group_counts, _kappas
 from melonic.tensor import _EINSUM_LETTERS, SymTensor, _table
 
 _EXHAUSTIVE_TERM_GUARD = 10**8

@@ -33,14 +33,8 @@ from melonic.limitlaw import (
 )
 from melonic.maps import _vertex_edge_ids, enumerate_rooted_connected
 from melonic import exact
-from melonic.exact import (
-    GAUSSIAN_GOTE,
-    RADEMACHER,
-    EntryDistribution,
-    ExperimentConfig,
-    expected_balanced_invariant,
-    melonic_limit_table,
-)
+from melonic.config import GAUSSIAN_GOTE, RADEMACHER, EntryDistribution, ExperimentConfig
+from melonic.exact import expected_balanced_invariant, melonic_limit_table
 from melonic.tensor import SymTensor
 
 from conftest import (

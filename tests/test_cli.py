@@ -580,6 +580,16 @@ class TestErrors:
         code, err = self.fail(capsys, "count", "--p", "3", "--n", "300")
         assert code == 5 and "to n=300 at p=3 takes about 5.61e+07 big-integer additions" in err
 
+    def test_count_refuses_p_below_two_before_any_row(self, monkeypatch, capsys):
+        # the message names the p that was passed, not fuss_catalan's k
+        def no_row(*args):
+            raise AssertionError("a row counted before the p check")
+
+        monkeypatch.setattr(counting, "fuss_catalan", no_row)
+        monkeypatch.setattr(counting, "_excursions", no_row)
+        code, err = self.fail(capsys, "count", "--p", "1", "--n", "3")
+        assert code == 3 and "ContractViolation: the count table needs p >= 2, got p=1" in err
+
     def test_contraction_cost_guard(self, monkeypatch, capsys):
         # every class is priced before the first sample; K4 is refused first
         def no_contraction(dense):
@@ -652,6 +662,17 @@ EXPORTED = {
     "support_radius", "trace_invariant", "variance_scaling",
 }
 NUMPY_LOADED = "print('numpy' in sys.modules)"
+PACKAGE_LOADED = "print(sorted(m for m in sys.modules if m.startswith('melonic.')))"
+# the package modules each subcommand loads besides cli, config and errors
+# (maps and limitlaw import counting)
+SUBCOMMAND_MODULES = {
+    "count": {"counting"},
+    "law": {"limitlaw", "counting"},
+    "enumerate": {"maps", "counting"},
+    "classify": {"maps", "hypergraph", "counting"},
+    "moments": {"exact", "maps", "hypergraph", "counting"},
+    "mc": {"experiments", "tensor", "exact", "maps", "hypergraph", "limitlaw", "counting"},
+}
 
 
 class TestImport:
@@ -666,6 +687,7 @@ class TestImport:
 
     def test_import_loads_no_numpy(self):
         assert run_child(f"import sys, melonic, melonic.cli; {NUMPY_LOADED}") == "False\n"
+        assert run_child(f"import sys, melonic; {PACKAGE_LOADED}") == "[]\n"
         assert run_child(f"import sys, melonic.limitlaw; {NUMPY_LOADED}") == "False\n"
 
     @pytest.mark.parametrize(
@@ -682,14 +704,17 @@ class TestImport:
         ],
     )
     def test_only_array_subcommands_load_numpy(self, argv, loads):
+        # and each subcommand loads exactly the package modules it runs
         code = (
             "import contextlib, io, sys\n"
             "from melonic import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n"
             f"{NUMPY_LOADED}\n"
+            f"{PACKAGE_LOADED}\n"
         )
-        assert run_child(code) == f"{loads}\n"
+        modules = {"cli", "config", "errors", *SUBCOMMAND_MODULES[argv[0]]}
+        assert run_child(code) == f"{loads}\n{sorted(f'melonic.{m}' for m in modules)}\n"
 
     def test_every_exported_name_resolves(self):
         assert set(melonic.__all__) == EXPORTED

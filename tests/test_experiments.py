@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,12 +10,8 @@ from melonic import exact, experiments, maps, tensor
 from melonic.errors import ContractViolation, DomainError, ResourceLimitError
 from melonic.hypergraph import _peel, is_melonic_graph
 from melonic.maps import rooted_connected
-from melonic.exact import (
-    GAUSSIAN_GOTE,
-    EntryDistribution,
-    ExperimentConfig,
-    melonic_limit_table,
-)
+from melonic.config import GAUSSIAN_GOTE, EntryDistribution, ExperimentConfig
+from melonic.exact import melonic_limit_table
 from melonic.experiments import (
     heavy_tail_moments,
     mc_moments,
@@ -192,6 +189,25 @@ class TestMelonicLimitTable:
         rows = melonic_limit_table(p, n, (8,), GAUSSIAN_GOTE)
         assert len(peels) == classes == len(exact._trace_classes(p, n))
         assert [r.melonic for r in rows] == [is_melonic_graph(b) for b in rooted_connected(p, n)]
+
+    def test_one_key_per_labelled_multigraph(self, monkeypatch):
+        # in fresh caches, the table and its classes share one pass of
+        # _class_keys: one canonical form per distinct labelled multigraph
+        for name in ("_coded_taus", "_class_keys", "_trace_classes"):
+            fresh = lru_cache(getattr(maps, name).__wrapped__)
+            for module in (maps, exact):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fresh)
+        keyed = []
+        key = maps._multigraph_key
+
+        def counted(n, edges):
+            keyed.append(edges)
+            return key(n, edges)
+
+        monkeypatch.setattr(maps, "_multigraph_key", counted)
+        melonic_limit_table(3, 6, (8, 16), GAUSSIAN_GOTE)
+        assert len(keyed) == len(set(keyed)) == 162
 
     def test_one_partition_pass_per_class(self, monkeypatch):
         # the polynomial in N serves the whole grid and later calls: one group

@@ -30,13 +30,8 @@ from melonic.maps import (
     multigraph,
     rooted_connected,
 )
-from melonic.exact import (
-    GAUSSIAN_GOTE,
-    RADEMACHER,
-    EntryDistribution,
-    balanced_invariant_variance,
-    expected_balanced_invariant,
-)
+from melonic.config import GAUSSIAN_GOTE, RADEMACHER, EntryDistribution
+from melonic.exact import balanced_invariant_variance, expected_balanced_invariant
 from melonic.tensor import (
     SymTensor,
     balanced_invariant,

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from melonic import exact
+from melonic.config import GAUSSIAN_GOTE, RADEMACHER, EntryDistribution
 from melonic.counting import fuss_catalan
-from melonic.exact import GAUSSIAN_GOTE, RADEMACHER, EntryDistribution
 
 from conftest import group_dp_run
 
